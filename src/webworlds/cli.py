@@ -29,7 +29,7 @@ from .diagram import (
     diagram_to_json,
     web_world,
 )
-from .errors import BoundsTooLarge, WebWorldsError, WorldTooLarge
+from .errors import BoundsTooLarge, MalformedInput, WebWorldsError, WorldTooLarge
 from .matrices import (
     DEFAULT_ENTRY_GUARD,
     WorldMatrix,
@@ -341,9 +341,9 @@ def main(argv=None) -> int:
     except (WorldTooLarge, BoundsTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, MalformedInput) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except WebWorldsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

@@ -21,7 +21,9 @@ from .errors import (
     DuplicateSlot,
     EdgeNotInDiagram,
     HeightNotPermutation,
+    InconsistentResult,
     LengthMismatch,
+    MalformedInput,
     NotSurjective,
     PegOrderViolation,
     WorldTooLarge,
@@ -167,6 +169,20 @@ def apply_permutations(diagram: WebDiagram, family: Sequence[Sequence[int]]) -> 
         for e in diagram.edges
     ]
     return WebDiagram(tuple(moved), diagram.num_pegs)
+
+
+def flip(diagram: WebDiagram) -> WebDiagram:
+    """Turn every peg upside down: height h of p becomes p + 1 - h.
+
+    Reconstruction commutes with the flip once colours are reversed, so
+    M(flip D, flip D2) = M(D, D2) on every world.
+    """
+    heights = diagram.peg_heights
+    flipped = [
+        Edge(a, b, heights[a - 1] + 1 - ha, heights[b - 1] + 1 - hb)
+        for a, b, ha, hb in diagram.edges
+    ]
+    return WebDiagram(tuple(flipped), diagram.num_pegs)
 
 
 @dataclass(frozen=True)
@@ -368,7 +384,10 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
             edges.extend(Edge(a, b, lefts[t], rights[t]) for t in range(count))
         members.append(WebDiagram(tuple(edges), diagram.num_pegs))
     world = WebWorld(members)
-    assert len(world) == expected, "orbit generation disagrees with the size formula"
+    if len(world) != expected:
+        raise InconsistentResult(
+            f"orbit generation gave {len(world)} diagrams, the size formula {expected}"
+        )
     return world
 
 
@@ -393,5 +412,35 @@ def diagram_to_json(diagram: WebDiagram) -> dict:
     return {"n": diagram.num_pegs, "edges": [list(e) for e in diagram.edges]}
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; bool and float are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_rows(value, what: str, width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """A list of integer rows, each of length `width` if one is given.
+
+    Every shape check on JSON input goes through here and `json_int`.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list of rows, got {value!r}")
+    rows = []
+    for row in value:
+        if not isinstance(row, (list, tuple)):
+            raise MalformedInput(f"{what} must be a list of rows, got row {row!r}")
+        if width is not None and len(row) != width:
+            raise MalformedInput(f"{what} rows must have {width} entries, got {list(row)!r}")
+        rows.append(tuple(json_int(v, what) for v in row))
+    return tuple(rows)
+
+
 def diagram_from_json(obj: dict) -> WebDiagram:
-    return validate_diagram(obj["edges"], obj.get("n"))
+    if not isinstance(obj, dict) or "edges" not in obj:
+        raise MalformedInput(f'a diagram must be an object with "edges", got {obj!r}')
+    n = obj.get("n")
+    return validate_diagram(
+        json_int_rows(obj["edges"], "edges", width=4),
+        None if n is None else json_int(n, "n"),
+    )

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, validate_diagram
-from .errors import BadRange, BoundsTooLarge, SeriesTruncationTooSmall
+from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, validate_diagram
+from .errors import BadRange, BoundsTooLarge, InconsistentResult, SeriesTruncationTooSmall
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -24,7 +24,7 @@ DEFAULT_MATRIX_GUARD = 2_000_000
 
 
 def validate_represent(rows: Sequence[Sequence[int]]) -> Rows:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = json_int_rows(rows, "represent matrix")
     size = len(out)
     for i, row in enumerate(out):
         if len(row) != size:
@@ -245,7 +245,8 @@ def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
     base = TruncatedSeries.constant(orders, 1) + y * z * geometric
     series = base ** math.comb(pegs, 2)
     value = series.coefficient((edges, pairs))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InconsistentResult(f"series coefficient {value} is not an integer")
     return int(value)
 
 
@@ -299,7 +300,8 @@ def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
         inner = inner + term * zn
     series = inner.log_one_plus()
     value = series.coefficient((edges, pairs, pegs)) * math.factorial(pegs)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InconsistentResult(f"series coefficient {value} is not an integer")
     return int(value)
 
 

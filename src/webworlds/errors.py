@@ -5,6 +5,14 @@ class WebWorldsError(Exception):
     """Base class for every error raised by this package."""
 
 
+class MalformedInput(WebWorldsError):
+    """JSON-style input does not have the expected shape or value types."""
+
+
+class InconsistentResult(WebWorldsError):
+    """Two exact routes to one quantity disagree: a defect in the library."""
+
+
 class InvalidDiagram(WebWorldsError):
     """Edge data does not describe a well-formed diagram."""
 
@@ -61,10 +69,6 @@ class RepeatedBlocks(WebWorldsError):
 class LabelNotOne(WebWorldsError):
     """The web graph carries a multiplicity label above one, so the
     poset trace formulas do not apply."""
-
-
-class DimensionMismatch(WebWorldsError):
-    """Sequences that must share a length or a variant do not."""
 
 
 class NotTransitive(WebWorldsError):

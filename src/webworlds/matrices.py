@@ -20,6 +20,7 @@ from typing import Sequence
 from .diagram import (
     WebDiagram,
     WebWorld,
+    flip,
     peg_slots,
     restacked_edge_key,
     surjection_tuples,
@@ -258,59 +259,187 @@ def mixing_from_polynomial(poly: IntPolynomial) -> Fraction:
     )
 
 
-def _world_counts(world: WebWorld, max_entries: int) -> list[list[list[int]]]:
+class _SubsetDP:
+    """Counts one row of a world's colouring matrix by a DP over edge subsets.
+
+    A surjective k-colouring is an ordered set partition B1..Bk of the
+    edges, and its reconstruction lists each peg's endpoints block by
+    block, in old height order within a block. So a pass over edge
+    subsets S in increasing bitmask order, keyed by the per-peg endpoint
+    sequence of S, counts the whole row at once: each nonempty B outside S
+    appends its own per-peg order and adds one block. The work is about
+    3^e transitions times the keys per subset, against Fubini(e)
+    colourings for direct enumeration.
+
+    A key packs, for each peg with two or more endpoints, the edge
+    indices of its endpoints in their new height order into fixed-width
+    bit fields. The slot that the next endpoint on a peg fills depends on
+    S alone, so a block's contribution is one OR. A count vector packs
+    its count per block number into fixed-width bit fields too, so adding
+    a block is one shift. Edge i runs between the same pegs in every
+    member, so a finished key names one target member for the whole world.
+    """
+
+    def __init__(self, world: WebWorld):
+        first = world[0]
+        edge_count = first.edge_count
+        self.full = (1 << edge_count) - 1
+        self.width = max(1, (edge_count - 1).bit_length())
+        # no count in a row exceeds the Fubini number, the row's total
+        self.block_bits = ordered_bell_polynomial(edge_count).evaluate(1).bit_length()
+        self.edge_count = edge_count
+        self.world = world
+        self.template = first.edges
+        slots = peg_slots(first)
+        # pegs with a single endpoint never react to a colouring
+        self.live = [p for p, lst in enumerate(slots) if len(lst) > 1]
+        self.masks = [sum(1 << idx for idx, _field in slots[p]) for p in self.live]
+        self.offsets: list[int] = []
+        offset = 0
+        for p in self.live:
+            self.offsets.append(offset)
+            offset += len(slots[p]) * self.width
+        # per subset S, the bit position of the next free slot on each peg
+        self.shifts = [
+            tuple(
+                off + self.width * (subset & mask).bit_count()
+                for off, mask in zip(self.offsets, self.masks)
+            )
+            for subset in range(self.full + 1)
+        ]
+        self.targets: dict[int, int] = {}
+
+    def _orders(self, diagram: WebDiagram) -> list[list[int]]:
+        """Per live peg and per edge subset B, B's packed per-peg order."""
+        slots = peg_slots(diagram)
+        width = self.width
+        tables = []
+        for p, peg_mask in zip(self.live, self.masks):
+            by_height = [idx for idx, _field in slots[p]]
+            packed = {0: 0}
+            for pick in range(1, 1 << len(by_height)):
+                mask = code = slot = 0
+                for pos, idx in enumerate(by_height):
+                    if pick >> pos & 1:
+                        mask |= 1 << idx
+                        code |= idx << (width * slot)
+                        slot += 1
+                packed[mask] = code
+            tables.append([packed[b & peg_mask] for b in range(self.full + 1)])
+        return tables
+
+    def row(self, diagram: WebDiagram) -> dict[int, int]:
+        """Target member index -> packed count vector of one row."""
+        full = self.full
+        bits = self.block_bits
+        shifts = self.shifts
+        orders = self._orders(diagram)
+        layers: list[dict[int, int] | None] = [None] * (full + 1)
+        layers[0] = {0: 1}
+        for subset in range(full):
+            here = layers[subset]
+            layers[subset] = None
+            grown = [(key, vec << bits) for key, vec in here.items()]
+            free = full ^ subset
+            slots = list(zip(orders, shifts[subset]))
+            block = free
+            while block:
+                contrib = 0
+                for order, shift in slots:
+                    contrib |= order[block] << shift
+                dest = layers[subset | block]
+                if dest is None:
+                    dest = layers[subset | block] = {}
+                for key, vec in grown:
+                    key |= contrib
+                    dest[key] = dest.get(key, 0) + vec
+                block = (block - 1) & free
+        out: dict[int, int] = {}
+        targets = self.targets
+        for key, vec in layers[full].items():
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = self._target(key)
+            # parallel edges let several keys name one target: add, never overwrite
+            out[target] = out.get(target, 0) + vec
+        return out
+
+    def _target(self, key: int) -> int:
+        rows = [list(e) for e in self.template]
+        field_mask = (1 << self.width) - 1
+        for p, off, mask in zip(self.live, self.offsets, self.masks):
+            for height in range(1, mask.bit_count() + 1):
+                idx = key >> (off + self.width * (height - 1)) & field_mask
+                rows[idx][2 if rows[idx][0] == p + 1 else 3] = height
+        return self.world.index[tuple(sorted(map(tuple, rows)))]
+
+    def unpack(self, vec: int) -> tuple[int, ...]:
+        bits = self.block_bits
+        field_mask = (1 << bits) - 1
+        return tuple(vec >> (bits * k) & field_mask for k in range(self.edge_count + 1))
+
+
+def _flip_permutation(world: WebWorld) -> list[int]:
+    """Index of flip(D) for every member D."""
+    return [world.index_of(flip(d)) for d in world]
+
+
+def _world_counts(world: WebWorld, max_entries: int) -> list[list[tuple[int, ...]]]:
+    """Per row and column, the colouring counts by number of colours.
+
+    Rows come from the subset DP. Since M(flip D, flip D2) = M(D, D2),
+    each computed row also fills the row of flip(D), with its columns
+    permuted by the flip; members that are their own flip are computed
+    directly.
+    """
     size = len(world)
     if size * size > max_entries:
         raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
     if world.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
-    edge_count = world.edge_count
-    counts = [[[0] * (edge_count + 1) for _ in range(size)] for _ in range(size)]
-    index = world.index
+    dp = _SubsetDP(world)
+    flips = _flip_permutation(world)
+    zero = (0,) * (world.edge_count + 1)
+    counts: list[list[tuple[int, ...]] | None] = [None] * size
     for row, diagram in enumerate(world):
-        slots = peg_slots(diagram)
-        # only pegs with two or more endpoints can react to a colouring
-        live = [lst for lst in slots if len(lst) > 1]
-        row_counts = counts[row]
-        # distinct reorderings are far fewer than colourings, so cache
-        # the target index per reordering instead of re-keying each word
-        seen: dict[tuple[tuple[int, int], ...], int] = {}
-        for colours in range(1, edge_count + 1):
-            for assignment in surjection_tuples(edge_count, colours):
-                ordering: list[tuple[int, int]] = []
-                for lst in live:
-                    ordering.extend(sorted(lst, key=lambda t: assignment[t[0]]))
-                key = tuple(ordering)
-                target = seen.get(key)
-                if target is None:
-                    target = index[restacked_edge_key(diagram, slots, assignment)]
-                    seen[key] = target
-                row_counts[target][colours] += 1
+        if counts[row] is not None:
+            continue
+        cells = [zero] * size
+        for target, vec in dp.row(diagram).items():
+            cells[target] = dp.unpack(vec)
+        counts[row] = cells
+        mirror = flips[row]
+        if mirror != row:
+            mirrored = [zero] * size
+            for col, cell in enumerate(cells):
+                mirrored[flips[col]] = cell
+            counts[mirror] = mirrored
     return counts
 
 
 def world_matrices(
     world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD
 ) -> tuple[WorldMatrix, WorldMatrix]:
-    """Colouring and mixing matrices from a single enumeration pass."""
+    """Colouring and mixing matrices from one pass of colouring counts."""
     counts = _world_counts(world, max_entries)
     edge_count = world.edge_count
     denom = math.lcm(*range(1, edge_count + 1))
     weights = [0] + [
         (-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)
     ]
+    # a world has few distinct count vectors, so each is converted once
+    # and the immutable entries are shared between cells
+    polys: dict[tuple[int, ...], IntPolynomial] = {}
+    mixes: dict[tuple[int, ...], Fraction] = {}
     poly_rows = []
     mix_rows = []
     for row in counts:
-        poly_rows.append(tuple(IntPolynomial(cell) for cell in row))
-        mix_rows.append(
-            tuple(
-                Fraction(
-                    sum(weights[k] * cell[k] for k in range(1, len(cell))), denom
-                )
-                for cell in row
-            )
-        )
+        for cell in row:
+            if cell not in polys:
+                polys[cell] = IntPolynomial(cell)
+                mixes[cell] = Fraction(sum(map(operator.mul, weights, cell)), denom)
+        poly_rows.append(tuple(map(polys.__getitem__, row)))
+        mix_rows.append(tuple(map(mixes.__getitem__, row)))
     return (
         WorldMatrix(tuple(poly_rows), world),
         WorldMatrix(tuple(mix_rows), world),

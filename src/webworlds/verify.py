@@ -1,10 +1,14 @@
 """Cross-validation suites: closed formulas against brute enumeration.
 
 Every suite recomputes the same quantity along two independent routes
-(direct colouring enumeration on one side, a closed formula, series
-coefficient or bijective count on the other) and reports exact
-comparisons as CheckResult records.  The CLI's verify subcommand prints
-one line per record and fails if any record fails.
+and reports exact comparisons as CheckResult records. The library's
+matrices come from a subset DP over ordered set partitions (see
+webworlds.matrices); the structure check "colouring counts match
+enumeration" compares them with the brute-force route, which visits
+every surjective colouring of every member and restacks it. The other
+checks set those matrices against a closed formula, series coefficient
+or bijective count. The CLI's verify subcommand prints one line per
+record and fails if any record fails.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from typing import Iterable, Sequence
 from . import cases, enumeration, posets, transitive
 from .diagram import (
     WebDiagram,
+    WebWorld,
     apply_permutations,
+    peg_slots,
+    restacked_edge_key,
     surjection_tuples,
     validate_diagram,
     web_world,
@@ -37,6 +44,7 @@ from .matrices import (
 
 DEFAULT_STRUCTURE_PEGS = 5
 DEFAULT_STRUCTURE_EDGES = 5
+ENUMERATION_EDGES = 4
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,39 @@ def _sweep_matrices(max_pegs: int, max_edges: int) -> Iterable[enumeration.Rows]
             yield rows
 
 
+def _enumerated_counts(world: WebWorld) -> list[list[list[int]]]:
+    """Colouring counts by visiting every surjective colouring of every row.
+
+    Entry [row][column][k] counts the k-colourings of the row member that
+    reconstruct to the column member: Fubini(e) restacks per row, the
+    brute-force twin of the subset DP in webworlds.matrices.
+    """
+    edge_count = world.edge_count
+    size = len(world)
+    counts = [[[0] * (edge_count + 1) for _ in range(size)] for _ in range(size)]
+    index = world.index
+    for row, diagram in enumerate(world):
+        slots = peg_slots(diagram)
+        # only pegs with two or more endpoints can react to a colouring
+        live = [lst for lst in slots if len(lst) > 1]
+        row_counts = counts[row]
+        # distinct reorderings are far fewer than colourings, so cache
+        # the target index per reordering instead of re-keying each word
+        seen: dict[tuple[tuple[int, int], ...], int] = {}
+        for colours in range(1, edge_count + 1):
+            for assignment in surjection_tuples(edge_count, colours):
+                ordering: list[tuple[int, int]] = []
+                for lst in live:
+                    ordering.extend(sorted(lst, key=lambda t: assignment[t[0]]))
+                key = tuple(ordering)
+                target = seen.get(key)
+                if target is None:
+                    target = index[restacked_edge_key(diagram, slots, assignment)]
+                    seen[key] = target
+                row_counts[target][colours] += 1
+    return counts
+
+
 def suite_structure(
     max_pegs: int = DEFAULT_STRUCTURE_PEGS, max_edges: int = DEFAULT_STRUCTURE_EDGES
 ) -> list[CheckResult]:
@@ -80,14 +121,18 @@ def suite_structure(
     ordered Bell polynomial; mixing row sums equal 1 for single-edge
     worlds and 0 otherwise; the mixing matrix is idempotent; its trace
     equals its rank, a non-negative integer, positive exactly when the
-    world's graph is connected.
+    world's graph is connected. On the worlds with at most
+    ENUMERATION_EDGES edges, every entry of M also equals the count by
+    direct colouring enumeration.
     """
     mix_rows_fail: list[str] = []
     poly_rows_fail: list[str] = []
     idem_fail: list[str] = []
     trace_fail: list[str] = []
     proper_fail: list[str] = []
+    enumerated_fail: list[str] = []
     checked = 0
+    enumerated = 0
     for rows in _sweep_matrices(max_pegs, max_edges):
         checked += 1
         world = web_world(enumeration.seed_diagram(rows))
@@ -107,6 +152,11 @@ def suite_structure(
             trace_fail.append(f"{rows!r} trace={t} rank={r}")
         elif (t >= 1) != enumeration.is_proper(world[0]):
             proper_fail.append(f"{rows!r} trace={t}")
+        if m <= ENUMERATION_EDGES:
+            enumerated += 1
+            brute = _enumerated_counts(world)
+            if poly.entries != tuple(tuple(IntPolynomial(c) for c in row) for row in brute):
+                enumerated_fail.append(repr(rows))
     scope = f"all worlds with <= {max_edges} edges, <= {max_pegs} pegs"
     return [
         _aggregate(
@@ -135,6 +185,13 @@ def suite_structure(
             checked,
             proper_fail,
             f"trace(R) >= 1 exactly on proper worlds within {scope}",
+        ),
+        _aggregate(
+            "colouring counts match enumeration",
+            enumerated,
+            enumerated_fail,
+            "every entry of M equals direct colouring enumeration on all worlds "
+            f"with <= {min(ENUMERATION_EDGES, max_edges)} edges, <= {max_pegs} pegs",
         ),
     ]
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own shortcuts: the
 orbit oracle closes a diagram under every per-peg permutation family,
-and the rank oracle runs plain fraction Gauss elimination. Tests compare
-library output against these slower twins.
+the colouring-count oracle reconstructs every surjective colouring of
+every member, and the rank oracle runs plain fraction Gauss elimination.
+Tests compare library output against these slower twins.
 """
 
 import itertools
@@ -11,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from webworlds import apply_permutations, validate_diagram
+from webworlds import (
+    apply_permutations,
+    reconstruct,
+    surjective_colourings,
+    validate_diagram,
+)
 
 PATH4_EDGES = ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1))
 VEE_EDGES = ((1, 2, 1, 1), (1, 3, 2, 1), (2, 4, 2, 1))
@@ -57,6 +63,27 @@ def orbit_closure(diagram):
         list(itertools.permutations(range(1, h + 1))) for h in diagram.peg_heights
     ]
     return {apply_permutations(diagram, family) for family in itertools.product(*per_peg)}
+
+
+def flipped(diagram):
+    """The diagram with every peg turned upside down, by relabelling."""
+    family = [tuple(range(h, 0, -1)) for h in diagram.peg_heights]
+    return apply_permutations(diagram, family)
+
+
+def enumerated_counts(world):
+    """Colouring counts of a world by reconstructing every colouring.
+
+    Entry [i][j][k] counts the surjective k-colourings of member i that
+    reconstruct to member j.
+    """
+    edges = world.edge_count
+    counts = [[[0] * (edges + 1) for _ in world] for _ in world]
+    for i, diagram in enumerate(world):
+        for k in range(1, edges + 1):
+            for colouring in surjective_colourings(edges, k):
+                counts[i][world.index_of(reconstruct(diagram, colouring))][k] += 1
+    return counts
 
 
 def fraction_rank(rows):

@@ -111,7 +111,9 @@ def test_criterion_3_structure_theorems(capsys):
             "<= 5 edges: colouring row sums are the ordered Bell polynomials; "
             "mixing row sums are 1 for single-edge worlds and 0 otherwise; "
             "R is idempotent with trace(R) = rank(R), a non-negative integer "
-            "that is positive exactly when the web graph is connected"
+            "that is positive exactly when the web graph is connected; every "
+            "entry of M on the worlds with <= 4 edges equals direct colouring "
+            "enumeration"
         )
 
     _criterion(capsys, 3, "structure theorems", 300.0, check)

@@ -1,6 +1,8 @@
 """CLI behaviour: pinned invocations, formats, and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,47 @@ def test_malformed_input_exits_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "enumerate", "--count", "nww", "--pegs", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"edges": [[1,2,1]]}',
+        '{"edges": "xy"}',
+        '{"n": "a", "edges": []}',
+        '{"represent": 5}',
+        '{"seed_diagram": 3}',
+        '{"edges": [[1,2,1,1.5]]}',
+        '{"edges": [[1,2,true,1]]}',
+    ],
+)
+def test_malformed_shapes_exit_two(capsys, payload):
+    code, out, err = run(capsys, "validate", "--input", payload)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ webworlds ...` line of the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for block in section.strip("\n").split("\n\n"):
+        command, *output = block.split("\n")
+        assert command.startswith("$ webworlds ")
+        examples.append((shlex.split(command)[2:], "".join(line + "\n" for line in output)))
+    return examples
+
+
+def test_readme_examples_are_exact(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 7
+    for argv, expected in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == expected, argv
 
 
 def test_guard_violations_exit_three(capsys):

@@ -1,0 +1,125 @@
+"""Colouring counts of whole worlds against direct enumeration.
+
+world_matrices counts colourings with a subset DP and fills half the
+rows from the height-flip symmetry; the oracle in conftest reconstructs
+every surjective colouring instead.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from webworlds import (
+    IntPolynomial,
+    cases,
+    enumeration,
+    predicted_world_size,
+    validate_diagram,
+    web_world,
+    world_matrices,
+)
+from webworlds import diagram as diagram_module
+from webworlds import verify
+from webworlds.diagram import flip
+from webworlds.enumeration import TruncatedSeries
+from webworlds.errors import InconsistentResult
+
+from conftest import enumerated_counts, flipped
+
+
+def _small_worlds():
+    """Every world with <= 4 pegs and <= 4 edges, then fan, chain, cycle."""
+    worlds = []
+    for rows in enumeration.enumerate_worlds(4, 4, no_isolated=True):
+        if any(any(r) for r in rows):
+            worlds.append((repr(rows), web_world(enumeration.seed_diagram(rows))))
+    worlds += [(f"fan{n}", cases.fan_world(n)) for n in range(1, 5)]
+    worlds += [(f"chain{n}", cases.chain_world(n)) for n in range(0, 5)]
+    worlds += [(f"cycle{n}", cases.cycle_world(n)) for n in range(2, 6)]
+    return worlds
+
+
+@pytest.fixture(scope="module")
+def oracle_worlds():
+    return [(name, world, enumerated_counts(world)) for name, world in _small_worlds()]
+
+
+def test_small_world_sweep_covers_parallel_edges():
+    represents = [
+        rows
+        for rows in enumeration.enumerate_worlds(4, 4, no_isolated=True)
+        if any(any(r) for r in rows)
+    ]
+    assert len(represents) == 123
+    assert sum(1 for rows in represents if any(v > 1 for r in rows for v in r)) == 84
+
+
+def test_world_matrices_equal_enumeration(oracle_worlds):
+    for name, world, brute in oracle_worlds:
+        poly, mix = world_matrices(world)
+        for i, row in enumerate(brute):
+            for j, cell in enumerate(row):
+                assert poly.entries[i][j] == IntPolynomial(cell), (name, i, j)
+                expected = sum(
+                    (Fraction((-1) ** (k - 1) * c, k) for k, c in enumerate(cell) if k),
+                    Fraction(0),
+                )
+                assert mix.entries[i][j] == expected, (name, i, j)
+
+
+def test_flip_identity_holds_for_enumeration(oracle_worlds):
+    for name, world, brute in oracle_worlds:
+        mirror = [world.index_of(flipped(d)) for d in world]
+        assert [world.index_of(flip(d)) for d in world] == mirror, name
+        assert sorted(mirror) == list(range(len(world))), name
+        for i, row in enumerate(brute):
+            for j, cell in enumerate(row):
+                assert brute[mirror[i]][mirror[j]] == cell, (name, i, j)
+
+
+def test_flip_is_an_involution(nine_edge):
+    assert flip(flip(nine_edge)) == nine_edge
+    assert flip(nine_edge) != nine_edge
+    single = validate_diagram([(1, 2, 1, 1)])
+    assert flip(single) == single
+
+
+def test_world_size_mismatch_raises(monkeypatch, path4):
+    monkeypatch.setattr(
+        diagram_module, "predicted_world_size", lambda d: predicted_world_size(d) + 1
+    )
+    with pytest.raises(InconsistentResult, match="size formula 5"):
+        web_world(path4)
+
+
+@pytest.mark.parametrize(
+    "counter, args",
+    [
+        (enumeration.count_worlds_series, (3, 2, 1)),
+        (enumeration.count_proper_worlds, (3, 2, 2)),
+    ],
+)
+def test_fractional_series_coefficient_raises(monkeypatch, counter, args):
+    monkeypatch.setattr(TruncatedSeries, "coefficient", lambda self, key: Fraction(1, 7))
+    with pytest.raises(InconsistentResult, match="not an integer"):
+        counter(*args)
+
+
+def test_structure_suite_checks_counts_against_enumeration(monkeypatch):
+    results = {r.name: r for r in verify.suite_structure(3, 3)}
+    check = results["colouring counts match enumeration"]
+    assert check.passed
+    # every world of a (3, 3) sweep has at most 4 edges, so all are enumerated
+    assert check.detail.endswith("with <= 3 edges, <= 3 pegs (13 instances)")
+    assert results["idempotence"].detail.endswith("(13 instances)")
+
+    def off_by_one(world):
+        counts = enumerate_directly(world)
+        counts[0][0][1] += 1
+        return counts
+
+    enumerate_directly = verify._enumerated_counts
+    monkeypatch.setattr(verify, "_enumerated_counts", off_by_one)
+    results = {r.name: r for r in verify.suite_structure(3, 3)}
+    assert not results["colouring counts match enumeration"].passed
+    assert all(r.passed for name, r in results.items() if name != "colouring counts match enumeration")
