@@ -101,11 +101,14 @@ def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
 
 
 def validate_diagram(raw_edges: Iterable[Sequence[int]], num_pegs: int | None = None) -> WebDiagram:
-    """Build a WebDiagram from raw 4-tuples, inferring the peg count if absent."""
-    edges = tuple(Edge(*map(int, e)) for e in raw_edges)
+    """Build a WebDiagram from raw 4-tuples, inferring the peg count if absent.
+
+    Every value must be an int; bool and float raise `MalformedInput`.
+    """
+    edges = tuple(Edge(*row) for row in json_int_rows(tuple(raw_edges), "edges", width=4))
     if num_pegs is None:
         num_pegs = max((e.right_peg for e in edges), default=0)
-    return WebDiagram(edges, num_pegs)
+    return WebDiagram(edges, json_int(num_pegs, "peg count"))
 
 
 def stack(bottom: WebDiagram, top: WebDiagram) -> WebDiagram:
@@ -196,8 +199,10 @@ class Colouring:
     colours: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(int(c) for c in self.assignment))
-        if self.colours < 1:
+        object.__setattr__(
+            self, "assignment", tuple(json_int(c, "colour") for c in self.assignment)
+        )
+        if json_int(self.colours, "colour count") < 1:
             raise BadRange("colour count must be at least 1")
         used = set(self.assignment)
         if any(c < 1 or c > self.colours for c in used):

@@ -47,15 +47,6 @@ def represent(source: WebDiagram | WebWorld) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-def height_pair_matrix(diagram: WebDiagram) -> tuple[tuple[frozenset, ...], ...]:
-    """Per peg pair, the set of (left_height, right_height) pairs."""
-    n = diagram.num_pegs
-    cells: list[list[set]] = [[set() for _ in range(n)] for _ in range(n)]
-    for e in diagram.edges:
-        cells[e.left_peg - 1][e.right_peg - 1].add((e.left_height, e.right_height))
-    return tuple(tuple(frozenset(c) for c in row) for row in cells)
-
-
 @dataclass(frozen=True)
 class WebGraph:
     """Labeled multigraph on the pegs that carry endpoints."""
@@ -74,22 +65,7 @@ def web_graph(source: WebDiagram | WebWorld) -> WebGraph:
 
 def is_proper(source: WebDiagram | WebWorld) -> bool:
     """True when the web graph is connected (and non-empty)."""
-    graph = web_graph(source)
-    if not graph.vertices:
-        return False
-    adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for a, b, _mult in graph.labeled_edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    start = next(iter(graph.vertices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for w in adjacency[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == graph.vertices
+    return _is_connected(represent(source))
 
 
 def world_size(rows: Sequence[Sequence[int]]) -> int:

@@ -5,6 +5,27 @@ colouring matrix has integer-polynomial entries whose x^k coefficient
 counts the surjective k-colourings of the row diagram that reconstruct
 to the column diagram; the mixing matrix weights those counts by
 (-1)^(k-1)/k and lives over exact rationals.
+
+Every matrix also has an exact integer form, `WorldMatrix.form`: R as
+integer numerator rows N over one common denominator L (L = lcm(1..e)
+for a world with e edges), M as rows of count tuples. Row sums,
+idempotence and rank read only this form.
+
+- R^2 = R exactly when N N = L N. Row k of N is packed into one integer
+  P_k = sum_j N[k][j] 2^(w j), so row i of N N is sum_k N[i][k] P_k. Every
+  entry of N N is at most n B^2 and every entry of L N at most L B in
+  size, for B = max |N[i][j]|; with both below 2^(w-1) the base-2^w digits
+  are unique, and the packed integers are equal exactly when every entry is.
+- If R^2 = R, then rank(R) + rank(I - R) = n over Q, and no rank mod a
+  prime exceeds the rank over Q. So rank_p(N) + rank_p(L I - N) = n for
+  p = 2^24 - 3 proves rank(R) = rank_p(N), whether or not p divides L.
+  Rows are packed into 64-bit fields that are not reduced after an
+  update, which stays below p + n p^2 < 2^64 while n <= 65536. If R is
+  not idempotent, the certificate falls short or a field could overflow,
+  the rank comes from Bareiss elimination of N instead.
+
+The trace sums the diagonal entries, so trace(R) = rank(R) compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -12,19 +33,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import Sequence
+from functools import cached_property, reduce
+from typing import Callable, Sequence
 
-from .diagram import (
-    WebDiagram,
-    WebWorld,
-    flip,
-    peg_slots,
-    restacked_edge_key,
-    surjection_tuples,
-)
+from .diagram import WebDiagram, WebWorld, flip, peg_slots, web_world
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
@@ -166,18 +182,68 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+class IntegerForm:
+    """A matrix as exact integers; the rows are built on first use.
+
+    For a rational matrix, `rows` holds the integer numerators N over
+    `denominator` L. For a polynomial matrix, `rows` holds per cell the
+    tuple of x^k coefficients, all of one length, and L is 1.
+    """
+
+    def __init__(self, polynomial: bool, denominator: int, build: Callable[[], list]):
+        self.polynomial = polynomial
+        self.denominator = denominator
+        self._build = build
+
+    @cached_property
+    def rows(self) -> list:
+        rows = self._build()
+        del self._build
+        return rows
+
+    @cached_property
+    def idempotent(self) -> bool:
+        return _squares_to_itself(self.rows, self.denominator)
+
+
+def _derived_form(entries: tuple[tuple, ...]) -> IntegerForm:
+    kinds = {isinstance(e, IntPolynomial) for row in entries for e in row}
+    if kinds == {True}:
+        width = max(len(e.coeffs) for row in entries for e in row)
+        rows = [[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in entries]
+        return IntegerForm(True, 1, lambda: rows)
+    if kinds != {False}:
+        raise BadRange("matrix mixes polynomial and rational entries")
+    fracs = [[Fraction(e) for e in row] for row in entries]
+    denom = math.lcm(*(f.denominator for row in fracs for f in row))
+    rows = [[f.numerator * (denom // f.denominator) for f in row] for row in fracs]
+    return IntegerForm(False, denom, lambda: rows)
+
+
 @dataclass(frozen=True)
 class WorldMatrix:
-    """A square matrix indexed by a world's canonical diagram order."""
+    """A square matrix indexed by a world's canonical diagram order.
+
+    A builder that already holds the entries as integers passes `seed`,
+    their `IntegerForm`; otherwise `form` is derived from the entries.
+    """
 
     entries: tuple[tuple, ...]
     world: WebWorld | None = field(default=None, compare=False)
+    seed: InitVar[IntegerForm | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, seed: IntegerForm | None) -> None:
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise BadRange("matrix must be square and non-empty")
+        if seed is not None:
+            # where cached_property keeps `form` once computed
+            self.__dict__["form"] = seed
+
+    @cached_property
+    def form(self) -> IntegerForm:
+        return _derived_form(self.entries)
 
     @property
     def size(self) -> int:
@@ -192,7 +258,10 @@ def trace(matrix: WorldMatrix):
 
 
 def row_sums(matrix: WorldMatrix) -> tuple:
-    return tuple(reduce(operator.add, row) for row in matrix.entries)
+    form = matrix.form
+    if form.polynomial:
+        return tuple(IntPolynomial(map(sum, zip(*row))) for row in form.rows)
+    return tuple(Fraction(sum(row), form.denominator) for row in form.rows)
 
 
 def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
@@ -202,44 +271,31 @@ def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
         raise DifferentWorlds("diagrams do not share a web world")
 
 
+def _entry_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
+    """Colourings of d1 that reconstruct to d2, by number of colours,
+    read from d1's row of the subset DP over d1's world."""
+    _require_same_world(d1, d2)
+    if d1.edge_count == 0:
+        raise BadRange("matrices are defined for worlds with at least one edge")
+    world = web_world(d1)
+    dp = _SubsetDP(world)
+    return dp.unpack(dp.row(d1).get(world.index_of(d2), 0))
+
+
 def reconstruction_count(d1: WebDiagram, d2: WebDiagram, colours: int) -> int:
     """Number of surjective `colours`-colourings of d1 that reconstruct to d2."""
-    _require_same_world(d1, d2)
+    counts = _entry_counts(d1, d2)
     if not 1 <= colours <= d1.edge_count:
         raise BadRange(f"colours must lie in 1..{d1.edge_count}")
-    slots = peg_slots(d1)
-    target = d2.edge_key()
-    return sum(
-        1
-        for assignment in surjection_tuples(d1.edge_count, colours)
-        if restacked_edge_key(d1, slots, assignment) == target
-    )
-
-
-def _count_vector(d1: WebDiagram, d2: WebDiagram) -> list[int]:
-    _require_same_world(d1, d2)
-    counts = [0] * (d1.edge_count + 1)
-    slots = peg_slots(d1)
-    target = d2.edge_key()
-    for colours in range(1, d1.edge_count + 1):
-        counts[colours] = sum(
-            1
-            for assignment in surjection_tuples(d1.edge_count, colours)
-            if restacked_edge_key(d1, slots, assignment) == target
-        )
-    return counts
+    return counts[colours]
 
 
 def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:
-    return IntPolynomial(_count_vector(d1, d2))
+    return IntPolynomial(_entry_counts(d1, d2))
 
 
 def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
-    counts = _count_vector(d1, d2)
-    return sum(
-        (Fraction((-1) ** (k - 1) * counts[k], k) for k in range(1, len(counts))),
-        Fraction(0),
-    )
+    return mixing_from_polynomial(colouring_entry(d1, d2))
 
 
 def mixing_from_polynomial(poly: IntPolynomial) -> Fraction:
@@ -431,18 +487,30 @@ def world_matrices(
     # and the immutable entries are shared between cells
     polys: dict[tuple[int, ...], IntPolynomial] = {}
     mixes: dict[tuple[int, ...], Fraction] = {}
+    numerators: dict[tuple[int, ...], int] = {}
     poly_rows = []
     mix_rows = []
     for row in counts:
         for cell in row:
             if cell not in polys:
                 polys[cell] = IntPolynomial(cell)
-                mixes[cell] = Fraction(sum(map(operator.mul, weights, cell)), denom)
+                numerators[cell] = numerator = sum(map(operator.mul, weights, cell))
+                mixes[cell] = Fraction(numerator, denom)
         poly_rows.append(tuple(map(polys.__getitem__, row)))
         mix_rows.append(tuple(map(mixes.__getitem__, row)))
+    # the integer forms come from the same counts; R's numerator rows
+    # are only built if a structure check asks for them
     return (
-        WorldMatrix(tuple(poly_rows), world),
-        WorldMatrix(tuple(mix_rows), world),
+        WorldMatrix(tuple(poly_rows), world, IntegerForm(True, 1, lambda: counts)),
+        WorldMatrix(
+            tuple(mix_rows),
+            world,
+            IntegerForm(
+                False,
+                denom,
+                lambda: [list(map(numerators.__getitem__, row)) for row in counts],
+            ),
+        ),
     )
 
 
@@ -454,21 +522,79 @@ def mixing_matrix(world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD) -> Wo
     return world_matrices(world, max_entries)[1]
 
 
-def _integer_rows(matrix: WorldMatrix) -> list[list[int]]:
-    # scale each row by the lcm of its denominators; row scaling is
-    # rank-neutral and keeps Bareiss elimination over plain ints
-    rows = []
-    for row in matrix.entries:
-        fracs = [Fraction(e) for e in row]
-        scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * scale) for f in fracs])
-    return rows
+def _rational_form(matrix: WorldMatrix, what: str) -> IntegerForm:
+    form = matrix.form
+    if form.polynomial:
+        raise BadRange(f"{what} is defined for rational matrices only")
+    return form
 
 
-def rank(matrix: WorldMatrix) -> int:
-    """Matrix rank via fraction-free (Bareiss) elimination."""
-    m = _integer_rows(matrix)
-    size = matrix.size
+def is_idempotent(matrix: WorldMatrix) -> bool:
+    """Exact check that the matrix squares to itself, by packed rows."""
+    return _rational_form(matrix, "idempotence").idempotent
+
+
+def _squares_to_itself(rows: list[list[int]], denom: int) -> bool:
+    """N N == L N, with each row of N packed into one integer."""
+    values = set().union(*rows)
+    bound = max(map(abs, values))
+    width = max(len(rows) * bound * bound, denom * bound).bit_length() + 1
+    # whole bytes per field; a value v is stored as v + 2^(8 size - 1)
+    size = (width + 7) // 8
+    offset = 1 << (8 * size - 1)
+    code = {v: (v + offset).to_bytes(size, "little") for v in values}
+    shift = int.from_bytes(offset.to_bytes(size, "little") * len(rows), "little")
+    packed = [
+        int.from_bytes(b"".join(map(code.__getitem__, row)), "little") - shift for row in rows
+    ]
+    return all(
+        sum(map(operator.mul, row, packed)) == denom * p for row, p in zip(rows, packed)
+    )
+
+
+_PRIME = (1 << 24) - 3
+_FIELD_MASK = (1 << 64) - 1
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int | None:
+    """Rank of an integer matrix mod _PRIME, or None if a field could overflow.
+
+    Each row is one integer of 64-bit fields, column j in field j. The
+    pivot row is unpacked, scaled to a leading 1 mod p and repacked; every
+    other row r with leading field f becomes r + (p - f) * pivot and is
+    never reduced. Once a column is done every row drops its lowest field.
+    """
+    n = len(rows)
+    if n * _PRIME * _PRIME >= 1 << 64:
+        return None
+    order = sys.byteorder
+    packed = [
+        int.from_bytes(array("Q", map(_PRIME.__rmod__, row)).tobytes(), order) for row in rows
+    ]
+    found = 0
+    for col in range(n):
+        leads = [(r & _FIELD_MASK) % _PRIME for r in packed]
+        at = next(itertools.compress(itertools.count(), leads), None)
+        if at is None:
+            packed = [r >> 64 for r in packed]
+            continue
+        leads.pop(at)
+        fields = memoryview(packed.pop(at).to_bytes(8 * (n - col), order)).cast("Q")
+        scale = pow(fields[0] % _PRIME, -1, _PRIME)
+        pivot = int.from_bytes(array("Q", [v * scale % _PRIME for v in fields]).tobytes(), order)
+        packed = [
+            (r + (_PRIME - f) * pivot) >> 64 if f else r >> 64 for r, f in zip(packed, leads)
+        ]
+        found += 1
+        if not packed:
+            break
+    return found
+
+
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination over the integers."""
+    m = [list(row) for row in rows]
+    size = len(m)
     r = 0
     prev = 1
     for col in range(size):
@@ -485,17 +611,20 @@ def rank(matrix: WorldMatrix) -> int:
     return r
 
 
-def is_idempotent(matrix: WorldMatrix) -> bool:
-    """Exact check that the matrix squares to itself."""
-    fracs = [[Fraction(e) for e in row] for row in matrix.entries]
-    denom = math.lcm(*(f.denominator for row in fracs for f in row))
-    ints = [[int(f * denom) for f in row] for row in fracs]
-    cols = list(zip(*ints))
-    for i, row in enumerate(ints):
-        for j, col in enumerate(cols):
-            if sum(map(operator.mul, row, col)) != denom * ints[i][j]:
-                return False
-    return True
+def rank(matrix: WorldMatrix) -> int:
+    """Exact rank: certified modular elimination if the matrix is
+    idempotent, Bareiss elimination otherwise (see the module docstring)."""
+    form = _rational_form(matrix, "rank")
+    rows = form.rows
+    if form.idempotent:
+        found = _rank_mod_p(rows)
+        if found is not None:
+            complement = [list(map(operator.neg, row)) for row in rows]
+            for i, row in enumerate(complement):
+                row[i] += form.denominator
+            if _rank_mod_p(complement) == len(rows) - found:
+                return found
+    return _bareiss_rank(rows)
 
 
 def _format_cell(entry) -> str:

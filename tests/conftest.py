@@ -14,9 +14,12 @@ import pytest
 
 from webworlds import (
     apply_permutations,
+    cases,
+    enumeration,
     reconstruct,
     surjective_colourings,
     validate_diagram,
+    web_world,
 )
 
 PATH4_EDGES = ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1))
@@ -63,6 +66,18 @@ def orbit_closure(diagram):
         list(itertools.permutations(range(1, h + 1))) for h in diagram.peg_heights
     ]
     return {apply_permutations(diagram, family) for family in itertools.product(*per_peg)}
+
+
+def small_worlds():
+    """Every world with <= 4 pegs and <= 4 edges, then fan, chain, cycle."""
+    worlds = []
+    for rows in enumeration.enumerate_worlds(4, 4, no_isolated=True):
+        if any(any(r) for r in rows):
+            worlds.append((repr(rows), web_world(enumeration.seed_diagram(rows))))
+    worlds += [(f"fan{n}", cases.fan_world(n)) for n in range(1, 5)]
+    worlds += [(f"chain{n}", cases.chain_world(n)) for n in range(0, 5)]
+    worlds += [(f"cycle{n}", cases.cycle_world(n)) for n in range(2, 6)]
+    return worlds
 
 
 def flipped(diagram):

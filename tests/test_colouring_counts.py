@@ -5,13 +5,17 @@ rows from the height-flip symmetry; the oracle in conftest reconstructs
 every surjective colouring instead.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import webworlds
 from webworlds import (
     IntPolynomial,
-    cases,
     enumeration,
     predicted_world_size,
     validate_diagram,
@@ -24,24 +28,12 @@ from webworlds.diagram import flip
 from webworlds.enumeration import TruncatedSeries
 from webworlds.errors import InconsistentResult
 
-from conftest import enumerated_counts, flipped
-
-
-def _small_worlds():
-    """Every world with <= 4 pegs and <= 4 edges, then fan, chain, cycle."""
-    worlds = []
-    for rows in enumeration.enumerate_worlds(4, 4, no_isolated=True):
-        if any(any(r) for r in rows):
-            worlds.append((repr(rows), web_world(enumeration.seed_diagram(rows))))
-    worlds += [(f"fan{n}", cases.fan_world(n)) for n in range(1, 5)]
-    worlds += [(f"chain{n}", cases.chain_world(n)) for n in range(0, 5)]
-    worlds += [(f"cycle{n}", cases.cycle_world(n)) for n in range(2, 6)]
-    return worlds
+from conftest import enumerated_counts, flipped, small_worlds
 
 
 @pytest.fixture(scope="module")
 def oracle_worlds():
-    return [(name, world, enumerated_counts(world)) for name, world in _small_worlds()]
+    return [(name, world, enumerated_counts(world)) for name, world in small_worlds()]
 
 
 def test_small_world_sweep_covers_parallel_edges():
@@ -123,3 +115,25 @@ def test_structure_suite_checks_counts_against_enumeration(monkeypatch):
     results = {r.name: r for r in verify.suite_structure(3, 3)}
     assert not results["colouring counts match enumeration"].passed
     assert all(r.passed for name, r in results.items() if name != "colouring counts match enumeration")
+
+
+def test_structure_suite_passes_without_asserts():
+    # python -O strips assert statements, so every correctness check must
+    # survive it; the subprocess also confirms that -O took effect
+    script = (
+        "from webworlds import verify\n"
+        "results = verify.suite_structure(3, 3)\n"
+        "print(__debug__, len(results), all(r.passed for r in results))\n"
+    )
+    env = dict(os.environ)
+    source = str(Path(webworlds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "6", "True"]

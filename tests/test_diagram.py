@@ -23,6 +23,7 @@ from webworlds.errors import (
     DuplicateSlot,
     EdgeNotInDiagram,
     HeightNotPermutation,
+    MalformedInput,
     NotSurjective,
     PegOrderViolation,
     WorldTooLarge,
@@ -185,6 +186,31 @@ def test_colouring_requires_surjectivity_and_range():
         Colouring((0, 1), 1)
     with pytest.raises(BadRange):
         Colouring((1, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "edges, num_pegs",
+    [
+        ([(1, 2, 1, 1.5)], None),
+        ([(1, 2.0, 1, 1)], None),
+        ([(1, 2, True, 1)], None),
+        ([(1, 2, 1)], None),
+        ([(1, 2, 1, 1)], 2.0),
+        ([(1, 2, 1, 1)], True),
+    ],
+)
+def test_validate_diagram_requires_integers(edges, num_pegs):
+    with pytest.raises(MalformedInput):
+        validate_diagram(edges, num_pegs)
+
+
+@pytest.mark.parametrize(
+    "assignment, colours",
+    [((1, 2.7), 2), ((1.0, 2), 2), ((True, 2), 2), ((1, 2), 2.0)],
+)
+def test_colouring_requires_integers(assignment, colours):
+    with pytest.raises(MalformedInput):
+        Colouring(assignment, colours)
 
 
 def test_surjection_counts():

@@ -22,7 +22,6 @@ from webworlds.enumeration import (
     count_proper_worlds_direct,
     count_worlds_no_isolated_direct,
     validate_represent,
-    height_pair_matrix,
 )
 from webworlds.errors import BadRange, BoundsTooLarge
 
@@ -68,13 +67,6 @@ def test_seed_diagram_round_trips_represent():
         diagram = seed_diagram(rows)
         assert represent(diagram) == rows
         assert world_size(rows) == len(web_world(diagram))
-
-
-def test_height_pair_matrix_collects_pairs(path4):
-    cells = height_pair_matrix(path4)
-    assert cells[0][1] == frozenset({(1, 1)})
-    assert cells[1][2] == frozenset({(2, 1)})
-    assert cells[0][2] == frozenset()
 
 
 def test_is_proper_depends_on_graph_connectivity(path4):

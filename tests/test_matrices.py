@@ -106,6 +106,8 @@ def test_matrix_builders_agree_with_entry_functions(vee):
             assert poly.entries[i][j] == colouring_entry(d1, d2)
             assert mix.entries[i][j] == mixing_entry(d1, d2)
             assert mix.entries[i][j] == mixing_from_polynomial(poly.entries[i][j])
+            for k in range(1, world.edge_count + 1):
+                assert reconstruction_count(d1, d2, k) == poly.entries[i][j].coefficient(k)
 
 
 def test_reconstruction_count_basics(path4):
@@ -118,6 +120,17 @@ def test_reconstruction_count_basics(path4):
         reconstruction_count(members[0], members[1], 4)
     with pytest.raises(DifferentWorlds):
         reconstruction_count(members[0], validate_diagram(((1, 2, 1, 1),)), 1)
+
+
+def test_rank_and_idempotence_reject_polynomial_matrices(path4):
+    poly, _mix = world_matrices(web_world(path4))
+    with pytest.raises(BadRange, match="rational matrices only"):
+        rank(poly)
+    with pytest.raises(BadRange, match="rational matrices only"):
+        is_idempotent(poly)
+    mixed = WorldMatrix(((X, Fraction(1)), (Fraction(0), X)))
+    with pytest.raises(BadRange, match="mixes polynomial and rational"):
+        rank(mixed)
 
 
 def test_mixing_from_polynomial_rejects_constant_terms():
