@@ -23,8 +23,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
-from math import comb, factorial
+from itertools import accumulate, chain, combinations, permutations, product
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, surjection_tuples
@@ -177,34 +177,42 @@ def fan_reconstruction_count(
     return comb(n - m, colours - m)
 
 
+def _fan_entry(n: int, m: int) -> tuple[IntPolynomial, Fraction]:
+    """Both matrix entries of a fan pair with minimal colour count m."""
+    return X**m * _ONE_PLUS_X ** (n - m), Fraction((-1) ** (m - 1), n * comb(n - 1, m - 1))
+
+
 def fan_entry_polynomial(source: Sequence[int], target: Sequence[int]) -> IntPolynomial:
     """Colouring-matrix entry for a pair of fans: x^m (1 + x)^(n - m)."""
-    m = minimal_colour_count(source, target)
-    n = len(tuple(source))
-    return X**m * _ONE_PLUS_X ** (n - m)
+    return _fan_entry(len(tuple(source)), minimal_colour_count(source, target))[0]
 
 
 def fan_entry_mixing(source: Sequence[int], target: Sequence[int]) -> Fraction:
     """Mixing-matrix entry for a pair of fans."""
-    m = minimal_colour_count(source, target)
-    n = len(tuple(source))
-    return Fraction((-1) ** (m - 1), n * comb(n - 1, m - 1))
+    return _fan_entry(len(tuple(source)), minimal_colour_count(source, target))[1]
 
 
 def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     """World of fans on n + 1 pegs plus its two matrices in closed form.
 
-    Rows and columns follow the world's canonical diagram order.
+    Rows and columns follow the world's canonical diagram order.  An
+    entry depends only on the pair's minimal colour count m, so every
+    cell shares one immutable entry pair from a table indexed by m.
     """
     world = fan_world(n)
     perms = [fan_permutation(d) for d in world]
-    poly_rows = tuple(
-        tuple(fan_entry_polynomial(src, tgt) for tgt in perms) for src in perms
-    )
-    mix_rows = tuple(
-        tuple(fan_entry_mixing(src, tgt) for tgt in perms) for src in perms
-    )
-    return world, WorldMatrix(poly_rows, world), WorldMatrix(mix_rows, world)
+    table = [None] + [_fan_entry(n, m) for m in range(1, n + 1)]
+    rows = []
+    for src in perms:
+        position = {v: i for i, v in enumerate(src)}
+        # m is one more than the descents of target read through source
+        row = []
+        for tgt in perms:
+            q = [position[v] for v in tgt]
+            row.append(table[1 + sum(map(operator.gt, q, q[1:]))])
+        rows.append(row)
+    poly = WorldMatrix(tuple(tuple(p for p, _ in row) for row in rows), world)
+    return world, poly, WorldMatrix(tuple(tuple(r for _, r in row) for row in rows), world)
 
 
 def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:
@@ -490,39 +498,34 @@ class ComparisonRules:
     strict_ascents: frozenset[int]
 
     def __post_init__(self) -> None:
-        groups = (
+        if any(a & b for a, b in combinations(self.groups, 2)):
+            raise BadRange("comparison rule sets must be disjoint")
+
+    @property
+    def groups(self) -> tuple[frozenset[int], ...]:
+        """The four position sets in rule-code order 1..4 (see _RULE_OPS)."""
+        return (
             self.strict_descents,
             self.weak_descents,
             self.weak_ascents,
             self.strict_ascents,
         )
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if groups[a] & groups[b]:
-                    raise BadRange("comparison rule sets must be disjoint")
 
     @property
     def positions(self) -> frozenset[int]:
-        return (
-            self.strict_descents
-            | self.weak_descents
-            | self.weak_ascents
-            | self.strict_ascents
-        )
+        return frozenset().union(*self.groups)
 
 
 _RULE_OPS = {1: operator.gt, 2: operator.ge, 3: operator.le, 4: operator.lt}
 
 
-def comparison_rules(
-    source: Sequence[int], target: Sequence[int]
-) -> ComparisonRules:
-    """Adjacent comparison constraints forcing a restack from source to target.
+def rule_codes(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
+    """Comparison rule forcing a restack from source to target, per position.
 
     For sign-encoded diagrams, whether the colouring keeps or swaps the
     two endpoints on a signed peg is equivalent to one comparison between
     the colours of its two edges; the (source, target) sign pair at each
-    position selects which comparison.
+    position selects which, as a code 1..4 in the order of _RULE_OPS.
     """
     source = validate_signs(source)
     target = validate_signs(target)
@@ -530,15 +533,17 @@ def comparison_rules(
         raise LengthMismatch(
             f"sign vector sizes differ: {len(source)} vs {len(target)}"
         )
-    groups: dict[int, set[int]] = {1: set(), 2: set(), 3: set(), 4: set()}
-    for i, (s, t) in enumerate(zip(source, target), 1):
-        groups[(5 + 2 * t - s) // 2].add(i)
-    return ComparisonRules(
-        frozenset(groups[1]),
-        frozenset(groups[2]),
-        frozenset(groups[3]),
-        frozenset(groups[4]),
-    )
+    return tuple((5 + 2 * t - s) // 2 for s, t in zip(source, target))
+
+
+def comparison_rules(
+    source: Sequence[int], target: Sequence[int]
+) -> ComparisonRules:
+    """The rule codes of a sign pair as a ComparisonRules."""
+    groups: list[set[int]] = [set(), set(), set(), set()]
+    for i, code in enumerate(rule_codes(source, target), 1):
+        groups[code - 1].add(i)
+    return ComparisonRules(*map(frozenset, groups))
 
 
 def word_satisfies(
@@ -546,34 +551,61 @@ def word_satisfies(
 ) -> bool:
     """Test a word against per-position comparison rules."""
     word = tuple(word)
-    ops: dict[int, object] = {}
-    for g, positions in (
-        (1, rules.strict_descents),
-        (2, rules.weak_descents),
-        (3, rules.weak_ascents),
-        (4, rules.strict_ascents),
-    ):
+    for code, positions in enumerate(rules.groups, 1):
+        op = _RULE_OPS[code]
         for i in positions:
-            ops[i] = _RULE_OPS[g]
-    for i, op in ops.items():
-        if not op(word[i - 1], word[i % len(word)]):
-            return False
+            if not op(word[i - 1], word[i % len(word)]):
+                return False
     return True
 
 
-def _rule_word_count(
-    length: int, colours: int, rules: ComparisonRules, cyclic: bool
-) -> int:
+def _push(vector: list[int], rule: int) -> list[int]:
+    """One transfer step: entry b counts the words ending in b after `rule`.
+
+    Rule 1..4 asks previous > b, >= b, <= b or < b (the order of
+    _RULE_OPS); each is a prefix or suffix sum of the vector.
+    """
+    if rule >= 3:
+        run = list(accumulate(vector))
+        return run if rule == 3 else [0] + run[:-1]
+    run = list(accumulate(reversed(vector)))[::-1]
+    return run if rule == 2 else run[1:] + [0]
+
+
+def surjective_rule_counts(
+    length: int, rules: Sequence[int], cyclic: bool
+) -> tuple[int, ...]:
+    """Surjective words meeting one rule code per position, for colours 1..length.
+
+    f(i) counts all words over 1..i by a transfer matrix: along a path a
+    vector over the last letter is pushed through each rule; around a
+    cycle f(i) is the trace of the product of the rules' 0/1 comparison
+    matrices.  The rules only compare letters, so a word over 1..i is a
+    surjective word on the set of letters it uses, relabelled in order,
+    and binomial inversion of f gives the surjective counts.
+    """
+    stop = length if cyclic else length - 1
+    if len(rules) != stop or not set(rules) <= {1, 2, 3, 4}:
+        raise BadRange(f"need one rule code 1..4 for each of positions 1..{stop}")
+    f = [0]
+    for i in range(1, length + 1):
+        starts = [[int(a == s) for a in range(i)] for s in range(i)] if cyclic else [[1] * i]
+        total = 0
+        for s, vector in enumerate(starts):
+            for rule in rules:
+                vector = _push(vector, rule)
+            total += vector[s] if cyclic else sum(vector)
+        f.append(total)
+    return tuple(
+        sum((-1) ** (c - i) * comb(c, i) * f[i] for i in range(1, c + 1))
+        for c in range(1, length + 1)
+    )
+
+
+def _rule_count(length: int, colours: int, rules: Sequence[int], cyclic: bool) -> int:
     if not 1 <= colours <= length:
         raise BadRange(f"colour count {colours} outside 1..{length}")
-    stop = length if cyclic else length - 1
-    if rules.positions != frozenset(range(1, stop + 1)):
-        raise BadRange(f"rules must cover comparison positions 1..{stop} exactly")
-    return sum(
-        1
-        for word in surjection_tuples(length, colours)
-        if word_satisfies(word, rules, cyclic)
-    )
+    return surjective_rule_counts(length, rules, cyclic)[colours - 1]
 
 
 def _subsets(items: frozenset[int]):
@@ -586,7 +618,7 @@ def _subsets(items: frozenset[int]):
 def _rule_count_by_splits(
     length: int, colours: int, rules: ComparisonRules, cyclic: bool
 ) -> int:
-    """Same count as _rule_word_count, via exact-split inclusion.
+    """Same count as _rule_count, via exact-split inclusion.
 
     Each weak position is resolved into strict-or-level, turning the
     rule count into a disjoint sum of exact-split counts.  Kept as a
@@ -618,8 +650,8 @@ def chain_reconstruction_count(
     The colouring is read as a word along the chain's n + 1 edges and
     counted against the comparison rules of the sign pair.
     """
-    rules = comparison_rules(source, target)
-    return _rule_word_count(len(tuple(source)) + 1, colours, rules, cyclic=False)
+    rules = rule_codes(source, target)
+    return _rule_count(len(rules) + 1, colours, rules, cyclic=False)
 
 
 def chain_reconstruction_count_by_splits(
@@ -641,8 +673,7 @@ def cycle_reconstruction_count(
     source = validate_signs(source)
     if len(source) < 2:
         raise BadRange("a cycle needs at least two pegs")
-    rules = comparison_rules(source, target)
-    return _rule_word_count(len(source), colours, rules, cyclic=True)
+    return _rule_count(len(source), colours, rule_codes(source, target), cyclic=True)
 
 
 def cycle_reconstruction_count_by_splits(
@@ -668,24 +699,22 @@ def _sign_family_matrices(
 ) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
     vectors = sign_vectors(n)
     length = n if cyclic else n + 1
-    counter = cycle_reconstruction_count if cyclic else chain_reconstruction_count
-    poly_rows = []
-    mix_rows = []
+    denom = lcm(*range(1, length + 1))
+    weights = [(-1) ** (c - 1) * (denom // c) for c in range(1, length + 1)]
+    # equal count vectors share one immutable pair of entries
+    entries: dict[tuple[int, ...], tuple[IntPolynomial, Fraction]] = {}
+    rows = []
     for src in vectors:
-        poly_row = []
-        mix_row = []
+        row = []
         for tgt in vectors:
-            counts = [counter(src, tgt, c) for c in range(1, length + 1)]
-            poly_row.append(IntPolynomial([0] + counts))
-            mix_row.append(
-                sum(
-                    (Fraction((-1) ** (c - 1) * f, c) for c, f in enumerate(counts, 1)),
-                    Fraction(0),
-                )
-            )
-        poly_rows.append(tuple(poly_row))
-        mix_rows.append(tuple(mix_row))
-    return vectors, WorldMatrix(tuple(poly_rows)), WorldMatrix(tuple(mix_rows))
+            counts = surjective_rule_counts(length, rule_codes(src, tgt), cyclic)
+            if counts not in entries:
+                numerator = sum(map(operator.mul, weights, counts))
+                entries[counts] = (IntPolynomial((0,) + counts), Fraction(numerator, denom))
+            row.append(entries[counts])
+        rows.append(row)
+    poly = WorldMatrix(tuple(tuple(p for p, _ in row) for row in rows))
+    return vectors, poly, WorldMatrix(tuple(tuple(r for _, r in row) for row in rows))
 
 
 def chain_matrices(

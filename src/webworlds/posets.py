@@ -10,16 +10,14 @@ descents drive the closed forms for diagonal matrix entries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import Edge, WebDiagram, WebWorld, subweb
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial, X
-
-_ONE_PLUS_X = IntPolynomial((1, 1))
+from .matrices import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -88,37 +86,125 @@ class DecompositionPoset:
             )
         )
 
+    @cached_property
+    def descent_histogram(self) -> tuple[int, ...]:
+        """Entry d counts the linear extensions with d descents.
+
+        A DP over (down-set, last label): appending a minimal element v
+        of the rest adds a descent when the last label exceeds v.  Each
+        histogram is packed into one integer, entry d in field d, and no
+        field exceeds the k! extensions.
+        """
+        k = self.size
+        lower = [sum(1 << u for u in range(k) if u != v and self.leq[u][v]) for v in range(k)]
+        width = math.factorial(k).bit_length()
+        level: dict[int, dict[int, int]] = {0: {-1: 1}}
+        for _ in range(k):
+            grown: dict[int, dict[int, int]] = {}
+            for mask, ends in level.items():
+                for v in range(k):
+                    if mask >> v & 1 or lower[v] & ~mask:
+                        continue
+                    packed = sum(h << width if last > v else h for last, h in ends.items())
+                    slot = grown.setdefault(mask | 1 << v, {})
+                    slot[v] = slot.get(v, 0) + packed
+            level = grown
+        total = sum(level[(1 << k) - 1].values())
+        field = (1 << width) - 1
+        return tuple(total >> (width * d) & field for d in range(max(k, 1)))
+
     @classmethod
     def from_relations(cls, size: int, relations) -> "DecompositionPoset":
         """Build an abstract poset from 1-based generating pairs."""
-        leq = [[i == j for j in range(size)] for i in range(size)]
+        rows = [0] * size
         for a, b in relations:
             if not (1 <= a <= size and 1 <= b <= size) or a == b:
                 raise BadRange(f"relation ({a},{b}) is not a strict pair within 1..{size}")
-            leq[a - 1][b - 1] = True
-        for t in range(size):
-            for i in range(size):
-                if leq[i][t]:
-                    for j in range(size):
-                        if leq[t][j]:
-                            leq[i][j] = True
+            rows[a - 1] |= 1 << (b - 1)
+        _transitive_closure(rows)
         blocks = tuple(Block(i + 1, (), None) for i in range(size))
-        return cls(blocks, tuple(tuple(row) for row in leq))
+        return cls(blocks, _order_matrix(rows))
 
 
-def _edge_below_matrix(edges: tuple[Edge, ...]) -> list[list[bool]]:
-    count = len(edges)
-    endpoints = [((e.left_peg, e.left_height), (e.right_peg, e.right_height)) for e in edges]
-    below = [[False] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if i != j:
-                below[i][j] = any(
-                    p1 == p2 and h1 < h2
-                    for (p1, h1) in endpoints[i]
-                    for (p2, h2) in endpoints[j]
-                )
+def _transitive_closure(rows: list[int]) -> list[int]:
+    """Close a relation in place; bit j of rows[i] says i relates to j."""
+    for t in range(len(rows)):
+        bit = 1 << t
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[t]
+    return rows
+
+
+def _order_matrix(rows: list[int]) -> tuple[tuple[bool, ...], ...]:
+    """Reflexive boolean matrix of a relation given as bitmask rows."""
+    k = len(rows)
+    return tuple(
+        tuple(i == j or bool(row >> j & 1) for j in range(k)) for i, row in enumerate(rows)
+    )
+
+
+def _edge_below_rows(edges: tuple[Edge, ...]) -> list[int]:
+    """Bit j of row i: an endpoint of edge i sits below one of edge j on a shared peg."""
+    per_peg: dict[int, list[tuple[int, int]]] = {}
+    for i, e in enumerate(edges):
+        per_peg.setdefault(e.left_peg, []).append((e.left_height, i))
+        per_peg.setdefault(e.right_peg, []).append((e.right_height, i))
+    below = [0] * len(edges)
+    for slots in per_peg.values():
+        above = 0
+        for _, i in sorted(slots, reverse=True):
+            below[i] |= above
+            above |= 1 << i
     return below
+
+
+def _union(rows: list[int], members: int) -> int:
+    """Bitwise or of the rows whose index is a bit of `members`."""
+    out = 0
+    for i, row in enumerate(rows):
+        if members >> i & 1:
+            out |= row
+    return out
+
+
+def _decompose(diagram: WebDiagram) -> tuple[tuple[Block, ...], list[int], list[int]]:
+    """Blocks in label order, each block's edge bitmask, and edge reachability.
+
+    Edge e reaches e' when a chain of below-steps leads from e to e';
+    blocks are the strongly connected components of that relation.
+    """
+    if diagram.edge_count == 0:
+        raise BadRange("cannot decompose an empty diagram")
+    edges = diagram.edges
+    count = len(edges)
+    below = _edge_below_rows(edges)
+    reach = _transitive_closure(below[:])
+    components = list(
+        dict.fromkeys(
+            sum(1 << j for j in range(count) if j == i or reach[i] >> j & reach[j] >> i & 1)
+            for i in range(count)
+        )
+    )
+    outs = [_union(below, members) & ~members for members in components]
+    preds = [sum(1 << d for d, out in enumerate(outs) if out & members) for members in components]
+    # an edge's lowest endpoint is its left one, since left_peg < right_peg
+    lowest = [
+        min((e.left_peg, e.left_height) for i, e in enumerate(edges) if members >> i & 1)
+        for members in components
+    ]
+    order: list[int] = []
+    done = 0
+    while len(order) < len(components):
+        ready = (c for c, p in enumerate(preds) if not done >> c & 1 and not p & ~done)
+        current = min(ready, key=lowest.__getitem__)
+        order.append(current)
+        done |= 1 << current
+    blocks = []
+    for label, c in enumerate(order, 1):
+        block_edges = tuple(e for i, e in enumerate(edges) if components[c] >> i & 1)
+        blocks.append(Block(label, block_edges, subweb(diagram, block_edges)))
+    return tuple(blocks), [components[c] for c in order], reach
 
 
 def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
@@ -130,87 +216,22 @@ def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
     of the block order, so stacking the blocks in label order rebuilds
     the diagram.
     """
-    if diagram.edge_count == 0:
-        raise BadRange("cannot decompose an empty diagram")
-    edges = diagram.edges
-    count = len(edges)
-    below = _edge_below_matrix(edges)
-    reach = [row[:] for row in below]
-    for t in range(count):
-        for i in range(count):
-            if reach[i][t]:
-                for j in range(count):
-                    if reach[t][j]:
-                        reach[i][j] = True
-    component_of = [-1] * count
-    components: list[list[int]] = []
-    for i in range(count):
-        for c, members in enumerate(components):
-            j = members[0]
-            if reach[i][j] and reach[j][i]:
-                members.append(i)
-                component_of[i] = c
-                break
-        else:
-            component_of[i] = len(components)
-            components.append([i])
-    total = len(components)
-    successors: list[set[int]] = [set() for _ in range(total)]
-    indegree = [0] * total
-    for i in range(count):
-        for j in range(count):
-            if below[i][j] and component_of[i] != component_of[j]:
-                if component_of[j] not in successors[component_of[i]]:
-                    successors[component_of[i]].add(component_of[j])
-    for c in range(total):
-        for d in successors[c]:
-            indegree[d] += 1
-
-    def min_endpoint(c: int) -> tuple[int, int]:
-        return min(
-            (peg, h)
-            for i in components[c]
-            for (peg, h) in (
-                (edges[i].left_peg, edges[i].left_height),
-                (edges[i].right_peg, edges[i].right_height),
-            )
-        )
-
-    available = [c for c in range(total) if indegree[c] == 0]
-    order: list[int] = []
-    while available:
-        available.sort(key=min_endpoint)
-        current = available.pop(0)
-        order.append(current)
-        for d in successors[current]:
-            indegree[d] -= 1
-            if indegree[d] == 0:
-                available.append(d)
-    blocks = []
-    for label, c in enumerate(order, 1):
-        block_edges = tuple(sorted(edges[i] for i in components[c]))
-        blocks.append(Block(label, block_edges, subweb(diagram, block_edges)))
-    return tuple(blocks)
+    return _decompose(diagram)[0]
 
 
 def decomposition_poset(diagram: WebDiagram) -> DecompositionPoset:
-    blocks = decompose(diagram)
-    k = len(blocks)
-    edge_block = {e: i for i, b in enumerate(blocks) for e in b.edges}
-    edges = diagram.edges
-    below = _edge_below_matrix(edges)
-    leq = [[i == j for j in range(k)] for i in range(k)]
-    for i, ei in enumerate(edges):
-        for j, ej in enumerate(edges):
-            if below[i][j] and edge_block[ei] != edge_block[ej]:
-                leq[edge_block[ei]][edge_block[ej]] = True
-    for t in range(k):
-        for i in range(k):
-            if leq[i][t]:
-                for j in range(k):
-                    if leq[t][j]:
-                        leq[i][j] = True
-    return DecompositionPoset(blocks, tuple(tuple(row) for row in leq))
+    """Blocks of `decompose` ordered by edge reachability.
+
+    Block a precedes block b when an edge of a reaches an edge of b.
+    Reachability is already transitive, and a path between blocks passes
+    through whole components, so no second closure is needed.
+    """
+    blocks, members, reach = _decompose(diagram)
+    rows = []
+    for block_members in members:
+        out = _union(reach, block_members)
+        rows.append(sum(1 << b for b, other in enumerate(members) if out & other))
+    return DecompositionPoset(blocks, _order_matrix(rows))
 
 
 def linear_extensions(poset: DecompositionPoset) -> tuple[tuple[int, ...], ...]:
@@ -243,33 +264,19 @@ def descents(extension: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(extension, extension[1:]) if a > b)
 
 
-_DIRECT_CHECK_LIMIT = 60_000
-
-
 def order_preserving_count(poset: DecompositionPoset, m: int) -> int:
     """Number of order-preserving maps from the poset into a chain of m values.
 
-    Computed from linear-extension descents; small instances are recounted
-    by direct map enumeration as a built-in consistency check.
+    A linear extension with d descents accounts for C(p + m - 1 - d, p)
+    maps (Stanley's (P, w)-partitions), so one term per descent count.
     """
     if m < 0:
         raise BadRange("chain size must be non-negative")
     p = poset.size
-    value = sum(
-        math.comb(p + m - 1 - descents(ext), p) for ext in linear_extensions(poset)
+    return sum(
+        count * math.comb(p + m - 1 - d, p)
+        for d, count in enumerate(poset.descent_histogram)
     )
-    if p >= 1 and m**p <= _DIRECT_CHECK_LIMIT:
-        strict = poset.strict_pairs()
-        direct = sum(
-            1
-            for f in itertools.product(range(1, m + 1), repeat=p)
-            if all(f[a - 1] <= f[b - 1] for a, b in strict)
-        )
-        if direct != value:
-            raise RuntimeError(
-                f"order-preserving map count mismatch: descents gave {value}, enumeration {direct}"
-            )
-    return value
 
 
 def surjective_order_preserving_count(poset: DecompositionPoset, m: int) -> int:
@@ -294,16 +301,20 @@ def _require_distinct_blocks(poset: DecompositionPoset) -> None:
 
 
 def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
-    """Closed form for a diagonal colouring entry from the diagram's poset."""
+    """Closed form for a diagonal colouring entry from the diagram's poset.
+
+    Sums x^(1+d) (1+x)^(p-1-d) over linear extensions with d descents,
+    expanded coefficient by coefficient.
+    """
     _require_distinct_blocks(poset)
     p = poset.size
     if p < 1:
         raise BadRange("poset must have at least one block")
-    total = IntPolynomial()
-    for ext in linear_extensions(poset):
-        d = descents(ext)
-        total = total + X ** (1 + d) * _ONE_PLUS_X ** (p - 1 - d)
-    return total
+    coeffs = [0] * (p + 1)
+    for d, count in enumerate(poset.descent_histogram):
+        for j in range(d + 1, p + 1):
+            coeffs[j] += count * math.comb(p - 1 - d, j - 1 - d)
+    return IntPolynomial(coeffs)
 
 
 def diagonal_mixing_value(poset: DecompositionPoset) -> Fraction:
@@ -314,8 +325,8 @@ def diagonal_mixing_value(poset: DecompositionPoset) -> Fraction:
         raise BadRange("poset must have at least one block")
     return sum(
         (
-            Fraction((-1) ** descents(ext), p * math.comb(p - 1, descents(ext)))
-            for ext in linear_extensions(poset)
+            Fraction((-1) ** d * count, p * math.comb(p - 1, d))
+            for d, count in enumerate(poset.descent_histogram)
         ),
         Fraction(0),
     )

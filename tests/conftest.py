@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own shortcuts: the
 orbit oracle closes a diagram under every per-peg permutation family,
 the colouring-count oracle reconstructs every surjective colouring of
-every member, and the rank oracle runs plain fraction Gauss elimination.
+every member, the rule-word oracle tests every surjective word against
+comparison rules, and the rank oracle runs plain fraction Gauss
+elimination.
 Tests compare library output against these slower twins.
 """
 
@@ -21,6 +23,7 @@ from webworlds import (
     validate_diagram,
     web_world,
 )
+from webworlds.diagram import surjection_tuples
 
 PATH4_EDGES = ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1))
 VEE_EDGES = ((1, 2, 1, 1), (1, 3, 2, 1), (2, 4, 2, 1))
@@ -99,6 +102,15 @@ def enumerated_counts(world):
             for colouring in surjective_colourings(edges, k):
                 counts[i][world.index_of(reconstruct(diagram, colouring))][k] += 1
     return counts
+
+
+def rule_word_count(length, colours, rules, cyclic):
+    """Surjective words over 1..colours meeting the rules, by listing them all."""
+    return sum(
+        1
+        for word in surjection_tuples(length, colours)
+        if cases.word_satisfies(word, rules, cyclic)
+    )
 
 
 def fraction_rank(rows):
