@@ -27,9 +27,9 @@ from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, surjection_tuples
+from .diagram import Edge, WebDiagram, WebWorld, restack, surjection_tuples
 from .errors import BadRange, LengthMismatch
-from .matrices import ONE, IntPolynomial, WorldMatrix, X
+from .matrices import ONE, IntPolynomial, WorldMatrix, X, from_counts
 
 _ONE_PLUS_X = ONE + X
 
@@ -197,11 +197,17 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
 
     Rows and columns follow the world's canonical diagram order.  An
     entry depends only on the pair's minimal colour count m, so every
-    cell shares one immutable entry pair from a table indexed by m.
+    cell pair comes from a table indexed by m: the coefficients of M's
+    entry and R's entry as a numerator over lcm(1..n).
     """
     world = fan_world(n)
     perms = [fan_permutation(d) for d in world]
-    table = [None] + [_fan_entry(n, m) for m in range(1, n + 1)]
+    denom = lcm(*range(1, n + 1))
+    table = [None]
+    for m in range(1, n + 1):
+        colouring, mixing = _fan_entry(n, m)
+        # R's denominator n C(n - 1, m - 1) = m C(n, m) divides lcm(1..n)
+        table.append((colouring.coeffs, mixing.numerator * (denom // mixing.denominator)))
     rows = []
     for src in perms:
         position = {v: i for i, v in enumerate(src)}
@@ -211,8 +217,8 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
             q = [position[v] for v in tgt]
             row.append(table[1 + sum(map(operator.gt, q, q[1:]))])
         rows.append(row)
-    poly = WorldMatrix(tuple(tuple(p for p, _ in row) for row in rows), world)
-    return world, poly, WorldMatrix(tuple(tuple(r for _, r in row) for row in rows), world)
+    poly = WorldMatrix([[p for p, _ in row] for row in rows], polynomial=True)
+    return world, poly, WorldMatrix([[r for _, r in row] for row in rows], denom)
 
 
 def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:
@@ -360,40 +366,13 @@ def cycle_world(n: int) -> WebWorld:
     )
 
 
-def restack_positions(
-    edges: Sequence[Edge], num_pegs: int, assignment: Sequence[int]
-) -> tuple[Edge, ...]:
-    """Restack a positioned edge list, keeping each edge at its index.
-
-    Endpoints on each peg are re-ranked by (colour, old height).  Unlike
-    a reconstruction this does not sort the result, so families encoded
-    by edge position (chains, cycles) can track where each edge went.
-    """
-    edges = tuple(edges)
-    if len(assignment) != len(edges):
-        raise LengthMismatch(
-            f"colouring has {len(assignment)} entries for {len(edges)} edges"
-        )
-    rows = [list(e) for e in edges]
-    per_peg: list[list[tuple[int, int, int]]] = [[] for _ in range(num_pegs)]
-    for idx, e in enumerate(edges):
-        per_peg[e.left_peg - 1].append((e.left_height, idx, 2))
-        per_peg[e.right_peg - 1].append((e.right_height, idx, 3))
-    for lst in per_peg:
-        lst.sort()
-        ordered = sorted(lst, key=lambda t: assignment[t[1]])
-        for height, (_h, idx, field) in enumerate(ordered, 1):
-            rows[idx][field] = height
-    return tuple(Edge(*row) for row in rows)
-
-
 def chain_result_signs(
     signs: Sequence[int], assignment: Sequence[int]
 ) -> tuple[int, ...]:
     """Sign vector of the restack of a chain under a positional colouring."""
     signs = validate_signs(signs)
     n = len(signs)
-    restacked = restack_positions(chain_edge_list(signs), n + 2, assignment)
+    restacked = restack(chain_edge_list(signs), n + 2, assignment)
     return tuple(1 if restacked[j - 1].left_height == 2 else -1 for j in range(2, n + 2))
 
 
@@ -403,7 +382,7 @@ def cycle_result_signs(
     """Sign vector of the restack of a cycle under a positional colouring."""
     signs = validate_signs(signs)
     n = len(signs)
-    restacked = restack_positions(cycle_edge_list(signs), n, assignment)
+    restacked = restack(cycle_edge_list(signs), n, assignment)
     out = [1 if restacked[i - 1].left_height == 2 else -1 for i in range(1, n)]
     out.append(1 if restacked[n - 1].right_height == 2 else -1)
     return tuple(out)
@@ -699,22 +678,11 @@ def _sign_family_matrices(
 ) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
     vectors = sign_vectors(n)
     length = n if cyclic else n + 1
-    denom = lcm(*range(1, length + 1))
-    weights = [(-1) ** (c - 1) * (denom // c) for c in range(1, length + 1)]
-    # equal count vectors share one immutable pair of entries
-    entries: dict[tuple[int, ...], tuple[IntPolynomial, Fraction]] = {}
-    rows = []
-    for src in vectors:
-        row = []
-        for tgt in vectors:
-            counts = surjective_rule_counts(length, rule_codes(src, tgt), cyclic)
-            if counts not in entries:
-                numerator = sum(map(operator.mul, weights, counts))
-                entries[counts] = (IntPolynomial((0,) + counts), Fraction(numerator, denom))
-            row.append(entries[counts])
-        rows.append(row)
-    poly = WorldMatrix(tuple(tuple(p for p, _ in row) for row in rows))
-    return vectors, poly, WorldMatrix(tuple(tuple(r for _, r in row) for row in rows))
+    counts = [
+        [(0,) + surjective_rule_counts(length, rule_codes(src, tgt), cyclic) for tgt in vectors]
+        for src in vectors
+    ]
+    return (vectors, *from_counts(counts))
 
 
 def chain_matrices(

@@ -268,24 +268,26 @@ def peg_slots(diagram: WebDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def restacked_edge_key(
-    diagram: WebDiagram,
-    slots: tuple[tuple[tuple[int, int], ...], ...],
-    assignment: Sequence[int],
-) -> tuple[tuple[int, int, int, int], ...]:
-    """Sorted plain-tuple edge list of the reconstruction of `diagram`.
+def restack(edges: Sequence[Edge], num_pegs: int, assignment: Sequence[int]) -> tuple[Edge, ...]:
+    """Stack the colour classes of an edge list in colour order.
 
-    Stacking the height-compressed colour classes in colour order is
-    equivalent to re-ranking each peg's endpoints by (colour, old height);
-    the stable sort below does exactly that because `slots` is pre-sorted
-    by height.
+    Stacking the height-compressed colour classes is re-ranking each
+    peg's endpoints by (colour, old height). Every edge keeps its index,
+    so families encoded by edge position (chains, cycles) can track where
+    each edge went; a reconstruction sorts the result.
     """
-    rows = [list(e) for e in diagram.edges]
-    for lst in slots:
-        ordered = sorted(lst, key=lambda t: assignment[t[0]])
-        for height, (idx, field) in enumerate(ordered, 1):
+    edges = tuple(edges)
+    if len(assignment) != len(edges):
+        raise LengthMismatch(f"colouring has {len(assignment)} entries for {len(edges)} edges")
+    rows = [list(e) for e in edges]
+    per_peg: list[list[tuple[int, int, int, int]]] = [[] for _ in range(num_pegs)]
+    for idx, e in enumerate(edges):
+        per_peg[e.left_peg - 1].append((assignment[idx], e.left_height, idx, 2))
+        per_peg[e.right_peg - 1].append((assignment[idx], e.right_height, idx, 3))
+    for lst in per_peg:
+        for height, (_colour, _old, idx, field) in enumerate(sorted(lst), 1):
             rows[idx][field] = height
-    return tuple(sorted(map(tuple, rows)))
+    return tuple(Edge(*row) for row in rows)
 
 
 def reconstruct(diagram: WebDiagram, colouring: Colouring) -> WebDiagram:
@@ -294,12 +296,8 @@ def reconstruct(diagram: WebDiagram, colouring: Colouring) -> WebDiagram:
     Each colour class is height-compressed before stacking, so the result
     lies in the same web world as the input.
     """
-    if len(colouring.assignment) != diagram.edge_count:
-        raise LengthMismatch(
-            f"colouring has {len(colouring.assignment)} entries for {diagram.edge_count} edges"
-        )
-    key = restacked_edge_key(diagram, peg_slots(diagram), colouring.assignment)
-    return WebDiagram(tuple(Edge(*row) for row in key), diagram.num_pegs)
+    moved = restack(diagram.edges, diagram.num_pegs, colouring.assignment)
+    return WebDiagram(moved, diagram.num_pegs)
 
 
 class WebWorld:

@@ -117,22 +117,15 @@ def _matrix_from_cells(m: int, values: tuple[int, ...]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-def _has_isolated_peg(rows: Rows) -> bool:
-    n = len(rows)
-    return any(
-        all(rows[i][j] == 0 for j in range(n)) and all(rows[j][i] == 0 for j in range(n))
-        for i in range(n)
-    )
+def peg_loads(rows: Rows) -> tuple[int, ...]:
+    """Endpoints on each peg; a peg with load 0 is isolated."""
+    return tuple(sum(row) + sum(other[i] for other in rows) for i, row in enumerate(rows))
 
 
 def _is_connected(rows: Rows) -> bool:
     # connectivity over the pegs that carry endpoints
     n = len(rows)
-    used = [
-        i
-        for i in range(n)
-        if any(rows[i][j] for j in range(n)) or any(rows[j][i] for j in range(n))
-    ]
+    used = [i for i, load in enumerate(peg_loads(rows)) if load]
     if not used:
         return False
     adjacency: dict[int, set[int]] = {v: set() for v in used}
@@ -183,7 +176,7 @@ def enumerate_worlds(
         for t in totals:
             for values in _weak_compositions(t, cells):
                 rows = _matrix_from_cells(m, values)
-                if no_isolated and _has_isolated_peg(rows):
+                if no_isolated and 0 in peg_loads(rows):
                     continue
                 if proper_only and not _is_connected(rows):
                     continue
@@ -249,7 +242,7 @@ def count_worlds_no_isolated_direct(pegs: int, edges: int, pairs: int) -> int:
     for values in _weak_compositions(edges, cells):
         if sum(1 for v in values if v) != pairs:
             continue
-        if not _has_isolated_peg(_matrix_from_cells(pegs, values)):
+        if 0 not in peg_loads(_matrix_from_cells(pegs, values)):
             count += 1
     return count
 
@@ -293,7 +286,7 @@ def count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
         if sum(1 for v in values if v) != pairs:
             continue
         rows = _matrix_from_cells(pegs, values)
-        if not _has_isolated_peg(rows) and _is_connected(rows):
+        if 0 not in peg_loads(rows) and _is_connected(rows):
             count += 1
     return count
 

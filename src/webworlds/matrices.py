@@ -1,15 +1,16 @@
 """Exact colouring/mixing matrices of a web world and their structure checks.
 
 Matrix rows and columns follow the world's canonical diagram order. The
-colouring matrix has integer-polynomial entries whose x^k coefficient
+colouring matrix M has integer-polynomial entries whose x^k coefficient
 counts the surjective k-colourings of the row diagram that reconstruct
-to the column diagram; the mixing matrix weights those counts by
+to the column diagram; the mixing matrix R weights those counts by
 (-1)^(k-1)/k and lives over exact rationals.
 
-Every matrix also has an exact integer form, `WorldMatrix.form`: R as
+A `WorldMatrix` stores only integers: M as rows of count tuples, R as
 integer numerator rows N over one common denominator L (L = lcm(1..e)
-for a world with e edges), M as rows of count tuples. Row sums,
-idempotence and rank read only this form.
+for a world with e edges). `from_counts` is the one M -> R transform.
+Row sums, traces, idempotence and rank read these rows; `entries` turns
+them into IntPolynomial and Fraction objects for output only.
 
 - R^2 = R exactly when N N = L N. Row k of N is packed into one integer
   P_k = sum_j N[k][j] 2^(w j), so row i of N N is sum_k N[i][k] P_k. Every
@@ -35,24 +36,27 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Callable, Sequence
+from functools import cached_property, partial
+from typing import Sequence
 
-from .diagram import WebDiagram, WebWorld, flip, peg_slots, web_world
+from .diagram import WebDiagram, WebWorld, flip, json_int, peg_slots, web_world
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
 
 
 class IntPolynomial:
-    """Immutable integer polynomial; coefficient index equals degree."""
+    """Immutable integer polynomial; coefficient index equals degree.
+
+    Every coefficient must be an int; bool and float raise `MalformedInput`.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = [json_int(c, "polynomial coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -182,86 +186,84 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-class IntegerForm:
-    """A matrix as exact integers; the rows are built on first use.
-
-    For a rational matrix, `rows` holds the integer numerators N over
-    `denominator` L. For a polynomial matrix, `rows` holds per cell the
-    tuple of x^k coefficients, all of one length, and L is 1.
-    """
-
-    def __init__(self, polynomial: bool, denominator: int, build: Callable[[], list]):
-        self.polynomial = polynomial
-        self.denominator = denominator
-        self._build = build
-
-    @cached_property
-    def rows(self) -> list:
-        rows = self._build()
-        del self._build
-        return rows
-
-    @cached_property
-    def idempotent(self) -> bool:
-        return _squares_to_itself(self.rows, self.denominator)
-
-
-def _derived_form(entries: tuple[tuple, ...]) -> IntegerForm:
-    kinds = {isinstance(e, IntPolynomial) for row in entries for e in row}
-    if kinds == {True}:
-        width = max(len(e.coeffs) for row in entries for e in row)
-        rows = [[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in entries]
-        return IntegerForm(True, 1, lambda: rows)
-    if kinds != {False}:
-        raise BadRange("matrix mixes polynomial and rational entries")
-    fracs = [[Fraction(e) for e in row] for row in entries]
-    denom = math.lcm(*(f.denominator for row in fracs for f in row))
-    rows = [[f.numerator * (denom // f.denominator) for f in row] for row in fracs]
-    return IntegerForm(False, denom, lambda: rows)
-
-
 @dataclass(frozen=True)
 class WorldMatrix:
     """A square matrix indexed by a world's canonical diagram order.
 
-    A builder that already holds the entries as integers passes `seed`,
-    their `IntegerForm`; otherwise `form` is derived from the entries.
+    Every cell is held as exact integers. A polynomial matrix holds per
+    cell the tuple of x^k coefficients, all of one length, and its
+    denominator is 1; a rational matrix holds integer numerators over
+    `denominator`.
     """
 
-    entries: tuple[tuple, ...]
-    world: WebWorld | None = field(default=None, compare=False)
-    seed: InitVar[IntegerForm | None] = None
+    rows: tuple[tuple, ...]
+    denominator: int = 1
+    polynomial: bool = False
 
-    def __post_init__(self, seed: IntegerForm | None) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __post_init__(self) -> None:
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise BadRange("matrix must be square and non-empty")
-        if seed is not None:
-            # where cached_property keeps `form` once computed
-            self.__dict__["form"] = seed
 
-    @cached_property
-    def form(self) -> IntegerForm:
-        return _derived_form(self.entries)
+    @classmethod
+    def from_entries(cls, entries: Sequence[Sequence]) -> WorldMatrix:
+        """The matrix of IntPolynomial entries, or of int and Fraction entries.
+
+        A bool or float entry raises `MalformedInput`.
+        """
+        kinds = {isinstance(e, IntPolynomial) for row in entries for e in row}
+        if len(kinds) > 1:
+            raise BadRange("matrix mixes polynomial and rational entries")
+        if kinds == {True}:
+            width = max(len(e.coeffs) for row in entries for e in row)
+            return cls(
+                [[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in entries],
+                polynomial=True,
+            )
+        fracs = [
+            [e if isinstance(e, Fraction) else Fraction(json_int(e, "matrix entry")) for e in row]
+            for row in entries
+        ]
+        denom = math.lcm(*(f.denominator for row in fracs for f in row))
+        return cls([[f.numerator * (denom // f.denominator) for f in row] for row in fracs], denom)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
+    @cached_property
+    def entries(self) -> tuple[tuple, ...]:
+        """The cells as IntPolynomial or Fraction objects, for output.
+
+        A matrix has few distinct cells, so each is converted once and
+        the immutable entries are shared between cells.
+        """
+        if self.polynomial:
+            convert = IntPolynomial
+        else:
+            convert = partial(Fraction, denominator=self.denominator)
+        cells = {cell: convert(cell) for cell in set(itertools.chain.from_iterable(self.rows))}
+        return tuple(tuple(map(cells.__getitem__, row)) for row in self.rows)
+
+    @cached_property
+    def _idempotent(self) -> bool:
+        return _squares_to_itself(self.rows, self.denominator)
 
 
-def trace(matrix: WorldMatrix):
-    return reduce(operator.add, (matrix.entries[i][i] for i in range(matrix.size)))
+def _sum_entry(matrix: WorldMatrix, cells) -> IntPolynomial | Fraction:
+    """The entry whose cell is the sum of the given cells."""
+    if matrix.polynomial:
+        return IntPolynomial(map(sum, zip(*cells)))
+    return Fraction(sum(cells), matrix.denominator)
+
+
+def trace(matrix: WorldMatrix) -> IntPolynomial | Fraction:
+    return _sum_entry(matrix, [row[i] for i, row in enumerate(matrix.rows)])
 
 
 def row_sums(matrix: WorldMatrix) -> tuple:
-    form = matrix.form
-    if form.polynomial:
-        return tuple(IntPolynomial(map(sum, zip(*row))) for row in form.rows)
-    return tuple(Fraction(sum(row), form.denominator) for row in form.rows)
+    return tuple(_sum_entry(matrix, row) for row in matrix.rows)
 
 
 def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
@@ -299,20 +301,30 @@ def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
 
 
 def mixing_from_polynomial(poly: IntPolynomial) -> Fraction:
-    """Term-wise transform sending x^k to (-1)^(k-1)/k.
-
-    This realizes the exact integral relation between the two matrices:
-    integrating -M(-x)/x over [0, 1] term by term.
-    """
+    """The mixing entry of one colouring entry, by `from_counts`."""
     if poly.coefficient(0):
         raise BadRange("polynomial has a constant term; not a colouring entry")
-    return sum(
-        (
-            Fraction((-1) ** (k - 1) * poly.coefficient(k), k)
-            for k in range(1, len(poly.coeffs))
-        ),
-        Fraction(0),
-    )
+    return from_counts([[poly.coeffs or (0,)]])[1].entries[0][0]
+
+
+def from_counts(counts: Sequence[Sequence[tuple[int, ...]]]) -> tuple[WorldMatrix, WorldMatrix]:
+    """Colouring and mixing matrices from per-cell colouring counts.
+
+    counts[i][j][k], for k = 0..e, counts the surjective k-colourings of
+    row diagram i that reconstruct to column diagram j; it is M's cell.
+    R's cell sends x^k to (-1)^(k-1)/k, which integrates -M(-x)/x over
+    [0, 1] term by term, as one numerator over L = lcm(1..e).
+    """
+    edge_count = len(counts[0][0]) - 1
+    denom = math.lcm(*range(1, edge_count + 1))
+    weights = [0] + [(-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)]
+    # a world has few distinct count vectors, so each is weighed once
+    numerators = {
+        cell: sum(map(operator.mul, weights, cell))
+        for cell in set(itertools.chain.from_iterable(counts))
+    }
+    mixing = [tuple(map(numerators.__getitem__, row)) for row in counts]
+    return WorldMatrix(counts, polynomial=True), WorldMatrix(mixing, denom)
 
 
 class _SubsetDP:
@@ -477,61 +489,18 @@ def world_matrices(
     world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD
 ) -> tuple[WorldMatrix, WorldMatrix]:
     """Colouring and mixing matrices from one pass of colouring counts."""
-    counts = _world_counts(world, max_entries)
-    edge_count = world.edge_count
-    denom = math.lcm(*range(1, edge_count + 1))
-    weights = [0] + [
-        (-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)
-    ]
-    # a world has few distinct count vectors, so each is converted once
-    # and the immutable entries are shared between cells
-    polys: dict[tuple[int, ...], IntPolynomial] = {}
-    mixes: dict[tuple[int, ...], Fraction] = {}
-    numerators: dict[tuple[int, ...], int] = {}
-    poly_rows = []
-    mix_rows = []
-    for row in counts:
-        for cell in row:
-            if cell not in polys:
-                polys[cell] = IntPolynomial(cell)
-                numerators[cell] = numerator = sum(map(operator.mul, weights, cell))
-                mixes[cell] = Fraction(numerator, denom)
-        poly_rows.append(tuple(map(polys.__getitem__, row)))
-        mix_rows.append(tuple(map(mixes.__getitem__, row)))
-    # the integer forms come from the same counts; R's numerator rows
-    # are only built if a structure check asks for them
-    return (
-        WorldMatrix(tuple(poly_rows), world, IntegerForm(True, 1, lambda: counts)),
-        WorldMatrix(
-            tuple(mix_rows),
-            world,
-            IntegerForm(
-                False,
-                denom,
-                lambda: [list(map(numerators.__getitem__, row)) for row in counts],
-            ),
-        ),
-    )
+    return from_counts(_world_counts(world, max_entries))
 
 
-def colouring_matrix(world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD) -> WorldMatrix:
-    return world_matrices(world, max_entries)[0]
-
-
-def mixing_matrix(world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD) -> WorldMatrix:
-    return world_matrices(world, max_entries)[1]
-
-
-def _rational_form(matrix: WorldMatrix, what: str) -> IntegerForm:
-    form = matrix.form
-    if form.polynomial:
+def _require_rational(matrix: WorldMatrix, what: str) -> None:
+    if matrix.polynomial:
         raise BadRange(f"{what} is defined for rational matrices only")
-    return form
 
 
 def is_idempotent(matrix: WorldMatrix) -> bool:
     """Exact check that the matrix squares to itself, by packed rows."""
-    return _rational_form(matrix, "idempotence").idempotent
+    _require_rational(matrix, "idempotence")
+    return matrix._idempotent
 
 
 def _squares_to_itself(rows: list[list[int]], denom: int) -> bool:
@@ -614,14 +583,14 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 def rank(matrix: WorldMatrix) -> int:
     """Exact rank: certified modular elimination if the matrix is
     idempotent, Bareiss elimination otherwise (see the module docstring)."""
-    form = _rational_form(matrix, "rank")
-    rows = form.rows
-    if form.idempotent:
+    _require_rational(matrix, "rank")
+    rows = matrix.rows
+    if matrix._idempotent:
         found = _rank_mod_p(rows)
         if found is not None:
             complement = [list(map(operator.neg, row)) for row in rows]
             for i, row in enumerate(complement):
-                row[i] += form.denominator
+                row[i] += matrix.denominator
             if _rank_mod_p(complement) == len(rows) - found:
                 return found
     return _bareiss_rank(rows)
@@ -645,10 +614,8 @@ def _json_cell(entry):
 
 
 def matrix_to_json(matrix: WorldMatrix) -> dict:
-    kinds = {IntPolynomial: "polynomial", Fraction: "rational", int: "integer"}
-    kind = kinds.get(type(matrix.entries[0][0]), "rational")
     return {
         "size": matrix.size,
-        "kind": kind,
+        "kind": "polynomial" if matrix.polynomial else "rational",
         "entries": [[_json_cell(e) for e in row] for row in matrix.entries],
     }

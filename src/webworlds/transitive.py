@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .enumeration import Rows, enumerate_worlds, validate_represent
+from .diagram import json_int_rows
+from .enumeration import Rows, enumerate_worlds, peg_loads, validate_represent
 from .errors import BadRange, BoundsTooLarge, IsolatedPeg, NotTransitive
 
 TRANSITIVE_EDGE_GUARD = 6
@@ -27,11 +28,9 @@ def is_transitive(rows: Sequence[Sequence[int]]) -> bool:
     """
     rows = validate_represent(rows)
     m = len(rows)
-    for i in range(m):
-        if all(rows[i][j] == 0 for j in range(m)) and all(
-            rows[j][i] == 0 for j in range(m)
-        ):
-            raise IsolatedPeg(f"peg {i + 1} touches no edge")
+    loads = peg_loads(rows)
+    if 0 in loads:
+        raise IsolatedPeg(f"peg {loads.index(0) + 1} touches no edge")
     for i in range(m - 1):
         if all(rows[i][j] == 0 for j in range(m)):
             return False
@@ -62,7 +61,7 @@ def reattach(core: Sequence[Sequence[int]]) -> Rows:
     whose rows and columns are all non-zero; these are exactly the cores
     of transitive represent matrices.
     """
-    core = tuple(tuple(int(v) for v in row) for row in core)
+    core = json_int_rows(core, "core matrix")
     k = len(core)
     if k == 0 or any(len(row) != k for row in core):
         raise BadRange("core must be a non-empty square matrix")

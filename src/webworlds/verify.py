@@ -25,8 +25,7 @@ from .diagram import (
     WebDiagram,
     WebWorld,
     apply_permutations,
-    peg_slots,
-    restacked_edge_key,
+    restack,
     surjection_tuples,
     validate_diagram,
     web_world,
@@ -91,24 +90,11 @@ def _enumerated_counts(world: WebWorld) -> list[list[list[int]]]:
     counts = [[[0] * (edge_count + 1) for _ in range(size)] for _ in range(size)]
     index = world.index
     for row, diagram in enumerate(world):
-        slots = peg_slots(diagram)
-        # only pegs with two or more endpoints can react to a colouring
-        live = [lst for lst in slots if len(lst) > 1]
         row_counts = counts[row]
-        # distinct reorderings are far fewer than colourings, so cache
-        # the target index per reordering instead of re-keying each word
-        seen: dict[tuple[tuple[int, int], ...], int] = {}
         for colours in range(1, edge_count + 1):
             for assignment in surjection_tuples(edge_count, colours):
-                ordering: list[tuple[int, int]] = []
-                for lst in live:
-                    ordering.extend(sorted(lst, key=lambda t: assignment[t[0]]))
-                key = tuple(ordering)
-                target = seen.get(key)
-                if target is None:
-                    target = index[restacked_edge_key(diagram, slots, assignment)]
-                    seen[key] = target
-                row_counts[target][colours] += 1
+                moved = restack(diagram.edges, diagram.num_pegs, assignment)
+                row_counts[index[tuple(sorted(moved))]][colours] += 1
     return counts
 
 
@@ -155,7 +141,7 @@ def suite_structure(
         if m <= ENUMERATION_EDGES:
             enumerated += 1
             brute = _enumerated_counts(world)
-            if poly.entries != tuple(tuple(IntPolynomial(c) for c in row) for row in brute):
+            if poly.rows != tuple(tuple(map(tuple, row)) for row in brute):
                 enumerated_fail.append(repr(rows))
     scope = f"all worlds with <= {max_edges} edges, <= {max_pegs} pegs"
     return [

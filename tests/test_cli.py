@@ -1,5 +1,6 @@
 """CLI behaviour: pinned invocations, formats, and exit codes."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -214,6 +215,74 @@ def test_readme_examples_are_exact(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out == expected, argv
+
+
+# a world with parallel edges: 2 edges on pegs 1-2, 1 on pegs 1-3
+PARALLEL6_JSON = '{"represent": [[0,2,1],[0,0,0],[0,0,0]]}'
+PARALLEL6_EXPORTS = {
+    ("colouring", "json"): '{"size": 6, "kind": "polynomial", "entries": '
+    "[[[0, 1, 3, 2], [0, 0, 2, 2], [], [], [0, 0, 1, 2], []], "
+    "[[0, 0, 2, 2], [0, 1, 2, 2], [], [], [0, 0, 2, 2], []], "
+    "[[0, 0, 2, 2], [0, 0, 2, 2], [0, 1, 1], [], [0, 0, 0, 2], [0, 0, 1]], "
+    "[[0, 0, 1, 2], [0, 0, 2, 2], [0, 0, 1], [0, 1], [0, 0, 1, 2], [0, 0, 1]], "
+    "[[0, 0, 1, 2], [0, 0, 2, 2], [], [], [0, 1, 3, 2], []], "
+    "[[0, 0, 0, 2], [0, 0, 2, 2], [0, 0, 1], [], [0, 0, 2, 2], [0, 1, 1]]]}\n",
+    ("colouring", "csv"): "0;1;3;2,0;0;2;2,0,0,0;0;1;2,0\n"
+    "0;0;2;2,0;1;2;2,0,0,0;0;2;2,0\n"
+    "0;0;2;2,0;0;2;2,0;1;1,0,0;0;0;2,0;0;1\n"
+    "0;0;1;2,0;0;2;2,0;0;1,0;1,0;0;1;2,0;0;1\n"
+    "0;0;1;2,0;0;2;2,0,0,0;1;3;2,0\n"
+    "0;0;0;2,0;0;2;2,0;0;1,0,0;0;2;2,0;1;1\n",
+    ("mixing", "json"): '{"size": 6, "kind": "rational", "entries": '
+    '[["1/6", "-1/3", "0", "0", "1/6", "0"], ["-1/3", "2/3", "0", "0", "-1/3", "0"], '
+    '["-1/3", "-1/3", "1/2", "0", "2/3", "-1/2"], ["1/6", "-1/3", "-1/2", "1", "1/6", "-1/2"], '
+    '["1/6", "-1/3", "0", "0", "1/6", "0"], ["2/3", "-1/3", "-1/2", "0", "-1/3", "1/2"]]}\n',
+    ("mixing", "csv"): "1/6,-1/3,0,0,1/6,0\n"
+    "-1/3,2/3,0,0,-1/3,0\n"
+    "-1/3,-1/3,1/2,0,2/3,-1/2\n"
+    "1/6,-1/3,-1/2,1,1/6,-1/2\n"
+    "1/6,-1/3,0,0,1/6,0\n"
+    "2/3,-1/3,-1/2,0,-1/3,1/2\n",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(PARALLEL6_EXPORTS))
+def test_parallel_edge_matrix_exports_are_exact(capsys, kind, fmt):
+    code, out, err = run(
+        capsys, "matrix", "--input", PARALLEL6_JSON, "--kind", kind, "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out == PARALLEL6_EXPORTS[kind, fmt]
+
+
+# sha256 of the stdout of larger exports: a 36-member world with parallel
+# edges (3 edges on two pegs of three) and the chain and cycle case
+# matrices at n = 3
+EXPORT_SHA256 = {
+    ("matrix", "colouring", "json"): "3a8cdc5aaea6cbf28238b9b9503875f62678854254a1c1b643448eac36a22e66",
+    ("matrix", "colouring", "csv"): "03a92c47aec0af260bc9b4951324fb6ed645adfd990ba3d2d8e673f30cde4a8f",
+    ("matrix", "mixing", "json"): "1617500c958239679da5a8cdf2d1f858f7e39da659aba047600a9f0aa5d74f36",
+    ("matrix", "mixing", "csv"): "3709bbacc0d5828e8286bcf15649ce7c633ce23bc911c7ca148d3576977a20d3",
+    ("case2", "colouring", "json"): "c64f31f370010c90274758296d45587b41cd6a2b68897580c9ae4546ad306deb",
+    ("case2", "colouring", "csv"): "4dfc8a6ed0b9d48997a86b2ef298adcadad2b29ae00a29c1b68bed2d6223fde8",
+    ("case2", "mixing", "json"): "ff672091085ff7e56422bfcff013e916b4d689e4789076f3c89a3d361eb066b1",
+    ("case2", "mixing", "csv"): "0ddbd85681e1691d033b6da13f7d6dd7535e1be8f2b0841ae7053c0ffc219107",
+    ("case3", "colouring", "json"): "5d651fc64e84905bbc0ccaaba3b4c2481ec10a68f1f008aaeda319371f1808b6",
+    ("case3", "colouring", "csv"): "9619c1b0b2ffc599621ac6b1edb734098afdd2914c94f77e1e2818ab8aade198",
+    ("case3", "mixing", "json"): "f6f68d5ba6b7ead94cdbfdb968f03c7283edd8c4c3dc249b4844ddfaaf8ad668",
+    ("case3", "mixing", "csv"): "dfe56fc7173173692ffc0211e855ffb65d5baea36f96eeb18efce52630723ce7",
+}
+
+
+@pytest.mark.parametrize("command, kind, fmt", sorted(EXPORT_SHA256))
+def test_matrix_exports_match_pinned_digests(capsys, command, kind, fmt):
+    if command == "matrix":
+        argv = ["matrix", "--input", '{"represent": [[0,2,1],[0,0,1],[0,0,0]]}', "--kind", kind]
+    else:
+        argv = [command, "--n", "3", "--matrix", kind]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[command, kind, fmt]
 
 
 def test_guard_violations_exit_three(capsys):

@@ -1,4 +1,4 @@
-"""Row sums, idempotence and rank on the exact integer form.
+"""Row sums, traces, idempotence and rank on the exact integer rows.
 
 Oracles: plain Fraction arithmetic on the entries (a row-by-row sum, the
 product R R, and Gauss elimination in conftest) on every world with at
@@ -19,6 +19,7 @@ from webworlds import (
     is_idempotent,
     rank,
     row_sums,
+    trace,
     validate_diagram,
     web_world,
     world_matrices,
@@ -35,7 +36,7 @@ def world_pairs():
 
 @pytest.fixture(scope="module")
 def case_pairs():
-    """Closed-form matrices, whose integer form is derived from the entries."""
+    """Closed-form matrices: fan cells from a table, chain and cycle cells by counting."""
     return (
         [(f"fan{n}", cases.fan_matrices(n)[1:]) for n in range(1, 5)]
         + [(f"chain{n}", cases.chain_matrices(n)[1:]) for n in range(1, 5)]
@@ -62,17 +63,30 @@ def test_rank_and_idempotence_match_fraction_oracles(world_pairs, case_pairs):
         assert rank(mix) == fraction_rank(mix.entries), name
 
 
-def test_row_sums_from_seeded_and_derived_forms(world_pairs, case_pairs):
-    for name, (poly, mix) in world_pairs:
-        # world_matrices hands its counts over, so the form is already there
-        assert "form" in poly.__dict__ and "form" in mix.__dict__, name
-        for matrix in (poly, mix):
+def test_structure_checks_build_no_entries():
+    # the checks read the integer rows; entries exist only for output
+    fresh = [(name, world_matrices(world)) for name, world in small_worlds()]
+    fresh += [("fan3", cases.fan_matrices(3)[1:]), ("chain3", cases.chain_matrices(3)[1:])]
+    for name, pair in fresh:
+        for matrix in pair:
+            row_sums(matrix)
+            trace(matrix)
+            if not matrix.polynomial:
+                is_idempotent(matrix)
+                rank(matrix)
+            assert "entries" not in matrix.__dict__, name
+
+
+def test_from_entries_round_trips(world_pairs, case_pairs):
+    for name, pair in world_pairs + case_pairs:
+        for matrix in pair:
+            again = WorldMatrix.from_entries(matrix.entries)
+            assert again.entries == matrix.entries, name
+            assert row_sums(again) == row_sums(matrix), name
+            assert trace(again) == trace(matrix), name
             assert row_sums(matrix) == tuple(reduce(operator.add, r) for r in matrix.entries), name
-    for name, (poly, mix) in case_pairs:
-        fresh_poly, fresh_mix = WorldMatrix(poly.entries), WorldMatrix(mix.entries)
-        assert "form" not in fresh_poly.__dict__ and "form" not in fresh_mix.__dict__
-        for matrix in (fresh_poly, fresh_mix):
-            assert row_sums(matrix) == tuple(reduce(operator.add, r) for r in matrix.entries), name
+            diagonal = (row[i] for i, row in enumerate(matrix.entries))
+            assert trace(matrix) == reduce(operator.add, diagonal), name
 
 
 @pytest.fixture
@@ -101,19 +115,17 @@ def test_non_idempotent_matrices_fall_back_to_bareiss(bareiss_calls):
         ((2, 1, 1), (1, 3, 1), (1, 1, 4)),
     ]
     for rows in samples:
-        matrix = WorldMatrix(rows)
+        matrix = WorldMatrix.from_entries(rows)
         assert not is_idempotent(matrix)
-        before = [list(row) for row in matrix.form.rows]
         assert rank(matrix) == fraction_rank(rows)
-        assert matrix.form.rows == before
     assert bareiss_calls == [2, 2, 3]
 
 
 def test_certificate_holds_when_the_prime_divides_the_denominator(bareiss_calls):
     p = matrices._PRIME
     # N = [[p, 1], [0, 0]] over L = p: both N and L I - N have rank 1 mod p
-    matrix = WorldMatrix(((Fraction(1), Fraction(1, p)), (Fraction(0), Fraction(0))))
-    assert matrix.form.denominator == p
+    matrix = WorldMatrix.from_entries(((Fraction(1), Fraction(1, p)), (Fraction(0), Fraction(0))))
+    assert matrix.denominator == p
     assert is_idempotent(matrix)
     assert rank(matrix) == 1
     assert bareiss_calls == []
@@ -123,9 +135,9 @@ def test_short_certificate_falls_back_to_bareiss(bareiss_calls):
     p = matrices._PRIME
     # idempotent of rank 2, but N mod p and L I - N mod p have rank 1 each
     one, zero, tiny = Fraction(1), Fraction(0), Fraction(1, p)
-    matrix = WorldMatrix(((one, zero, zero), (zero, one, zero), (tiny, zero, zero)))
+    matrix = WorldMatrix.from_entries(((one, zero, zero), (zero, one, zero), (tiny, zero, zero)))
     assert is_idempotent(matrix)
-    assert matrices._rank_mod_p(matrix.form.rows) == 1
+    assert matrices._rank_mod_p(matrix.rows) == 1
     assert rank(matrix) == 2
     assert bareiss_calls == [3]
 
@@ -141,7 +153,7 @@ def test_possible_field_overflow_falls_back_to_bareiss(monkeypatch, bareiss_call
     # with a 31-bit prime, n p^2 no longer fits 64 bits from n = 4 on
     monkeypatch.setattr(matrices, "_PRIME", (1 << 31) - 1)
     _poly, mix = world_matrices(cases.fan_world(3))
-    assert matrices._rank_mod_p(mix.form.rows) is None
+    assert matrices._rank_mod_p(mix.rows) is None
     assert rank(mix) == fraction_rank(mix.entries) == 2
     assert bareiss_calls == [6]
 
@@ -171,10 +183,10 @@ def test_single_entry_changes_break_idempotence(world):
     cells = [(i, j) for i in range(n) for j in range(n)]
     negative = next(c for c in cells if entries[c[0]][c[1]] < 0)
     largest = max(cells, key=lambda c: abs(entries[c[0]][c[1]]))
-    assert is_idempotent(WorldMatrix(entries))
+    assert is_idempotent(WorldMatrix.from_entries(entries))
     for i, j in [(n // 2, 0), (n // 2, n - 1), negative, largest]:
         for delta in (step, -step):
             changed = [row[:] for row in entries]
             changed[i][j] += delta
             assert not fraction_square_is_self(changed)
-            assert not is_idempotent(WorldMatrix(changed)), (i, j, delta)
+            assert not is_idempotent(WorldMatrix.from_entries(changed)), (i, j, delta)

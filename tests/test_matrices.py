@@ -11,12 +11,10 @@ import pytest
 from webworlds import (
     IntPolynomial,
     WorldMatrix,
-    colouring_matrix,
     is_idempotent,
     matrix_to_csv,
     matrix_to_json,
     mixing_from_polynomial,
-    mixing_matrix,
     ordered_bell_polynomial,
     rank,
     row_sums,
@@ -25,7 +23,7 @@ from webworlds import (
     web_world,
     world_matrices,
 )
-from webworlds.errors import BadRange, DifferentWorlds
+from webworlds.errors import BadRange, DifferentWorlds, MalformedInput
 from webworlds.matrices import (
     ONE,
     X,
@@ -51,6 +49,13 @@ def test_polynomial_arithmetic_basics():
     assert (3 * X).evaluate(5) == 15
     assert IntPolynomial((1, 0, 0)).degree == 0
     assert str(IntPolynomial((0, 4, 10, 6))) == "4x + 10x^2 + 6x^3"
+
+
+@pytest.mark.parametrize("coeffs", [(1.7, 2), (True,), (0, 1, 2.0), ("1",)])
+def test_polynomial_coefficients_must_be_integers(coeffs):
+    # (1.7, 2) printed as 1 + 2x before
+    with pytest.raises(MalformedInput):
+        IntPolynomial(coeffs)
 
 
 def test_ordered_bell_satisfies_the_derivative_recurrence():
@@ -99,8 +104,7 @@ def test_path4_matrix_traces_and_sums(path4):
 
 def test_matrix_builders_agree_with_entry_functions(vee):
     world = web_world(vee)
-    poly = colouring_matrix(world)
-    mix = mixing_matrix(world)
+    poly, mix = world_matrices(world)
     for i, d1 in enumerate(world):
         for j, d2 in enumerate(world):
             assert poly.entries[i][j] == colouring_entry(d1, d2)
@@ -128,9 +132,8 @@ def test_rank_and_idempotence_reject_polynomial_matrices(path4):
         rank(poly)
     with pytest.raises(BadRange, match="rational matrices only"):
         is_idempotent(poly)
-    mixed = WorldMatrix(((X, Fraction(1)), (Fraction(0), X)))
     with pytest.raises(BadRange, match="mixes polynomial and rational"):
-        rank(mixed)
+        WorldMatrix.from_entries(((X, Fraction(1)), (Fraction(0), X)))
 
 
 def test_mixing_from_polynomial_rejects_constant_terms():
@@ -185,13 +188,21 @@ def test_rank_matches_fraction_elimination_on_assorted_matrices():
         ),
     ]
     for rows in samples:
-        matrix = WorldMatrix(rows)
+        matrix = WorldMatrix.from_entries(rows)
         assert rank(matrix) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("entry", [True, 0.5, 1.0])
+def test_matrix_entries_must_be_exact(entry):
+    with pytest.raises(MalformedInput):
+        WorldMatrix.from_entries(((Fraction(1), entry), (Fraction(0), Fraction(0))))
 
 
 def test_matrix_must_be_square():
     with pytest.raises(BadRange):
-        WorldMatrix(((Fraction(1), Fraction(2)),))
+        WorldMatrix.from_entries(((Fraction(1), Fraction(2)),))
+    with pytest.raises(BadRange):
+        WorldMatrix(((1, 2),))
 
 
 def test_csv_and_json_exports(path4):

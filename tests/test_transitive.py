@@ -11,7 +11,7 @@ from webworlds import (
     transitive_matrices,
 )
 from webworlds.cases import chain_diagram, cycle_diagram, sign_vectors
-from webworlds.errors import BadRange, BoundsTooLarge, IsolatedPeg, NotTransitive
+from webworlds.errors import BadRange, BoundsTooLarge, IsolatedPeg, MalformedInput, NotTransitive
 
 PINNED_THREE_EDGE = {
     ((0, 3), (0, 0)),
@@ -34,7 +34,7 @@ def test_is_transitive_examples():
 def test_is_transitive_requires_no_isolated_pegs():
     with pytest.raises(IsolatedPeg):
         is_transitive(((0, 0), (0, 0)))
-    with pytest.raises(IsolatedPeg):
+    with pytest.raises(IsolatedPeg, match="peg 2 touches no edge"):
         is_transitive(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
 
 
@@ -78,6 +78,13 @@ def test_reattach_validation():
     # Core diagonal entries land on the represent superdiagonal.
     assert reattach(((1,),)) == ((0, 1), (0, 0))
     assert reattach(((1, 1), (0, 1))) == ((0, 1, 1), (0, 0, 1), (0, 0, 0))
+
+
+@pytest.mark.parametrize("core", [((1.5,),), ((True,),), ((1, 1.0), (0, 1)), ((1,), "x")])
+def test_reattach_requires_integers(core):
+    # 1.5 was truncated to 1 and True read as 1 before
+    with pytest.raises(MalformedInput):
+        reattach(core)
 
 
 def test_chain_and_cycle_worlds_are_transitive():
