@@ -12,24 +12,22 @@ for the generic enumeration code:
 * the cycle: n pegs in a ring, again encoded by one sign per peg.
 
 For the sign-encoded families the reconstruction counts reduce to
-counting surjective words subject to adjacent comparison rules, so the
-word-statistics helpers (stable sorting, exact descent splits,
-adjacent-distinct counts) live here too.
+counting surjective words subject to adjacent comparison rules, which a
+transfer matrix does without listing the words. The Stirling, Eulerian
+and adjacent-distinct counts behind the traces live here too.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, restack, surjection_tuples
+from .diagram import Edge, WebDiagram, WebWorld, restack
 from .errors import BadRange, LengthMismatch
-from .matrices import ONE, IntPolynomial, WorldMatrix, X, from_counts
+from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
 
 _ONE_PLUS_X = ONE + X
 
@@ -100,16 +98,6 @@ def fan_world(n: int) -> WebWorld:
     return WebWorld(fan_diagram(p) for p in permutations(range(1, n + 1)))
 
 
-def stable_sort_permutation(colours: Sequence[int]) -> tuple[int, ...]:
-    """Positions 1..len sorted stably by colour.
-
-    This is the permutation a restack applies to the heights of a peg
-    whose endpoints are coloured position by position.
-    """
-    order = sorted(range(1, len(colours) + 1), key=lambda i: colours[i - 1])
-    return tuple(order)
-
-
 def minimal_colour_blocks(
     source: Sequence[int], target: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
@@ -144,52 +132,9 @@ def minimal_colour_count(source: Sequence[int], target: Sequence[int]) -> int:
     return len(minimal_colour_blocks(source, target))
 
 
-def minimal_colouring(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
-    """The unique cheapest colouring, indexed by the letters 1..n.
-
-    Letter v labels the edge standing on peg v, which is also edge v of
-    the source fan diagram in canonical edge order, so the result can be
-    used directly as a colouring assignment for that diagram.
-    """
-    blocks = minimal_colour_blocks(source, target)
-    out = [0] * sum(len(b) for b in blocks)
-    for colour, block in enumerate(blocks, 1):
-        for v in block:
-            out[v - 1] = colour
-    return tuple(out)
-
-
-def fan_reconstruction_count(
-    source: Sequence[int], target: Sequence[int], colours: int
-) -> int:
-    """Surjective colourings of the source fan that restack to the target.
-
-    Once the minimal blocks are fixed, a colouring with `colours` colours
-    amounts to choosing where to cut the blocks further, hence a single
-    binomial coefficient.
-    """
-    m = minimal_colour_count(source, target)
-    n = len(tuple(source))
-    if not 1 <= colours <= n:
-        raise BadRange(f"colour count {colours} outside 1..{n}")
-    if colours < m:
-        return 0
-    return comb(n - m, colours - m)
-
-
 def _fan_entry(n: int, m: int) -> tuple[IntPolynomial, Fraction]:
     """Both matrix entries of a fan pair with minimal colour count m."""
     return X**m * _ONE_PLUS_X ** (n - m), Fraction((-1) ** (m - 1), n * comb(n - 1, m - 1))
-
-
-def fan_entry_polynomial(source: Sequence[int], target: Sequence[int]) -> IntPolynomial:
-    """Colouring-matrix entry for a pair of fans: x^m (1 + x)^(n - m)."""
-    return _fan_entry(len(tuple(source)), minimal_colour_count(source, target))[0]
-
-
-def fan_entry_mixing(source: Sequence[int], target: Sequence[int]) -> Fraction:
-    """Mixing-matrix entry for a pair of fans."""
-    return _fan_entry(len(tuple(source)), minimal_colour_count(source, target))[1]
 
 
 def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
@@ -200,6 +145,9 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     cell pair comes from a table indexed by m: the coefficients of M's
     entry and R's entry as a numerator over lcm(1..n).
     """
+    if n < 1:
+        raise BadRange("a fan needs at least one edge")
+    check_entry_guard(factorial(n))
     world = fan_world(n)
     perms = [fan_permutation(d) for d in world]
     denom = lcm(*range(1, n + 1))
@@ -257,46 +205,20 @@ def _peg_heights(signs: tuple[int, ...], offset: int) -> tuple[dict[int, int], d
     return x, y
 
 
-def chain_edge_list(signs: Sequence[int]) -> tuple[Edge, ...]:
-    """Edges of a chain diagram in peg order (edge i joins pegs i, i + 1).
+def chain_diagram(signs: Sequence[int]) -> WebDiagram:
+    """Chain diagram for a sign vector; edge i joins pegs i, i + 1.
 
     With n signs the chain has n + 2 pegs; the end pegs hold a single
     endpoint at height 1 and each interior peg is crossed or not
-    according to its sign.
+    according to its sign. Canonical edge order equals peg order.
     """
     signs = validate_signs(signs)
     n = len(signs)
     x, y = _peg_heights(signs, 2)
     x[1] = 1
     y[n + 2] = 1
-    return tuple(Edge(i, i + 1, x[i], y[i + 1]) for i in range(1, n + 2))
-
-
-def chain_diagram(signs: Sequence[int]) -> WebDiagram:
-    """Chain diagram for a sign vector; canonical order equals peg order."""
-    signs = validate_signs(signs)
-    return WebDiagram(chain_edge_list(signs), len(signs) + 2)
-
-
-def chain_signs(diagram: WebDiagram) -> tuple[int, ...]:
-    """Inverse of chain_diagram.  Raises BadRange off the chain family."""
-    n = diagram.num_pegs - 2
-    if n < 0 or diagram.edge_count != n + 1:
-        raise BadRange("diagram does not have chain shape")
-    edges = diagram.edges
-    for i, e in enumerate(edges, 1):
-        if (e.left_peg, e.right_peg) != (i, i + 1):
-            raise BadRange("diagram does not have chain shape")
-    if edges[0].left_height != 1 or edges[-1].right_height != 1:
-        raise BadRange("diagram does not have chain shape")
-    signs = []
-    for j in range(2, n + 2):
-        x_j = edges[j - 1].left_height
-        y_j = edges[j - 2].right_height
-        if {x_j, y_j} != {1, 2}:
-            raise BadRange("diagram does not have chain shape")
-        signs.append(1 if x_j == 2 else -1)
-    return tuple(signs)
+    edges = tuple(Edge(i, i + 1, x[i], y[i + 1]) for i in range(1, n + 2))
+    return WebDiagram(edges, n + 2)
 
 
 def chain_world(n: int) -> WebWorld:
@@ -337,26 +259,6 @@ def cycle_diagram(signs: Sequence[int]) -> WebDiagram:
     return WebDiagram(cycle_edge_list(signs), len(signs))
 
 
-def cycle_sign_vectors(diagram: WebDiagram) -> tuple[tuple[int, ...], ...]:
-    """All sign vectors encoding `diagram`, in lexicographic scan order.
-
-    One vector for cycles on three or more pegs, two on two pegs.
-    Raises BadRange off the cycle family.
-    """
-    n = diagram.num_pegs
-    if n < 2 or diagram.edge_count != n:
-        raise BadRange("diagram does not have cycle shape")
-    key = diagram.edge_key()
-    matches = tuple(
-        signs
-        for signs in product((1, -1), repeat=n)
-        if cycle_diagram(signs).edge_key() == key
-    )
-    if not matches:
-        raise BadRange("diagram does not have cycle shape")
-    return matches
-
-
 def cycle_world(n: int) -> WebWorld:
     """The world of all cycle diagrams on n pegs."""
     if n < 2:
@@ -364,16 +266,6 @@ def cycle_world(n: int) -> WebWorld:
     return WebWorld(
         cycle_diagram(signs) for signs in product((1, -1), repeat=n)
     )
-
-
-def chain_result_signs(
-    signs: Sequence[int], assignment: Sequence[int]
-) -> tuple[int, ...]:
-    """Sign vector of the restack of a chain under a positional colouring."""
-    signs = validate_signs(signs)
-    n = len(signs)
-    restacked = restack(chain_edge_list(signs), n + 2, assignment)
-    return tuple(1 if restacked[j - 1].left_height == 2 else -1 for j in range(2, n + 2))
 
 
 def cycle_result_signs(
@@ -389,113 +281,8 @@ def cycle_result_signs(
 
 
 # ---------------------------------------------------------------------------
-# Word statistics shared by the sign-encoded families.
+# Comparison rules of the sign-encoded families.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonSplit:
-    """Exact descent/plateau/ascent positions of a word."""
-
-    descents: frozenset[int]
-    plateaus: frozenset[int]
-    ascents: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if (
-            self.descents & self.plateaus
-            or self.descents & self.ascents
-            or self.plateaus & self.ascents
-        ):
-            raise BadRange("comparison split sets must be disjoint")
-
-    @property
-    def positions(self) -> frozenset[int]:
-        return self.descents | self.plateaus | self.ascents
-
-
-def adjacent_comparisons(word: Sequence[int], cyclic: bool = False) -> ComparisonSplit:
-    """Classify each adjacent pair of `word` as descent, plateau or ascent.
-
-    Position i compares entry i with entry i + 1.  A cyclic word also
-    compares its last entry with its first, at position len(word).
-    """
-    word = tuple(word)
-    if not word:
-        raise BadRange("word must be non-empty")
-    stop = len(word) if cyclic else len(word) - 1
-    descents, plateaus, ascents = set(), set(), set()
-    for i in range(1, stop + 1):
-        a, b = word[i - 1], word[i % len(word)]
-        (descents if a > b else plateaus if a == b else ascents).add(i)
-    return ComparisonSplit(frozenset(descents), frozenset(plateaus), frozenset(ascents))
-
-
-@lru_cache(maxsize=None)
-def _exact_split_count(
-    length: int,
-    colours: int,
-    descents: frozenset[int],
-    plateaus: frozenset[int],
-    ascents: frozenset[int],
-    cyclic: bool,
-) -> int:
-    split = ComparisonSplit(descents, plateaus, ascents)
-    return sum(
-        1
-        for word in surjection_tuples(length, colours)
-        if adjacent_comparisons(word, cyclic) == split
-    )
-
-
-def exact_split_word_count(
-    length: int, colours: int, split: ComparisonSplit, cyclic: bool = False
-) -> int:
-    """Surjective words of given length with this exact comparison split."""
-    stop = length if cyclic else length - 1
-    if split.positions != frozenset(range(1, stop + 1)):
-        raise BadRange(
-            f"split must cover comparison positions 1..{stop} exactly"
-        )
-    return _exact_split_count(
-        length, colours, split.descents, split.plateaus, split.ascents, cyclic
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonRules:
-    """Per-position comparison constraints on adjacent word entries.
-
-    Positions in strict_descents must strictly decrease, weak_descents
-    may decrease or stay level, weak_ascents may stay level or increase,
-    strict_ascents must strictly increase.
-    """
-
-    strict_descents: frozenset[int]
-    weak_descents: frozenset[int]
-    weak_ascents: frozenset[int]
-    strict_ascents: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if any(a & b for a, b in combinations(self.groups, 2)):
-            raise BadRange("comparison rule sets must be disjoint")
-
-    @property
-    def groups(self) -> tuple[frozenset[int], ...]:
-        """The four position sets in rule-code order 1..4 (see _RULE_OPS)."""
-        return (
-            self.strict_descents,
-            self.weak_descents,
-            self.weak_ascents,
-            self.strict_ascents,
-        )
-
-    @property
-    def positions(self) -> frozenset[int]:
-        return frozenset().union(*self.groups)
-
-
-_RULE_OPS = {1: operator.gt, 2: operator.ge, 3: operator.le, 4: operator.lt}
 
 
 def rule_codes(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
@@ -504,7 +291,9 @@ def rule_codes(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
     For sign-encoded diagrams, whether the colouring keeps or swaps the
     two endpoints on a signed peg is equivalent to one comparison between
     the colours of its two edges; the (source, target) sign pair at each
-    position selects which, as a code 1..4 in the order of _RULE_OPS.
+    position selects which, as a code: 1, 2, 3 or 4 asks that the colour
+    before the position be >, >=, <= or < the colour after it, where a
+    cyclic word's last position compares its last colour with its first.
     """
     source = validate_signs(source)
     target = validate_signs(target)
@@ -515,34 +304,11 @@ def rule_codes(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
     return tuple((5 + 2 * t - s) // 2 for s, t in zip(source, target))
 
 
-def comparison_rules(
-    source: Sequence[int], target: Sequence[int]
-) -> ComparisonRules:
-    """The rule codes of a sign pair as a ComparisonRules."""
-    groups: list[set[int]] = [set(), set(), set(), set()]
-    for i, code in enumerate(rule_codes(source, target), 1):
-        groups[code - 1].add(i)
-    return ComparisonRules(*map(frozenset, groups))
-
-
-def word_satisfies(
-    word: Sequence[int], rules: ComparisonRules, cyclic: bool = False
-) -> bool:
-    """Test a word against per-position comparison rules."""
-    word = tuple(word)
-    for code, positions in enumerate(rules.groups, 1):
-        op = _RULE_OPS[code]
-        for i in positions:
-            if not op(word[i - 1], word[i % len(word)]):
-                return False
-    return True
-
-
 def _push(vector: list[int], rule: int) -> list[int]:
     """One transfer step: entry b counts the words ending in b after `rule`.
 
-    Rule 1..4 asks previous > b, >= b, <= b or < b (the order of
-    _RULE_OPS); each is a prefix or suffix sum of the vector.
+    Rule 1..4 asks previous > b, >= b, <= b or < b (the codes of
+    rule_codes); each is a prefix or suffix sum of the vector.
     """
     if rule >= 3:
         run = list(accumulate(vector))
@@ -587,40 +353,6 @@ def _rule_count(length: int, colours: int, rules: Sequence[int], cyclic: bool) -
     return surjective_rule_counts(length, rules, cyclic)[colours - 1]
 
 
-def _subsets(items: frozenset[int]):
-    ordered = sorted(items)
-    return chain.from_iterable(
-        combinations(ordered, r) for r in range(len(ordered) + 1)
-    )
-
-
-def _rule_count_by_splits(
-    length: int, colours: int, rules: ComparisonRules, cyclic: bool
-) -> int:
-    """Same count as _rule_count, via exact-split inclusion.
-
-    Each weak position is resolved into strict-or-level, turning the
-    rule count into a disjoint sum of exact-split counts.  Kept as a
-    second route so the two can be played against each other.
-    """
-    if not 1 <= colours <= length:
-        raise BadRange(f"colour count {colours} outside 1..{length}")
-    stop = length if cyclic else length - 1
-    if rules.positions != frozenset(range(1, stop + 1)):
-        raise BadRange(f"rules must cover comparison positions 1..{stop} exactly")
-    total = 0
-    for drop in _subsets(rules.weak_descents):
-        for rise in _subsets(rules.weak_ascents):
-            split = ComparisonSplit(
-                rules.strict_descents | frozenset(drop),
-                (rules.weak_descents - frozenset(drop))
-                | (rules.weak_ascents - frozenset(rise)),
-                rules.strict_ascents | frozenset(rise),
-            )
-            total += exact_split_word_count(length, colours, split, cyclic)
-    return total
-
-
 def chain_reconstruction_count(
     source: Sequence[int], target: Sequence[int], colours: int
 ) -> int:
@@ -631,14 +363,6 @@ def chain_reconstruction_count(
     """
     rules = rule_codes(source, target)
     return _rule_count(len(rules) + 1, colours, rules, cyclic=False)
-
-
-def chain_reconstruction_count_by_splits(
-    source: Sequence[int], target: Sequence[int], colours: int
-) -> int:
-    """Chain reconstruction count via the exact-split expansion."""
-    rules = comparison_rules(source, target)
-    return _rule_count_by_splits(len(tuple(source)) + 1, colours, rules, cyclic=False)
 
 
 def cycle_reconstruction_count(
@@ -655,17 +379,6 @@ def cycle_reconstruction_count(
     return _rule_count(len(source), colours, rule_codes(source, target), cyclic=True)
 
 
-def cycle_reconstruction_count_by_splits(
-    source: Sequence[int], target: Sequence[int], colours: int
-) -> int:
-    """Cycle reconstruction count via the exact-split expansion."""
-    source = validate_signs(source)
-    if len(source) < 2:
-        raise BadRange("a cycle needs at least two pegs")
-    rules = comparison_rules(source, target)
-    return _rule_count_by_splits(len(source), colours, rules, cyclic=True)
-
-
 def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """All sign vectors of length n, in the fixed matrix row order."""
     if n < 0:
@@ -676,6 +389,7 @@ def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
 def _sign_family_matrices(
     n: int, cyclic: bool
 ) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
+    check_entry_guard(2**n)
     vectors = sign_vectors(n)
     length = n if cyclic else n + 1
     counts = [
@@ -755,50 +469,3 @@ def adjacent_distinct_counts(n: int, k: int) -> tuple[int, int, int]:
         differ += sign * ((i - 1) ** n + (i - 1) * (-1) ** n)
         equal += sign * ((i - 1) ** (n - 1) + (i - 1) * (-1) ** (n - 1))
     return total, differ, equal
-
-
-def colour_decompose(
-    assignment: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a colour sequence into its repeat-free word and repeat set.
-
-    Returns (word, repeats) where repeats lists the 1-based positions
-    whose entry equals its predecessor and word is the sequence with
-    those entries removed.  The word never has two adjacent entries
-    equal, and the pair determines the sequence uniquely.
-    """
-    assignment = tuple(assignment)
-    if not assignment:
-        raise BadRange("colour sequence must be non-empty")
-    word = [assignment[0]]
-    repeats = []
-    for i in range(2, len(assignment) + 1):
-        if assignment[i - 1] == assignment[i - 2]:
-            repeats.append(i)
-        else:
-            word.append(assignment[i - 1])
-    return tuple(word), tuple(repeats)
-
-
-def colour_compose(
-    word: Sequence[int], repeats: Sequence[int]
-) -> tuple[int, ...]:
-    """Inverse of colour_decompose."""
-    word = tuple(word)
-    repeats = tuple(repeats)
-    if not word:
-        raise BadRange("word must be non-empty")
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            raise BadRange("word must not have adjacent equal entries")
-    total = len(word) + len(repeats)
-    if sorted(set(repeats)) != list(repeats) or any(
-        not 2 <= r <= total for r in repeats
-    ):
-        raise BadRange("repeat positions must be distinct, sorted and within range")
-    repeat_set = set(repeats)
-    out: list[int] = []
-    feed = iter(word)
-    for i in range(1, total + 1):
-        out.append(out[-1] if i in repeat_set else next(feed))
-    return tuple(out)

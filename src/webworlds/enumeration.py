@@ -1,4 +1,4 @@
-"""Represent matrices, web graphs, world sizes, and world counting.
+"""Represent matrices, world sizes, and world counting.
 
 A web world is determined by its represent matrix: the strictly
 upper-triangular count of parallel edges on each peg pair. This module
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -45,22 +44,6 @@ def represent(source: WebDiagram | WebWorld) -> Rows:
     for e in diagram.edges:
         rows[e.left_peg - 1][e.right_peg - 1] += 1
     return tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class WebGraph:
-    """Labeled multigraph on the pegs that carry endpoints."""
-
-    vertices: frozenset[int]
-    labeled_edges: tuple[tuple[int, int, int], ...]
-
-
-def web_graph(source: WebDiagram | WebWorld) -> WebGraph:
-    diagram = source.diagrams[0] if isinstance(source, WebWorld) else source
-    counts = diagram.peg_pair_counts()
-    vertices = frozenset(p for pair in counts for p in pair)
-    edges = tuple(sorted((a, b, mult) for (a, b), mult in counts.items()))
-    return WebGraph(vertices, edges)
 
 
 def is_proper(source: WebDiagram | WebWorld) -> bool:

@@ -452,29 +452,38 @@ def _flip_permutation(world: WebWorld) -> list[int]:
     return [world.index_of(flip(d)) for d in world]
 
 
+def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None:
+    """Raise WorldTooLarge before a size x size matrix over the entry guard is built."""
+    if size * size > max_entries:
+        raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
+
+
 def _world_counts(world: WebWorld, max_entries: int) -> list[list[tuple[int, ...]]]:
     """Per row and column, the colouring counts by number of colours.
 
     Rows come from the subset DP. Since M(flip D, flip D2) = M(D, D2),
     each computed row also fills the row of flip(D), with its columns
     permuted by the flip; members that are their own flip are computed
-    directly.
+    directly. Equal count vectors share one tuple.
     """
     size = len(world)
-    if size * size > max_entries:
-        raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
+    check_entry_guard(size, max_entries)
     if world.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
     dp = _SubsetDP(world)
     flips = _flip_permutation(world)
     zero = (0,) * (world.edge_count + 1)
     counts: list[list[tuple[int, ...]] | None] = [None] * size
+    unpacked: dict[int, tuple[int, ...]] = {}
     for row, diagram in enumerate(world):
         if counts[row] is not None:
             continue
         cells = [zero] * size
         for target, vec in dp.row(diagram).items():
-            cells[target] = dp.unpack(vec)
+            cell = unpacked.get(vec)
+            if cell is None:
+                cell = unpacked[vec] = dp.unpack(vec)
+            cells[target] = cell
         counts[row] = cells
         mirror = flips[row]
         if mirror != row:

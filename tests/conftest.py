@@ -1,15 +1,14 @@
 """Shared pinned diagrams and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own shortcuts: the
-orbit oracle closes a diagram under every per-peg permutation family,
-the colouring-count oracle reconstructs every surjective colouring of
+colouring-count oracle reconstructs every surjective colouring of
 every member, the rule-word oracle tests every surjective word against
 comparison rules, and the rank oracle runs plain fraction Gauss
-elimination.
+elimination. The orbit oracle lives in `webworlds.verify`.
 Tests compare library output against these slower twins.
 """
 
-import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -58,19 +57,6 @@ def nine_edge():
     return validate_diagram(NINE_EDGE_EDGES, 7)
 
 
-def orbit_closure(diagram):
-    """Every relabelling of the diagram, by brute closure.
-
-    Applies all products of per-peg height permutations; the result is
-    the world as a set, independent of the generation order used by
-    web_world.
-    """
-    per_peg = [
-        list(itertools.permutations(range(1, h + 1))) for h in diagram.peg_heights
-    ]
-    return {apply_permutations(diagram, family) for family in itertools.product(*per_peg)}
-
-
 def small_worlds():
     """Every world with <= 4 pegs and <= 4 edges, then fan, chain, cycle."""
     worlds = []
@@ -104,12 +90,20 @@ def enumerated_counts(world):
     return counts
 
 
-def rule_word_count(length, colours, rules, cyclic):
-    """Surjective words over 1..colours meeting the rules, by listing them all."""
+# rule code c asks word[i] RULE_OPS[c] word[i + 1]
+RULE_OPS = (None, operator.gt, operator.ge, operator.le, operator.lt)
+
+
+def rule_word_count(length, colours, codes, cyclic):
+    """Surjective words over 1..colours meeting one rule code per position.
+
+    Lists every word; position i compares letter i with letter i + 1, and
+    a cyclic word's last position compares its last letter with its first.
+    """
     return sum(
         1
         for word in surjection_tuples(length, colours)
-        if cases.word_satisfies(word, rules, cyclic)
+        if all(RULE_OPS[c](word[i], word[(i + 1) % length]) for i, c in enumerate(codes))
     )
 
 

@@ -1,6 +1,7 @@
 """The three closed-form families and the word statistics behind them.
 
-Oracles: direct word enumeration for split and rule counts, brute
+Oracles: direct word enumeration for rule counts (`conftest.rule_word_count`
+against the exact-split count of `webworlds.verify`), brute
 reconstruction via the generic matrix machinery, and classical
 identities for the Stirling and Eulerian tables.
 """
@@ -10,9 +11,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import rule_word_count
 
 from webworlds import (
     Colouring,
+    cases,
     IntPolynomial,
     chain_diagram,
     chain_matrices,
@@ -32,36 +35,21 @@ from webworlds import (
     world_matrices,
 )
 from webworlds.cases import (
-    ComparisonRules,
-    ComparisonSplit,
-    adjacent_comparisons,
     adjacent_distinct_counts,
     chain_reconstruction_count,
-    chain_reconstruction_count_by_splits,
-    chain_result_signs,
-    chain_signs,
     chain_world,
-    colour_compose,
-    colour_decompose,
-    comparison_rules,
     cycle_reconstruction_count,
-    cycle_reconstruction_count_by_splits,
     cycle_result_signs,
-    cycle_sign_vectors,
-    exact_split_word_count,
-    fan_entry_mixing,
-    fan_entry_polynomial,
+    cycle_world,
     fan_permutation,
-    fan_reconstruction_count,
     fan_world,
     minimal_colour_blocks,
     minimal_colour_count,
-    minimal_colouring,
+    rule_codes,
     sign_vectors,
-    stable_sort_permutation,
-    word_satisfies,
 )
 from webworlds.errors import BadRange, LengthMismatch
+from webworlds.verify import _split_count, suite_case2, suite_case3
 
 
 # ---------------------------------------------------------------------------
@@ -101,51 +89,21 @@ def test_shifted_stirling_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_stable_sort_permutation_groups_positions_by_colour():
-    assert stable_sort_permutation((3, 1, 1, 2, 1, 2, 2, 3)) == (2, 3, 5, 4, 6, 7, 1, 8)
-    assert stable_sort_permutation((1, 1, 1)) == (1, 2, 3)
-
-
 def test_minimal_colouring_pinned_example():
     source = (2, 8, 5, 4, 1, 3, 7, 6)
     target = (8, 5, 1, 4, 3, 7, 2, 6)
     assert minimal_colour_blocks(source, target) == ((8, 5, 1), (4, 3, 7), (2, 6))
     assert minimal_colour_count(source, target) == 3
-    assert minimal_colouring(source, target) == (1, 3, 2, 2, 1, 3, 2, 1)
 
 
 def test_minimal_colouring_reconstructs_the_target():
     for source in itertools.permutations(range(1, 4)):
         for target in itertools.permutations(range(1, 4)):
-            m = minimal_colour_count(source, target)
-            colouring = Colouring(minimal_colouring(source, target), m)
+            blocks = minimal_colour_blocks(source, target)
+            # letter v labels edge v of the source fan, on peg v
+            colour = {v: c for c, block in enumerate(blocks, 1) for v in block}
+            colouring = Colouring(tuple(colour[v] for v in range(1, 4)), len(blocks))
             assert reconstruct(fan_diagram(source), colouring) == fan_diagram(target)
-
-
-def test_colour_decompose_pinned_example():
-    word, repeats = colour_decompose((4, 2, 1, 1, 1, 2, 3, 3, 3, 4, 4, 1))
-    assert word == (4, 2, 1, 2, 3, 4, 1)
-    assert repeats == (4, 5, 8, 9, 11)
-    assert colour_compose(word, repeats) == (4, 2, 1, 1, 1, 2, 3, 3, 3, 4, 4, 1)
-
-
-def test_colour_compose_round_trips_all_small_words():
-    for length in range(1, 6):
-        for assignment in itertools.product(range(1, 4), repeat=length):
-            word, repeats = colour_decompose(assignment)
-            assert colour_compose(word, repeats) == assignment
-
-
-def test_colour_compose_input_checks():
-    assert colour_compose((1, 2), (3,)) == (1, 2, 2)
-    with pytest.raises(BadRange):
-        colour_compose((1, 1), ())
-    with pytest.raises(BadRange):
-        colour_compose((1, 2), (1,))
-    with pytest.raises(BadRange):
-        colour_compose((1, 2), (4,))
-    with pytest.raises(BadRange):
-        colour_compose((1, 2), (3, 3))
 
 
 def test_adjacent_distinct_counts_pinned_and_brute():
@@ -166,60 +124,35 @@ def test_adjacent_distinct_counts_pinned_and_brute():
             assert adjacent_distinct_counts(n, k) == expected
 
 
-def test_adjacent_comparisons_classifies_steps():
-    split = adjacent_comparisons((2, 2, 1, 3))
-    assert split.plateaus == frozenset({1})
-    assert split.descents == frozenset({2})
-    assert split.ascents == frozenset({3})
-    wrapped = adjacent_comparisons((2, 2, 1, 3), cyclic=True)
-    assert wrapped.descents == frozenset({2, 4})
-
-
-def test_comparison_split_must_be_disjoint():
-    with pytest.raises(BadRange):
-        ComparisonSplit(frozenset({1}), frozenset({1}), frozenset())
-
-
 def test_exact_split_word_count_matches_enumeration():
-    for length in range(2, 6):
-        for colours in range(1, length + 1):
-            words = [
-                w
-                for w in itertools.product(range(1, colours + 1), repeat=length)
-                if set(w) == set(range(1, colours + 1))
-            ]
+    # every code tuple of 1..4 positions, path and cycle, every colour count
+    for positions in range(1, 5):
+        for codes in itertools.product(range(1, 5), repeat=positions):
             for cyclic in (False, True):
-                seen = {}
-                for w in words:
-                    split = adjacent_comparisons(w, cyclic=cyclic)
-                    seen[split] = seen.get(split, 0) + 1
-                for split, count in seen.items():
-                    assert (
-                        exact_split_word_count(length, colours, split, cyclic=cyclic)
-                        == count
-                    )
+                length = positions if cyclic else positions + 1
+                for colours in range(1, length + 1):
+                    assert _split_count(length, colours, codes, cyclic) == rule_word_count(
+                        length, colours, codes, cyclic
+                    ), (codes, cyclic, colours)
+
+
+def test_exact_split_checks_catch_wrong_rule_counts(monkeypatch):
+    true_counts = cases.surjective_rule_counts
+
+    def off_by_one(length, rules, cyclic):
+        return tuple(c + 1 for c in true_counts(length, rules, cyclic))
+
+    monkeypatch.setattr(cases, "surjective_rule_counts", off_by_one)
+    for results in (suite_case2((2,)), suite_case3((3,))):
+        splits = [r for r in results if "exact-split expansion" in r.name]
+        assert len(splits) == 1 and not splits[0].passed
 
 
 def test_comparison_rules_group_mapping():
-    rules = comparison_rules((1, 1, -1, -1), (1, -1, 1, -1))
-    assert rules.weak_ascents == frozenset({1})
-    assert rules.strict_descents == frozenset({2})
-    assert rules.strict_ascents == frozenset({3})
-    assert rules.weak_descents == frozenset({4})
+    # (source, target) signs (1, 1) -> <=, (1, -1) -> >, (-1, 1) -> <, (-1, -1) -> >=
+    assert rule_codes((1, 1, -1, -1), (1, -1, 1, -1)) == (3, 1, 4, 2)
     with pytest.raises(LengthMismatch):
-        comparison_rules((1,), (1, -1))
-
-
-def test_word_satisfies_applies_each_rule():
-    rules = ComparisonRules(
-        strict_descents=frozenset({1}),
-        weak_descents=frozenset(),
-        weak_ascents=frozenset({2}),
-        strict_ascents=frozenset(),
-    )
-    assert word_satisfies((2, 1, 1), rules)
-    assert word_satisfies((2, 1, 2), rules)
-    assert not word_satisfies((1, 2, 3), rules)
+        rule_codes((1,), (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +185,15 @@ def test_fan_entries_against_brute_force():
 
 
 def test_fan_reconstruction_count_is_binomial():
-    source = (2, 1, 3)
-    target = (3, 1, 2)
-    m = minimal_colour_count(source, target)
-    for colours in range(1, 4):
-        assert fan_reconstruction_count(source, target, colours) == (
-            math.comb(3 - m, colours - m) if colours >= m else 0
-        )
-    with pytest.raises(BadRange):
-        fan_reconstruction_count(source, target, 0)
-    with pytest.raises(BadRange):
-        fan_reconstruction_count(source, target, 4)
+    world, poly, _ = fan_matrices(3)
+    perms = [fan_permutation(d) for d in world]
+    for i, source in enumerate(perms):
+        for j, target in enumerate(perms):
+            m = minimal_colour_count(source, target)
+            for colours in range(1, 4):
+                assert poly.entries[i][j].coefficient(colours) == (
+                    math.comb(3 - m, colours - m) if colours >= m else 0
+                )
 
 
 def test_fan_two_element_matrices():
@@ -278,12 +209,13 @@ def test_fan_two_element_matrices():
 
 
 def test_fan_entry_closed_forms():
-    source = (1, 2, 3)
-    assert fan_entry_polynomial(source, source) == IntPolynomial((0, 1, 2, 1))
-    assert fan_entry_mixing(source, source) == Fraction(1, 3)
-    reverse = (3, 2, 1)
-    assert fan_entry_polynomial(source, reverse) == IntPolynomial((0, 0, 0, 1))
-    assert fan_entry_mixing(source, reverse) == Fraction(1, 3)
+    world, poly, mix = fan_matrices(3)
+    source = world.index_of(fan_diagram((1, 2, 3)))
+    assert poly.entries[source][source] == IntPolynomial((0, 1, 2, 1))
+    assert mix.entries[source][source] == Fraction(1, 3)
+    reverse = world.index_of(fan_diagram((3, 2, 1)))
+    assert poly.entries[source][reverse] == IntPolynomial((0, 0, 0, 1))
+    assert mix.entries[source][reverse] == Fraction(1, 3)
 
 
 def test_fan_traces_closed_forms():
@@ -308,23 +240,9 @@ def test_chain_diagram_encoding():
         chain_diagram((0,))
 
 
-def test_chain_signs_round_trip():
-    for n in range(0, 4):
-        for signs in sign_vectors(n):
-            assert chain_signs(chain_diagram(signs)) == signs
-    with pytest.raises(BadRange):
-        chain_signs(fan_diagram((1, 2)))
-
-
 def test_chain_two_is_the_path4_world(path4):
     world = chain_world(2)
     assert set(world) == set(web_world(path4))
-
-
-def test_chain_result_signs_identity_assignment():
-    for signs in sign_vectors(3):
-        assignment = (1,) * 4
-        assert chain_result_signs(signs, assignment) == signs
 
 
 def test_chain_counts_match_brute_restack():
@@ -341,9 +259,8 @@ def test_chain_counts_match_brute_restack():
                 for colours in range(1, n + 2):
                     f = chain_reconstruction_count(source, target, colours)
                     assert f == poly.entries[i][j].coefficient(colours)
-                    assert f == chain_reconstruction_count_by_splits(
-                        source, target, colours
-                    )
+                    codes = rule_codes(source, target)
+                    assert f == _split_count(n + 1, colours, codes, cyclic=False)
 
 
 def test_chain_matrices_and_traces():
@@ -382,11 +299,11 @@ def test_cycle_diagram_encoding():
 
 def test_cycle_sign_vectors_round_trip():
     for n in (2, 3, 4):
-        for signs in sign_vectors(n):
-            assert signs in cycle_sign_vectors(cycle_diagram(signs))
+        assert set(cycle_world(n)) == {cycle_diagram(signs) for signs in sign_vectors(n)}
     # Two pegs give a doubled cover: two sign vectors per diagram.
-    assert len(cycle_sign_vectors(cycle_diagram((1, -1)))) == 2
-    assert len(cycle_sign_vectors(cycle_diagram((1, 1, -1)))) == 1
+    assert len(cycle_world(2)) == 2
+    assert len(cycle_world(3)) == 8
+    assert len(cycle_world(4)) == 16
 
 
 def test_cycle_result_signs_identity_assignment():
@@ -412,9 +329,8 @@ def test_cycle_counts_match_brute_restack():
                     )
                     f = cycle_reconstruction_count(source, target, colours)
                     assert f == brute
-                    assert f == cycle_reconstruction_count_by_splits(
-                        source, target, colours
-                    )
+                    codes = rule_codes(source, target)
+                    assert f == _split_count(n, colours, codes, cyclic=True)
 
 
 def test_cycle_matrices_and_traces():

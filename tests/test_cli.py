@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -290,6 +291,30 @@ def test_guard_violations_exit_three(capsys):
     assert code == 3
     code, _, err = run(capsys, "transitive", "--edges", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, n, size", [("case1", "7", 5040), ("case2", "11", 2048), ("case3", "11", 2048)]
+)
+@pytest.mark.parametrize("kind", ["colouring", "mixing"])
+def test_case_matrices_over_the_entry_guard_exit_three(capsys, monkeypatch, command, n, size, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("family built before the entry guard")
+
+    # the guard must trip before any diagram or sign vector exists
+    monkeypatch.setattr("webworlds.cases.fan_world", refuse)
+    monkeypatch.setattr("webworlds.cases.sign_vectors", refuse)
+    code, out, err = run(capsys, command, "--n", n, "--matrix", kind)
+    assert (code, out) == (3, "")
+    assert err == f"error: {size}x{size} matrix exceeds the 4000000-entry guard\n"
+
+
+def test_case1_trace_needs_no_matrix(capsys):
+    code, out, err = run(capsys, "case1", "--n", "7", "--trace")
+    assert (code, err) == (0, "")
+    # n! x (1 + x)^(n - 1) and (n - 1)!
+    colouring = [0] + [5040 * math.comb(6, k) for k in range(7)]
+    assert json.loads(out) == {"n": 7, "colouring": colouring, "mixing": "720"}
 
 
 def test_unknown_flag_exits_two_via_argparse(capsys):

@@ -16,6 +16,7 @@ import pytest
 import webworlds
 from webworlds import (
     IntPolynomial,
+    cases,
     enumeration,
     predicted_world_size,
     validate_diagram,
@@ -67,6 +68,19 @@ def test_flip_identity_holds_for_enumeration(oracle_worlds):
         for i, row in enumerate(brute):
             for j, cell in enumerate(row):
                 assert brute[mirror[i]][mirror[j]] == cell, (name, i, j)
+
+
+@pytest.mark.parametrize(
+    "world",
+    [
+        cases.fan_world(5),
+        web_world(enumeration.seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))),
+    ],
+    ids=["fan5", "parallel"],
+)
+def test_equal_count_cells_share_one_tuple(world):
+    cells = [cell for row in world_matrices(world)[0].rows for cell in row]
+    assert len({id(cell) for cell in cells}) == len(set(cells))
 
 
 def test_flip_is_an_involution(nine_edge):
