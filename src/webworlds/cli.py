@@ -27,6 +27,7 @@ from .diagram import (
     WebWorld,
     diagram_from_json,
     diagram_to_json,
+    predicted_world_size,
     web_world,
 )
 from .errors import BoundsTooLarge, MalformedInput, WebWorldsError, WorldTooLarge
@@ -36,8 +37,8 @@ from .matrices import (
     matrix_to_csv,
     matrix_to_json,
     polynomial_to_coeff_string,
-    trace,
     world_matrices,
+    world_traces,
 )
 from .posets import decomposition_poset, poset_to_json, world_posets
 from .verify import SUITES, run_suite
@@ -127,9 +128,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    world = _world_from_args(args)
-    poly, mix = world_matrices(world, args.max_entries)
-    _emit_traces({"size": len(world)}, trace(poly), trace(mix), args.format)
+    diagram = _diagram_from_input(_load_input(args.input))
+    poly, mix = world_traces(diagram, args.max_size)
+    _emit_traces({"size": predicted_world_size(diagram)}, poly, mix, args.format)
     return 0
 
 
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="traces of both matrices of a world")
     _add_input_options(p)
-    p.add_argument("--max-entries", type=int, default=DEFAULT_ENTRY_GUARD)
     _add_format_option(p)
     p.set_defaults(handler=_cmd_trace)
 

@@ -27,6 +27,12 @@ them into IntPolynomial and Fraction objects for output only.
 
 The trace sums the diagonal entries, so trace(R) = rank(R) compares two
 independent computations.
+
+`world_traces` gets both traces with no matrix: a fixed-point DP over
+edge subsets when no peg pair carries parallel edges, and otherwise the
+single-target kernel `colouring_counts` on every member's diagonal cell.
+The kernel also serves the single-entry functions. `world_matrices`
+stays the reference that both are checked against.
 """
 
 from __future__ import annotations
@@ -38,13 +44,26 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
-from .diagram import WebDiagram, WebWorld, flip, json_int, peg_slots, web_world
+from .diagram import (
+    DEFAULT_WORLD_GUARD,
+    WebDiagram,
+    WebWorld,
+    flip,
+    json_int,
+    peg_slots,
+    predicted_world_size,
+    web_world,
+)
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
+# matrix-free counting steps; on a 2-core Xeon VM under Python 3.11 the
+# kernel takes 0.3-0.5 us per estimated step, about 10 s at the guard,
+# and the fixed-point DP's 3^e stays within it up to 15 edges
+DEFAULT_WORK_GUARD = 20_000_000
 
 
 class IntPolynomial:
@@ -273,27 +292,16 @@ def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
         raise DifferentWorlds("diagrams do not share a web world")
 
 
-def _entry_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
-    """Colourings of d1 that reconstruct to d2, by number of colours,
-    read from d1's row of the subset DP over d1's world."""
-    _require_same_world(d1, d2)
-    if d1.edge_count == 0:
-        raise BadRange("matrices are defined for worlds with at least one edge")
-    world = web_world(d1)
-    dp = _SubsetDP(world)
-    return dp.unpack(dp.row(d1).get(world.index_of(d2), 0))
-
-
 def reconstruction_count(d1: WebDiagram, d2: WebDiagram, colours: int) -> int:
     """Number of surjective `colours`-colourings of d1 that reconstruct to d2."""
-    counts = _entry_counts(d1, d2)
+    counts = colouring_counts(d1, d2)
     if not 1 <= colours <= d1.edge_count:
         raise BadRange(f"colours must lie in 1..{d1.edge_count}")
     return counts[colours]
 
 
 def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:
-    return IntPolynomial(_entry_counts(d1, d2))
+    return IntPolynomial(colouring_counts(d1, d2))
 
 
 def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
@@ -327,6 +335,222 @@ def from_counts(counts: Sequence[Sequence[tuple[int, ...]]]) -> tuple[WorldMatri
     return WorldMatrix(counts, polynomial=True), WorldMatrix(mixing, denom)
 
 
+def _unpack(vec: int, bits: int, edge_count: int) -> tuple[int, ...]:
+    """The counts for 0..edge_count colours packed in `bits`-wide fields."""
+    field_mask = (1 << bits) - 1
+    return tuple(vec >> (bits * k) & field_mask for k in range(edge_count + 1))
+
+
+@lru_cache(maxsize=None)
+def _fubini(edge_count: int) -> int:
+    """Surjective colourings of `edge_count` edges, any number of colours."""
+    return ordered_bell_polynomial(edge_count).evaluate(1)
+
+
+def transitive_closure(rows: list[int]) -> list[int]:
+    """Close a relation in place; bit j of rows[i] says i relates to j."""
+    for t in range(len(rows)):
+        bit = 1 << t
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[t]
+    return rows
+
+
+def _peg_orders(diagram: WebDiagram) -> list[list[int]]:
+    """Per peg with two or more endpoints, its edge indices from bottom to top."""
+    orders = [[0] * height for height in diagram.peg_heights]
+    for idx, (left, right, left_height, right_height) in enumerate(diagram.edges):
+        orders[left - 1][left_height - 1] = idx
+        orders[right - 1][right_height - 1] = idx
+    return [order for order in orders if len(order) > 1]
+
+
+def _check_work(work: int) -> None:
+    """Raise WorldTooLarge before a count whose work estimate is over the guard."""
+    if work > DEFAULT_WORK_GUARD:
+        raise WorldTooLarge(
+            f"{work} estimated counting steps exceed the {DEFAULT_WORK_GUARD}-step guard"
+        )
+
+
+def _relabellings(diagram: WebDiagram) -> tuple[tuple[int, ...], ...]:
+    """Every bijection of the edge indices that keeps peg pairs, identity first.
+
+    Parallel edges are adjacent in the sorted edge list, so a bijection
+    permutes each run of equal peg pairs; there are prod m! of them, and
+    each costs the kernel up to about 2^e steps.
+    """
+    runs = itertools.groupby(e[:2] for e in diagram.edges)
+    lengths = tuple(len(list(run)) for _pair, run in runs)
+    _check_work(math.prod(map(math.factorial, lengths)) << diagram.edge_count)
+    return _run_permutations(lengths)
+
+
+@lru_cache(maxsize=64)
+def _run_permutations(lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    starts = itertools.accumulate(lengths, initial=0)
+    runs = [range(start, start + length) for start, length in zip(starts, lengths)]
+    return tuple(
+        tuple(itertools.chain.from_iterable(images))
+        for images in itertools.product(*map(itertools.permutations, runs))
+    )
+
+
+def _down_set_chains(below: list[int], strict: list[int], bits: int) -> int:
+    """Chains of down-sets from the empty set to all edges, packed by length.
+
+    Edge u must get a colour at most edge v's when bit u of below[v] is
+    set, and a smaller one when bit u of strict[v] is set too. A surjective
+    k-colouring meeting these constraints is a chain S1 < ... < Sk of
+    down-sets, S_j holding the edges of colour <= j, whose steps hold no
+    strict pair. Edges on a cycle of constraints share one colour, so
+    they move as one unit, and a strict pair inside a unit leaves no
+    colouring at all. Units in topological order let each step be built
+    unit by unit: a unit joins the step when its lower edges are already
+    in. Field k of the result, `bits` wide, counts the k-step chains.
+    """
+    count = len(below)
+    reach = transitive_closure(below[:])
+    # edges on one cycle reach exactly the same edges, themselves included
+    units: dict[int, list[int]] = {}
+    for v, (lower, need, clash) in enumerate(zip(reach, below, strict)):
+        key = lower if lower >> v & 1 else ~v
+        unit = units.get(key)
+        if unit is None:
+            units[key] = [lower | 1 << v, 1 << v, need, clash]
+        else:
+            unit[1] |= 1 << v
+            unit[2] |= need
+            unit[3] |= clash
+    steps = []
+    for lower, mates, need, clash in units.values():
+        if clash & mates:
+            return 0
+        # a unit's lower edges are a strict subset of a later unit's
+        steps.append((lower.bit_count(), mates, need & ~mates, clash))
+    steps.sort()
+    levels: list[dict[int, int]] = [{} for _ in range(count + 1)]
+    levels[0][0] = 1
+    for size in range(count):
+        for done, vec in levels[size].items():
+            vec <<= bits
+            blocks = [0]
+            for _rank, mates, need, clash in steps:
+                if not mates & done:
+                    blocks += [
+                        b | mates for b in blocks if not need & ~(done | b) and not clash & b
+                    ]
+            for block in blocks[1:]:
+                grown = done | block
+                level = levels[grown.bit_count()]
+                level[grown] = level.get(grown, 0) + vec
+    return levels[count].get((1 << count) - 1, 0)
+
+
+def colouring_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
+    """Colourings of d1 that reconstruct to d2, by number of colours: M's cell.
+
+    Restacking keeps edge indices, so every colouring lands on d2 through
+    one relabelling m of d2's parallel edges: edge m[j] of d1 takes the
+    place of edge j of d2. Restacking orders a peg by (colour, d1 height),
+    so edge u directly below v on a peg of the relabelled d2 needs
+    c(u) <= c(v), strictly when u sits above v in d1. Those colourings
+    are (P, omega)-partitions (Stanley 1972), counted per relabelling by
+    `_down_set_chains`.
+    """
+    if d2 is not d1:
+        _require_same_world(d1, d2)
+    edge_count = d1.edge_count
+    if edge_count == 0:
+        raise BadRange("matrices are defined for worlds with at least one edge")
+    maps = _relabellings(d1)
+    bits = (len(maps) * _fubini(edge_count)).bit_length()
+    source = _peg_orders(d1)
+    target = source if d2 is d1 else _peg_orders(d2)
+    heights = [{u: h for h, u in enumerate(here)} for here in source]
+    adjacent = [
+        (height, a, b) for height, there in zip(heights, target) for a, b in zip(there, there[1:])
+    ]
+    total = 0
+    for m in maps:
+        below = [0] * edge_count
+        strict = [0] * edge_count
+        for height, a, b in adjacent:
+            u, v = m[a], m[b]
+            below[v] |= 1 << u
+            if height[u] > height[v]:
+                strict[v] |= 1 << u
+        total += _down_set_chains(below, strict, bits)
+    return _unpack(total, bits, edge_count)
+
+
+def _fixed_point_counts(diagram: WebDiagram) -> tuple[int, ...]:
+    """Pairs (labelled member, colouring) that the colouring fixes, by colours.
+
+    Edges are taken as labelled, so the members are all tuples of per-peg
+    orders. A colouring fixes a member exactly when colours weakly rise
+    with height on every peg, so blocks B1..Bk fix prod w(B_i) members,
+    w(B) = prod over pegs of |B on the peg|!. The DP sums prod w over
+    unordered set partitions, each block taking the lowest free edge, and
+    k! orders each k-block partition: about 3^e / 2 steps, no members.
+    """
+    edge_count = diagram.edge_count
+    full = (1 << edge_count) - 1
+    pegs = [sum(1 << idx for idx in order) for order in _peg_orders(diagram)]
+    weight = [
+        math.prod(math.factorial((block & peg).bit_count()) for peg in pegs)
+        for block in range(full + 1)
+    ]
+    labelled = math.prod(map(math.factorial, diagram.peg_heights))
+    bits = (labelled * _fubini(edge_count)).bit_length()
+    partitions = [0] * (full + 1)
+    partitions[0] = 1
+    for done in range(full):
+        vec = partitions[done]
+        if not vec:
+            continue
+        vec <<= bits
+        free = full ^ done
+        low = free & -free
+        rest = free ^ low
+        sub = rest
+        while True:
+            block = sub | low
+            partitions[done | block] += vec * weight[block]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    counts = _unpack(partitions[full], bits, edge_count)
+    return tuple(c * math.factorial(k) for k, c in enumerate(counts))
+
+
+def world_traces(
+    diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD
+) -> tuple[IntPolynomial, Fraction]:
+    """trace M(x) and trace R of the diagram's world, with no matrix.
+
+    Without parallel edges the fixed-point DP needs no members and
+    `max_size` does not apply. Otherwise the world is built, within
+    `max_size`, and each member's diagonal entry is counted by the
+    single-target kernel. Either way the work estimate, 3^e or
+    members x prod m! x 2^e, must stay within DEFAULT_WORK_GUARD.
+    """
+    edge_count = diagram.edge_count
+    if edge_count == 0:
+        raise BadRange("matrices are defined for worlds with at least one edge")
+    group = math.prod(map(math.factorial, diagram.peg_pair_counts().values()))
+    if group == 1:
+        _check_work(3**edge_count)
+        counts = _fixed_point_counts(diagram)
+    else:
+        _check_work(predicted_world_size(diagram) * group << edge_count)
+        world = web_world(diagram, max_size)
+        counts = tuple(map(sum, zip(*(colouring_counts(d, d) for d in world))))
+    poly = IntPolynomial(counts)
+    return poly, mixing_from_polynomial(poly)
+
+
 class _SubsetDP:
     """Counts one row of a world's colouring matrix by a DP over edge subsets.
 
@@ -354,7 +578,7 @@ class _SubsetDP:
         self.full = (1 << edge_count) - 1
         self.width = max(1, (edge_count - 1).bit_length())
         # no count in a row exceeds the Fubini number, the row's total
-        self.block_bits = ordered_bell_polynomial(edge_count).evaluate(1).bit_length()
+        self.block_bits = _fubini(edge_count).bit_length()
         self.edge_count = edge_count
         self.world = world
         self.template = first.edges
@@ -442,9 +666,7 @@ class _SubsetDP:
         return self.world.index[tuple(sorted(map(tuple, rows)))]
 
     def unpack(self, vec: int) -> tuple[int, ...]:
-        bits = self.block_bits
-        field_mask = (1 << bits) - 1
-        return tuple(vec >> (bits * k) & field_mask for k in range(self.edge_count + 1))
+        return _unpack(vec, self.block_bits, self.edge_count)
 
 
 def _flip_permutation(world: WebWorld) -> list[int]:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .diagram import Edge, WebDiagram, WebWorld, subweb
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial
+from .matrices import IntPolynomial, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -121,19 +121,9 @@ class DecompositionPoset:
             if not (1 <= a <= size and 1 <= b <= size) or a == b:
                 raise BadRange(f"relation ({a},{b}) is not a strict pair within 1..{size}")
             rows[a - 1] |= 1 << (b - 1)
-        _transitive_closure(rows)
+        transitive_closure(rows)
         blocks = tuple(Block(i + 1, (), None) for i in range(size))
         return cls(blocks, _order_matrix(rows))
-
-
-def _transitive_closure(rows: list[int]) -> list[int]:
-    """Close a relation in place; bit j of rows[i] says i relates to j."""
-    for t in range(len(rows)):
-        bit = 1 << t
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | rows[t]
-    return rows
 
 
 def _order_matrix(rows: list[int]) -> tuple[tuple[bool, ...], ...]:
@@ -179,7 +169,7 @@ def _decompose(diagram: WebDiagram) -> tuple[tuple[Block, ...], list[int], list[
     edges = diagram.edges
     count = len(edges)
     below = _edge_below_rows(edges)
-    reach = _transitive_closure(below[:])
+    reach = transitive_closure(below[:])
     components = list(
         dict.fromkeys(
             sum(1 << j for j in range(count) if j == i or reach[i] >> j & reach[j] >> i & 1)

@@ -33,12 +33,14 @@ from .diagram import (
 from .errors import LabelNotOne, RepeatedBlocks
 from .matrices import (
     IntPolynomial,
+    colouring_counts,
     is_idempotent,
     ordered_bell_polynomial,
     rank,
     row_sums,
     trace,
     world_matrices,
+    world_traces,
 )
 
 DEFAULT_STRUCTURE_PEGS = 5
@@ -109,7 +111,10 @@ def suite_structure(
     equals its rank, a non-negative integer, positive exactly when the
     world's graph is connected. On the worlds with at most
     ENUMERATION_EDGES edges, every entry of M also equals the count by
-    direct colouring enumeration.
+    direct colouring enumeration. The matrix-free routes are checked
+    against the matrices too: `world_traces` by the fixed-point DP on
+    every world without parallel edges, and each diagonal entry by the
+    single-target kernel.
     """
     mix_rows_fail: list[str] = []
     poly_rows_fail: list[str] = []
@@ -117,8 +122,11 @@ def suite_structure(
     trace_fail: list[str] = []
     proper_fail: list[str] = []
     enumerated_fail: list[str] = []
+    fixed_point_fail: list[str] = []
+    kernel_fail: list[str] = []
     checked = 0
     enumerated = 0
+    fixed_point = 0
     for rows in _sweep_matrices(max_pegs, max_edges):
         checked += 1
         world = web_world(enumeration.seed_diagram(rows))
@@ -138,6 +146,12 @@ def suite_structure(
             trace_fail.append(f"{rows!r} trace={t} rank={r}")
         elif (t >= 1) != enumeration.is_proper(world[0]):
             proper_fail.append(f"{rows!r} trace={t}")
+        if max(world[0].peg_pair_counts().values()) == 1:
+            fixed_point += 1
+            if world_traces(world[0]) != (trace(poly), t):
+                fixed_point_fail.append(repr(rows))
+        if any(colouring_counts(d, d) != poly.rows[i][i] for i, d in enumerate(world)):
+            kernel_fail.append(repr(rows))
         if m <= ENUMERATION_EDGES:
             enumerated += 1
             brute = _enumerated_counts(world)
@@ -178,6 +192,19 @@ def suite_structure(
             enumerated_fail,
             "every entry of M equals direct colouring enumeration on all worlds "
             f"with <= {min(ENUMERATION_EDGES, max_edges)} edges, <= {max_pegs} pegs",
+        ),
+        _aggregate(
+            "fixed-point traces match matrix traces",
+            fixed_point,
+            fixed_point_fail,
+            "the fixed-point DP gives trace(M) and trace(R) on the worlds without "
+            f"parallel edges within {scope}",
+        ),
+        _aggregate(
+            "kernel diagonals match matrices",
+            checked,
+            kernel_fail,
+            f"the single-target kernel gives every diagonal entry of M on {scope}",
         ),
     ]
 

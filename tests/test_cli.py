@@ -4,11 +4,16 @@ import hashlib
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from webworlds import trace, web_world, world_matrices
 from webworlds.cli import main
+from webworlds.enumeration import seed_diagram
+
+from conftest import NINE_EDGE_EDGES
 
 PATH4_JSON = '{"n": 4, "edges": [[1,2,1,1],[2,3,2,1],[3,4,2,1]]}'
 SINGLE_EDGE_JSON = '{"n": 2, "edges": [[1,2,1,1]]}'
@@ -315,6 +320,48 @@ def test_case1_trace_needs_no_matrix(capsys):
     # n! x (1 + x)^(n - 1) and (n - 1)!
     colouring = [0] + [5040 * math.comb(6, k) for k in range(7)]
     assert json.loads(out) == {"n": 7, "colouring": colouring, "mixing": "720"}
+
+
+def test_trace_answers_past_the_world_guard(capsys):
+    k5 = json.dumps({"represent": [[1 if j > i else 0 for j in range(5)] for i in range(5)]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "trace", "--input", k5)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["size"], payload["mixing"]) == (7962624, "3420936")
+
+
+def test_trace_of_parallel_edge_worlds(capsys):
+    represent = '{"represent": [[0,2,1],[0,0,1],[0,0,0]]}'
+    poly, mix = world_matrices(web_world(seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))))
+    code, out, err = run(capsys, "trace", "--input", represent)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "size": poly.size,
+        "colouring": list(trace(poly).coeffs),
+        "mixing": str(trace(mix)),
+    }
+    nine = json.dumps({"n": 7, "edges": [list(e) for e in NINE_EDGE_EDGES]})
+    code, out, err = run(capsys, "trace", "--input", nine, "--max-size", "9215")
+    assert (code, out) == (3, "")
+    assert err == "error: world has 9216 diagrams, guard is 9215\n"
+
+
+def test_trace_guards_work_not_cells(capsys):
+    path16 = json.dumps({"edges": [[i, i + 1, 1 if i == 1 else 2, 1] for i in range(1, 17)]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "trace", "--input", path16)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {3**16} estimated counting steps exceed the 20000000-step guard\n"
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "--input", PATH4_JSON, "--max-entries", "100"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max-entries" in capsys.readouterr().err
+    code, out, err = run(capsys, "trace", "--input", '{"n": 2, "edges": []}')
+    assert (code, out) == (1, "")
+    assert err == "error: matrices are defined for worlds with at least one edge\n"
 
 
 def test_unknown_flag_exits_two_via_argparse(capsys):

@@ -150,4 +150,4 @@ def test_structure_suite_passes_without_asserts():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "6", "True"]
+    assert done.stdout.split() == ["False", "8", "True"]

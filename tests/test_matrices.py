@@ -27,6 +27,7 @@ from webworlds.errors import BadRange, DifferentWorlds, MalformedInput
 from webworlds.matrices import (
     ONE,
     X,
+    _SubsetDP,
     colouring_entry,
     mixing_entry,
     polynomial_from_coeff_string,
@@ -124,6 +125,27 @@ def test_reconstruction_count_basics(path4):
         reconstruction_count(members[0], members[1], 4)
     with pytest.raises(DifferentWorlds):
         reconstruction_count(members[0], validate_diagram(((1, 2, 1, 1),)), 1)
+
+
+def test_nine_edge_entries_need_no_world(nine_edge, monkeypatch):
+    # reference: the target's cell in nine_edge's row of the subset DP
+    world = web_world(nine_edge)
+    dp = _SubsetDP(world)
+    row = dp.row(nine_edge)
+    best = max(row, key=lambda j: sum(dp.unpack(row[j])))
+    target, expected = world[best], dp.unpack(row[best])
+    assert expected == (0, 0, 5, 121, 936, 3367, 6447, 6794, 3726, 832)
+    diagonal = dp.unpack(row[world.index_of(nine_edge)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a world was built")
+
+    monkeypatch.setattr("webworlds.matrices.web_world", refuse)
+    monkeypatch.setattr("webworlds.diagram.web_world", refuse)
+    assert colouring_entry(nine_edge, target) == IntPolynomial(expected)
+    assert mixing_entry(nine_edge, target) == mixing_from_polynomial(IntPolynomial(expected))
+    assert reconstruction_count(nine_edge, target, 7) == 6794
+    assert colouring_entry(nine_edge, nine_edge) == IntPolynomial(diagonal)
 
 
 def test_rank_and_idempotence_reject_polynomial_matrices(path4):
