@@ -30,9 +30,10 @@ independent computations.
 
 `world_traces` gets both traces with no matrix: a fixed-point DP over
 edge subsets when no peg pair carries parallel edges, and otherwise the
-single-target kernel `colouring_counts` on every member's diagonal cell.
-The kernel also serves the single-entry functions. `world_matrices`
-stays the reference that both are checked against.
+diagonal cells of every member, from the single-target kernel
+`_colouring_counts` or from subset-DP rows, whichever has the smaller
+work estimate. The kernel also serves the single-entry functions.
+`world_matrices` stays the reference that all three are checked against.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ from .diagram import (
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
-# matrix-free counting steps; on a 2-core Xeon VM under Python 3.11 the
-# kernel takes 0.3-0.5 us per estimated step, about 10 s at the guard,
-# and the fixed-point DP's 3^e stays within it up to 15 edges
-DEFAULT_WORK_GUARD = 20_000_000
+# counting steps of the matrix-free routes, each estimate an upper bound
+# on its DP's transitions; on a 2-core Xeon VM under Python 3.11 a step
+# takes 0.03-0.7 us, so up to about half a minute at the guard. The
+# fixed-point DP's 3^e stays within it up to 15 edges.
+DEFAULT_WORK_GUARD = 40_000_000
 
 
 class IntPolynomial:
@@ -294,14 +296,19 @@ def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
 
 def reconstruction_count(d1: WebDiagram, d2: WebDiagram, colours: int) -> int:
     """Number of surjective `colours`-colourings of d1 that reconstruct to d2."""
-    counts = colouring_counts(d1, d2)
+    entry = colouring_entry(d1, d2)
     if not 1 <= colours <= d1.edge_count:
         raise BadRange(f"colours must lie in 1..{d1.edge_count}")
-    return counts[colours]
+    return entry.coefficient(colours)
 
 
 def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:
-    return IntPolynomial(colouring_counts(d1, d2))
+    """M's cell (d1, d2) from the single-target kernel, with no world."""
+    _require_same_world(d1, d2)
+    if d1.edge_count == 0:
+        raise BadRange("matrices are defined for worlds with at least one edge")
+    _check_work(_kernel_work(d1))
+    return IntPolynomial(_colouring_counts(d1, d2))
 
 
 def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
@@ -378,13 +385,55 @@ def _relabellings(diagram: WebDiagram) -> tuple[tuple[int, ...], ...]:
     """Every bijection of the edge indices that keeps peg pairs, identity first.
 
     Parallel edges are adjacent in the sorted edge list, so a bijection
-    permutes each run of equal peg pairs; there are prod m! of them, and
-    each costs the kernel up to about 2^e steps.
+    permutes each run of equal peg pairs; there are prod m! of them.
     """
     runs = itertools.groupby(e[:2] for e in diagram.edges)
-    lengths = tuple(len(list(run)) for _pair, run in runs)
-    _check_work(math.prod(map(math.factorial, lengths)) << diagram.edge_count)
-    return _run_permutations(lengths)
+    return _run_permutations(tuple(len(list(run)) for _pair, run in runs))
+
+
+def _group_order(diagram: WebDiagram) -> int:
+    """prod m! over peg-pair multiplicities m: the number of relabellings."""
+    return math.prod(map(math.factorial, diagram.peg_pair_counts().values()))
+
+
+def _kernel_work(diagram: WebDiagram) -> int:
+    """Upper bound on the kernel's steps for one cell of the diagram's world.
+
+    Per relabelling: the e^2 steps of the closure, and the pairs S <= T of
+    down-sets that the chain DP visits, which are the order-preserving
+    maps to a 3-chain (0 on S, 1 on T - S, 2 elsewhere). Give each edge
+    one of its pegs as home: the constraints among the n edges at home on
+    one peg form a chain, so a map has at most C(n + 2, 2) restrictions
+    there and 3 on an edge that shares no peg with another. Every
+    relabelling keeps the edge set of each peg, so one bound serves all.
+    """
+    edge_count = diagram.edge_count
+    pairs = 1
+    homed = 0
+    for order in sorted(_peg_orders(diagram), key=len, reverse=True):
+        here = sum(1 << idx for idx in order) & ~homed
+        homed |= here
+        pairs *= math.comb(here.bit_count() + 2, 2)
+    pairs *= 3 ** (edge_count - homed.bit_count())
+    return _group_order(diagram) * (edge_count * edge_count + pairs)
+
+
+def _row_work(diagram: WebDiagram) -> int:
+    """Upper bound on the transitions of one `_SubsetDP` row.
+
+    Subset S sends each of its keys to 2^(e - |S|) blocks, at most. A key
+    holds one order per peg of S's endpoints and comes from an ordered
+    set partition of S, so S has at most min(Fubini(|S|), prod_p |S on p|!)
+    keys.
+    """
+    edge_count = diagram.edge_count
+    pegs = [sum(1 << idx for idx in order) for order in _peg_orders(diagram)]
+    work = 0
+    for subset in range(1 << edge_count):
+        size = subset.bit_count()
+        keys = math.prod(math.factorial((subset & peg).bit_count()) for peg in pegs)
+        work += min(keys, _fubini(size)) << (edge_count - size)
+    return work
 
 
 @lru_cache(maxsize=64)
@@ -448,7 +497,7 @@ def _down_set_chains(below: list[int], strict: list[int], bits: int) -> int:
     return levels[count].get((1 << count) - 1, 0)
 
 
-def colouring_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
+def _colouring_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
     """Colourings of d1 that reconstruct to d2, by number of colours: M's cell.
 
     Restacking keeps edge indices, so every colouring lands on d2 through
@@ -457,13 +506,10 @@ def colouring_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
     so edge u directly below v on a peg of the relabelled d2 needs
     c(u) <= c(v), strictly when u sits above v in d1. Those colourings
     are (P, omega)-partitions (Stanley 1972), counted per relabelling by
-    `_down_set_chains`.
+    `_down_set_chains`. The caller checks that d1 and d2 share a world
+    with edges, and the work estimate `_kernel_work`.
     """
-    if d2 is not d1:
-        _require_same_world(d1, d2)
     edge_count = d1.edge_count
-    if edge_count == 0:
-        raise BadRange("matrices are defined for worlds with at least one edge")
     maps = _relabellings(d1)
     bits = (len(maps) * _fubini(edge_count)).bit_length()
     source = _peg_orders(d1)
@@ -525,28 +571,52 @@ def _fixed_point_counts(diagram: WebDiagram) -> tuple[int, ...]:
     return tuple(c * math.factorial(k) for k, c in enumerate(counts))
 
 
+def _row_diagonal(world: WebWorld) -> tuple[int, ...]:
+    """Sum of M's diagonal cells, each read from its member's `_SubsetDP` row.
+
+    M(flip D, flip D) = M(D, D), so one row serves each pair of flips.
+    """
+    dp = _SubsetDP(world)
+    total = [0] * (world.edge_count + 1)
+    for row, (diagram, mirror) in enumerate(zip(world, _flip_permutation(world))):
+        if mirror >= row:
+            cell = dp.unpack(dp.row(diagram).get(row, 0))
+            copies = 1 if mirror == row else 2
+            total = [t + copies * c for t, c in zip(total, cell)]
+    return tuple(total)
+
+
 def world_traces(
     diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD
 ) -> tuple[IntPolynomial, Fraction]:
     """trace M(x) and trace R of the diagram's world, with no matrix.
 
     Without parallel edges the fixed-point DP needs no members and
-    `max_size` does not apply. Otherwise the world is built, within
-    `max_size`, and each member's diagonal entry is counted by the
-    single-target kernel. Either way the work estimate, 3^e or
-    members x prod m! x 2^e, must stay within DEFAULT_WORK_GUARD.
+    `max_size` does not apply; its work estimate is 3^e. Otherwise the
+    world is built, within `max_size`, and the diagonal cells are summed
+    from the single-target kernel or from subset-DP rows, whichever has
+    the smaller estimate: members x `_kernel_work` or members x
+    `_row_work`. The estimate taken must stay within DEFAULT_WORK_GUARD.
     """
     edge_count = diagram.edge_count
     if edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
-    group = math.prod(map(math.factorial, diagram.peg_pair_counts().values()))
-    if group == 1:
+    if _group_order(diagram) == 1:
         _check_work(3**edge_count)
         counts = _fixed_point_counts(diagram)
     else:
-        _check_work(predicted_world_size(diagram) * group << edge_count)
+        members = predicted_world_size(diagram)
+        kernel = members * _kernel_work(diagram)
+        # a row visits every subset and block, 3^e steps, before any key count
+        rows = members * 3**edge_count
+        if rows < min(kernel, DEFAULT_WORK_GUARD):
+            rows = members * _row_work(diagram)
+        _check_work(min(kernel, rows))
         world = web_world(diagram, max_size)
-        counts = tuple(map(sum, zip(*(colouring_counts(d, d) for d in world))))
+        if rows < kernel:
+            counts = _row_diagonal(world)
+        else:
+            counts = tuple(map(sum, zip(*(_colouring_counts(d, d) for d in world))))
     poly = IntPolynomial(counts)
     return poly, mixing_from_polynomial(poly)
 

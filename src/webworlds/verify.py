@@ -33,7 +33,7 @@ from .diagram import (
 from .errors import LabelNotOne, RepeatedBlocks
 from .matrices import (
     IntPolynomial,
-    colouring_counts,
+    _colouring_counts,
     is_idempotent,
     ordered_bell_polynomial,
     rank,
@@ -150,7 +150,7 @@ def suite_structure(
             fixed_point += 1
             if world_traces(world[0]) != (trace(poly), t):
                 fixed_point_fail.append(repr(rows))
-        if any(colouring_counts(d, d) != poly.rows[i][i] for i, d in enumerate(world)):
+        if any(_colouring_counts(d, d) != poly.rows[i][i] for i, d in enumerate(world)):
             kernel_fail.append(repr(rows))
         if m <= ENUMERATION_EDGES:
             enumerated += 1

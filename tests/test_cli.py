@@ -348,13 +348,31 @@ def test_trace_of_parallel_edge_worlds(capsys):
     assert err == "error: world has 9216 diagrams, guard is 9215\n"
 
 
+def test_trace_of_a_six_edge_bundle(capsys):
+    # 720 relabellings per kernel cell: the subset-DP rows answer instead,
+    # with the output of the full-matrix route
+    bundle = json.dumps({"n": 2, "edges": [[1, 2, h, h] for h in range(1, 7)]})
+    code, out, err = run(capsys, "trace", "--input", bundle)
+    assert (code, err) == (0, "")
+    assert out == '{"size": 720, "colouring": [0, 720, 532, 1002, 1920, 1920, 720], "mixing": "572"}\n'
+    code, out, err = run(capsys, "trace", "--input", bundle, "--format", "csv")
+    assert (code, out, err) == (0, "0;720;532;1002;1920;1920;720,572\n", "")
+
+
 def test_trace_guards_work_not_cells(capsys):
     path16 = json.dumps({"edges": [[i, i + 1, 1 if i == 1 else 2, 1] for i in range(1, 17)]})
     started = time.perf_counter()
     code, out, err = run(capsys, "trace", "--input", path16)
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (3, "")
-    assert err == f"error: {3**16} estimated counting steps exceed the 20000000-step guard\n"
+    assert err == f"error: {3**16} estimated counting steps exceed the 40000000-step guard\n"
+    # sixteen edges alone on their pegs beside two parallel ones: 3^18 steps at least
+    lonely = [[1, 2, 1, 1], [1, 2, 2, 2]] + [[2 * i + 1, 2 * i + 2, 1, 1] for i in range(1, 17)]
+    started = time.perf_counter()
+    code, out, err = run(capsys, "trace", "--input", json.dumps({"edges": lonely}))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {2 * 3**18} estimated counting steps exceed the 40000000-step guard\n"
     with pytest.raises(SystemExit) as info:
         main(["trace", "--input", PATH4_JSON, "--max-entries", "100"])
     assert info.value.code == 2

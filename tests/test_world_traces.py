@@ -1,13 +1,16 @@
 """Matrix-free traces: the fixed-point DP and the single-target kernel.
 
 `world_traces` takes trace M(x) and trace R from the fixed-point DP when
-the world has no parallel edges and from the single-target kernel's
-diagonal entries otherwise. Both are set against `world_matrices`, and
-the kernel's identity-relabelling part against the fixed-point DP on
-labelled edges, a second route that needs no matrix.
+the world has no parallel edges, and otherwise from the diagonal cells
+of the single-target kernel or of subset-DP rows, whichever is estimated
+cheaper. All routes are set against `world_matrices`, and the kernel's
+identity-relabelling part against the fixed-point DP on labelled edges,
+a second route that needs no matrix.
 """
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from webworlds import (
 )
 from webworlds import matrices, verify
 from webworlds.errors import BadRange, WorldTooLarge
-from webworlds.matrices import colouring_counts, world_traces
+from webworlds.matrices import _colouring_counts, colouring_entry, world_traces
 
 from conftest import NINE_EDGE_EDGES, small_worlds
 
@@ -72,12 +75,23 @@ def test_world_traces_match_matrix_traces():
             assert world_traces(member) == (trace(poly), trace(mix)), name
 
 
+def test_row_diagonals_match_matrix_traces():
+    # the row route, whichever route world_traces would pick
+    checked = 0
+    for name, world in small_worlds():
+        if world.edge_count and _group_order(world[0]) > 1:
+            poly, _mix = world_matrices(world)
+            assert IntPolynomial(matrices._row_diagonal(world)) == trace(poly), name
+            checked += 1
+    assert checked > 20
+
+
 def _identity_part(world, monkeypatch):
     """Sum over members of the identity-relabelling term of the diagonal."""
     full = matrices._relabellings
     with monkeypatch.context() as patch:
         patch.setattr(matrices, "_relabellings", lambda diagram: full(diagram)[:1])
-        return [sum(column) for column in zip(*(colouring_counts(d, d) for d in world))]
+        return [sum(column) for column in zip(*(_colouring_counts(d, d) for d in world))]
 
 
 def test_identity_relabelling_times_group_is_the_fixed_point_dp(monkeypatch):
@@ -96,7 +110,7 @@ def test_structure_checks_catch_wrong_matrix_free_counts(monkeypatch):
     assert all(results[name].passed for name in new_checks)
     assert results[new_checks[0]].detail.endswith("(5 instances)")
     monkeypatch.setattr(matrices, "_fixed_point_counts", lambda diagram: (0, 1))
-    monkeypatch.setattr(verify, "colouring_counts", lambda d1, d2: (0,) * (d1.edge_count + 1))
+    monkeypatch.setattr(verify, "_colouring_counts", lambda d1, d2: (0,) * (d1.edge_count + 1))
     results = {r.name: r for r in verify.suite_structure(3, 3)}
     assert not any(results[name].passed for name in new_checks)
     assert all(r.passed for name, r in results.items() if name not in new_checks)
@@ -118,8 +132,12 @@ def test_k5_trace_without_a_world(no_worlds):
     assert poly.coefficient(10) == math.factorial(10)
 
 
-def test_nine_edge_world_traces():
-    poly, mix = world_traces(validate_diagram(NINE_EDGE_EDGES, 7))
+def test_nine_edge_world_traces(monkeypatch):
+    # two relabellings per kernel cell against 3^9 steps per row: the kernel
+    nine = validate_diagram(NINE_EDGE_EDGES, 7)
+    assert matrices._kernel_work(nine) < 3**9
+    monkeypatch.setattr(matrices, "_SubsetDP", None)
+    poly, mix = world_traces(nine)
     assert poly == NINE_EDGE_TRACE
     assert mix == 1014
 
@@ -140,17 +158,76 @@ def test_work_guard_refuses_before_counting(no_worlds):
     path = validate_diagram([(i, i + 1, 1 if i == 1 else 2, 1) for i in range(1, 17)], 17)
     with pytest.raises(WorldTooLarge, match="-step guard"):
         world_traces(path)
-    # parallel edges: members x prod m! x 2^e is over the guard
+    # parallel edges: both the kernel's and the rows' estimates are over the guard
     doubled = _world_of([[0, 2, 1, 1], [0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 0]])
     with pytest.raises(WorldTooLarge, match="-step guard"):
         world_traces(doubled)
 
 
+def test_kernel_estimate_counts_free_edges_as_three_way():
+    # two parallel edges and sixteen edges alone on their pegs: the chain DP
+    # visits 3^16 pairs of down-sets on the free edges, not 2^16
+    pair = [(1, 2, 1, 1), (1, 2, 2, 2)]
+    free = [(2 * i + 1, 2 * i + 2, 1, 1) for i in range(1, 17)]
+    diagram = validate_diagram(pair + free, 34)
+    assert matrices._kernel_work(diagram) == 2 * (18**2 + 6 * 3**16)
+    started = time.perf_counter()
+    with pytest.raises(WorldTooLarge, match="-step guard"):
+        world_traces(diagram)
+    with pytest.raises(WorldTooLarge, match="-step guard"):
+        colouring_entry(diagram, diagram)
+    assert time.perf_counter() - started < 1.0
+
+
+def _order_preserving_maps(below, size):
+    """Maps of the edges to {0, 1, 2} that keep every constraint u <= v."""
+    return sum(
+        all(c[u] <= c[v] for v in range(size) for u in range(size) if below[v] >> u & 1)
+        for c in itertools.product(range(3), repeat=size)
+    )
+
+
+def test_kernel_estimate_bounds_the_down_set_pairs():
+    # per relabelling, the chain DP visits at most the order-preserving maps
+    # of the constraints to a 3-chain; _kernel_work must bound their sum
+    checked = 0
+    for name, world in small_worlds():
+        if not 0 < world.edge_count <= 4:
+            continue
+        for diagram in (world[0], world[len(world) - 1]):
+            size = diagram.edge_count
+            orders = matrices._peg_orders(diagram)
+            visited = 0
+            for m in matrices._relabellings(diagram):
+                below = [0] * size
+                for order in orders:
+                    for a, b in zip(order, order[1:]):
+                        below[m[b]] |= 1 << m[a]
+                visited += _order_preserving_maps(below, size) + size * size
+            assert visited <= matrices._kernel_work(diagram), name
+            checked += 1
+    assert checked > 100
+
+
 def test_entries_guard_their_work():
-    # ten parallel edges: 10! relabellings of 2^10 steps each
+    # ten parallel edges: 10! relabellings
     bundle = validate_diagram([(1, 2, h, h) for h in range(1, 11)], 2)
     with pytest.raises(WorldTooLarge, match="-step guard"):
-        colouring_counts(bundle, bundle)
+        colouring_entry(bundle, bundle)
+    # twenty edges that share no peg: 3^20 pairs of down-sets, one relabelling
+    isolated = validate_diagram([(2 * i - 1, 2 * i, 1, 1) for i in range(1, 21)], 40)
+    with pytest.raises(WorldTooLarge, match="-step guard"):
+        colouring_entry(isolated, isolated)
+
+
+def test_bundle_traces_take_the_row_route(monkeypatch):
+    # five parallel edges: 120 relabellings per kernel cell, so the
+    # subset-DP rows are estimated cheaper and the kernel is never called
+    bundle = validate_diagram([(1, 2, h, h) for h in range(1, 6)], 2)
+    assert matrices._row_work(bundle) < matrices._kernel_work(bundle)
+    poly, mix = world_matrices(web_world(bundle))
+    monkeypatch.setattr(matrices, "_colouring_counts", None)
+    assert world_traces(bundle) == (trace(poly), trace(mix))
 
 
 def test_max_size_guards_only_the_kernel_route():
