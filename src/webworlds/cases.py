@@ -28,6 +28,7 @@ from typing import Sequence
 from .diagram import Edge, WebDiagram, WebWorld, restack
 from .errors import BadRange, LengthMismatch
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
+from .matrices import _check_work
 
 _ONE_PLUS_X = ONE + X
 
@@ -390,8 +391,10 @@ def _sign_family_matrices(
     n: int, cyclic: bool
 ) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
     check_entry_guard(2**n)
-    vectors = sign_vectors(n)
     length = n if cyclic else n + 1
+    # surjective_rule_counts, per cell and i: i letters pushed through `length` rules per start
+    _check_work(4**n * sum((i if cyclic else 1) * length * i for i in range(1, length + 1)))
+    vectors = sign_vectors(n)
     counts = [
         [(0,) + surjective_rule_counts(length, rule_codes(src, tgt), cyclic) for tgt in vectors]
         for src in vectors

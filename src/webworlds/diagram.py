@@ -385,7 +385,11 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
             lefts = combo[a - 1][("out", b)]
             rights = combo[b - 1][("in", a)]
             edges.extend(Edge(a, b, lefts[t], rights[t]) for t in range(count))
-        members.append(WebDiagram(tuple(edges), diagram.num_pegs))
+        # valid by construction: sorted, but not validated again
+        member = object.__new__(WebDiagram)
+        object.__setattr__(member, "edges", tuple(sorted(edges)))
+        object.__setattr__(member, "num_pegs", diagram.num_pegs)
+        members.append(member)
     world = WebWorld(members)
     if len(world) != expected:
         raise InconsistentResult(

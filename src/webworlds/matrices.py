@@ -30,10 +30,9 @@ independent computations.
 
 `world_traces` gets both traces with no matrix: a fixed-point DP over
 edge subsets when no peg pair carries parallel edges, and otherwise the
-diagonal cells of every member, from the single-target kernel
-`_colouring_counts` or from subset-DP rows, whichever has the smaller
-work estimate. The kernel also serves the single-entry functions.
-`world_matrices` stays the reference that all three are checked against.
+diagonal cells of every member from the single-target kernel
+`_colouring_counts`, which also serves the single-entry functions.
+`world_matrices` stays the reference that both are checked against.
 """
 
 from __future__ import annotations
@@ -381,19 +380,9 @@ def _check_work(work: int) -> None:
         )
 
 
-def _relabellings(diagram: WebDiagram) -> tuple[tuple[int, ...], ...]:
-    """Every bijection of the edge indices that keeps peg pairs, identity first.
-
-    Parallel edges are adjacent in the sorted edge list, so a bijection
-    permutes each run of equal peg pairs; there are prod m! of them.
-    """
-    runs = itertools.groupby(e[:2] for e in diagram.edges)
-    return _run_permutations(tuple(len(list(run)) for _pair, run in runs))
-
-
 def _group_order(diagram: WebDiagram) -> int:
     """prod m! over peg-pair multiplicities m: the number of relabellings."""
-    return math.prod(map(math.factorial, diagram.peg_pair_counts().values()))
+    return _parallel_runs(tuple(e[:2] for e in diagram.edges))[2]
 
 
 def _kernel_work(diagram: WebDiagram) -> int:
@@ -418,116 +407,143 @@ def _kernel_work(diagram: WebDiagram) -> int:
     return _group_order(diagram) * (edge_count * edge_count + pairs)
 
 
-def _row_work(diagram: WebDiagram) -> int:
-    """Upper bound on the transitions of one `_SubsetDP` row.
-
-    Subset S sends each of its keys to 2^(e - |S|) blocks, at most. A key
-    holds one order per peg of S's endpoints and comes from an ordered
-    set partition of S, so S has at most min(Fubini(|S|), prod_p |S on p|!)
-    keys.
-    """
-    edge_count = diagram.edge_count
-    pegs = [sum(1 << idx for idx in order) for order in _peg_orders(diagram)]
-    work = 0
-    for subset in range(1 << edge_count):
-        size = subset.bit_count()
-        keys = math.prod(math.factorial((subset & peg).bit_count()) for peg in pegs)
-        work += min(keys, _fubini(size)) << (edge_count - size)
-    return work
-
-
 @lru_cache(maxsize=64)
-def _run_permutations(lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    starts = itertools.accumulate(lengths, initial=0)
-    runs = [range(start, start + length) for start, length in zip(starts, lengths)]
-    return tuple(
-        tuple(itertools.chain.from_iterable(images))
-        for images in itertools.product(*map(itertools.permutations, runs))
-    )
+def _parallel_runs(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple[int, ...], int]:
+    """The parallel edges with their runs, each edge's place, and prod m!.
+
+    `pairs` holds the peg pair of each edge of a sorted edge list, where
+    parallel edges are adjacent: a relabelling permutes each run, so there
+    are prod m! of them. The kernel places the parallel edges in list
+    order; an edge alone on its peg pair has place -1.
+    """
+    free: list[tuple[int, tuple[int, ...]]] = []
+    places = [-1] * len(pairs)
+    group = 1
+    for _pair, run in itertools.groupby(range(len(pairs)), pairs.__getitem__):
+        here = tuple(run)
+        if len(here) > 1:
+            group *= math.factorial(len(here))
+            for idx in here:
+                places[idx] = len(free)
+                free.append((idx, here))
+    return tuple(free), tuple(places), group
 
 
-def _down_set_chains(below: list[int], strict: list[int], bits: int) -> int:
+def _down_set_chains(units: list[tuple[int, int]], pattern: int, count: int, bits: int) -> int:
     """Chains of down-sets from the empty set to all edges, packed by length.
 
-    Edge u must get a colour at most edge v's when bit u of below[v] is
-    set, and a smaller one when bit u of strict[v] is set too. A surjective
-    k-colouring meeting these constraints is a chain S1 < ... < Sk of
-    down-sets, S_j holding the edges of colour <= j, whose steps hold no
-    strict pair. Edges on a cycle of constraints share one colour, so
-    they move as one unit, and a strict pair inside a unit leaves no
-    colouring at all. Units in topological order let each step be built
-    unit by unit: a unit joins the step when its lower edges are already
-    in. Field k of the result, `bits` wide, counts the k-step chains.
+    `units` lists as (mates, need), in topological order, the units of
+    edges that share a colour and the edges directly below each, which
+    need a colour at most the unit's. Field j of `pattern`, `count` bits
+    wide, holds the edges that need a smaller colour than unit j. A
+    surjective k-colouring meeting these constraints is a chain S1 < ...
+    < Sk of down-sets, S_i holding the edges of colour <= i, whose steps
+    hold no strict pair; each step is built unit by unit, a unit joining
+    when its lower edges are already in. Field k of the result, `bits`
+    wide, counts the k-step chains.
     """
-    count = len(below)
-    reach = transitive_closure(below[:])
-    # edges on one cycle reach exactly the same edges, themselves included
-    units: dict[int, list[int]] = {}
-    for v, (lower, need, clash) in enumerate(zip(reach, below, strict)):
-        key = lower if lower >> v & 1 else ~v
-        unit = units.get(key)
-        if unit is None:
-            units[key] = [lower | 1 << v, 1 << v, need, clash]
-        else:
-            unit[1] |= 1 << v
-            unit[2] |= need
-            unit[3] |= clash
-    steps = []
-    for lower, mates, need, clash in units.values():
-        if clash & mates:
-            return 0
-        # a unit's lower edges are a strict subset of a later unit's
-        steps.append((lower.bit_count(), mates, need & ~mates, clash))
-    steps.sort()
+    full = (1 << count) - 1
+    steps = [(mates, need, pattern >> count * j & full) for j, (mates, need) in enumerate(units)]
     levels: list[dict[int, int]] = [{} for _ in range(count + 1)]
     levels[0][0] = 1
     for size in range(count):
         for done, vec in levels[size].items():
             vec <<= bits
             blocks = [0]
-            for _rank, mates, need, clash in steps:
+            for mates, need, clash in steps:
                 if not mates & done:
-                    blocks += [
-                        b | mates for b in blocks if not need & ~(done | b) and not clash & b
-                    ]
+                    need &= ~done
+                    blocks += [b | mates for b in blocks if not need & ~b and not clash & b]
             for block in blocks[1:]:
                 grown = done | block
                 level = levels[grown.bit_count()]
                 level[grown] = level.get(grown, 0) + vec
-    return levels[count].get((1 << count) - 1, 0)
+    return levels[count].get(full, 0)
 
 
 def _colouring_counts(d1: WebDiagram, d2: WebDiagram) -> tuple[int, ...]:
     """Colourings of d1 that reconstruct to d2, by number of colours: M's cell.
 
-    Restacking keeps edge indices, so every colouring lands on d2 through
-    one relabelling m of d2's parallel edges: edge m[j] of d1 takes the
-    place of edge j of d2. Restacking orders a peg by (colour, d1 height),
-    so edge u directly below v on a peg of the relabelled d2 needs
-    c(u) <= c(v), strictly when u sits above v in d1. Those colourings
-    are (P, omega)-partitions (Stanley 1972), counted per relabelling by
-    `_down_set_chains`. The caller checks that d1 and d2 share a world
-    with edges, and the work estimate `_kernel_work`.
+    Restacking keeps edge indices, so every colouring c lands on d2
+    through one relabelling m of d2's parallel edges: edge m[j] of d1
+    takes the place of edge j of d2. Restacking orders a peg by (colour,
+    d1 height), so for a directly below b on a peg of d2 the colouring
+    c' = c o m needs c'(a) <= c'(b), strictly when m[a] sits above m[b]
+    in d1: (P, omega)-partitions (Stanley 1972). In d2's indices the
+    constraints and their cycles, the units of edges sharing a colour,
+    are the same for every m, which only makes some strict. The search
+    fixes m one parallel edge at a time, drops a branch once a strict
+    constraint falls inside a unit, and counts the chains once per strict
+    pattern, times its relabellings. The caller checks that d1 and d2
+    share a world with edges, and the work estimate `_kernel_work`.
     """
     edge_count = d1.edge_count
-    maps = _relabellings(d1)
-    bits = (len(maps) * _fubini(edge_count)).bit_length()
+    free, places, group = _parallel_runs(tuple(e[:2] for e in d1.edges))
+    bits = (group * _fubini(edge_count)).bit_length()
     source = _peg_orders(d1)
     target = source if d2 is d1 else _peg_orders(d2)
-    heights = [{u: h for h, u in enumerate(here)} for here in source]
-    adjacent = [
-        (height, a, b) for height, there in zip(heights, target) for a, b in zip(there, there[1:])
-    ]
+    below = [0] * edge_count
+    constraints = []
+    for here, there in zip(source, target):
+        height = [0] * edge_count
+        for h, u in enumerate(here):
+            height[u] = h
+        for a, b in zip(there, there[1:]):
+            below[b] |= 1 << a
+            constraints.append((a, b, height))
+    reach = transitive_closure(below[:])
+    grouped: dict[int, list[int]] = {}
+    for v, lower in enumerate(reach):
+        # edges on one cycle reach exactly the same edges, themselves included
+        grouped.setdefault(lower if lower >> v & 1 else ~v, []).append(v)
+    # a unit's lower edges are a strict subset of a later unit's
+    ranked = sorted(((reach[vs[0]] | 1 << vs[0]).bit_count(), vs) for vs in grouped.values())
+    units = []
+    unit_of = [0] * edge_count
+    for j, (_rank, mates) in enumerate(ranked):
+        mask = need = 0
+        for v in mates:
+            unit_of[v] = j
+            mask |= 1 << v
+            need |= below[v]
+        units.append((mask, need & ~mask))
+    checks: list[list] = [[] for _ in free]
+    pattern = 0
+    for a, b, height in constraints:
+        # a strict constraint inside a unit has no bit: it ends the branch
+        bit = 0 if unit_of[a] == unit_of[b] else 1 << (edge_count * unit_of[b] + a)
+        at = max(places[a], places[b])
+        if at >= 0:
+            checks[at].append((a, b, height, bit))
+        elif height[a] > height[b]:
+            if not bit:
+                return (0,) * (edge_count + 1)
+            pattern |= bit
+    patterns: dict[int, int] = {}
+    image = list(range(edge_count))
+
+    def place(i: int, pattern: int, used: int) -> None:
+        if i == len(free):
+            patterns[pattern] = patterns.get(pattern, 0) + 1
+            return
+        idx, run = free[i]
+        for u in run:
+            if used >> u & 1:
+                continue
+            image[idx] = u
+            grown = pattern
+            for a, b, height, bit in checks[i]:
+                if height[image[a]] > height[image[b]]:
+                    if not bit:
+                        break
+                    grown |= bit
+            else:
+                place(i + 1, grown, used | 1 << u)
+
+    place(0, pattern, 0)
     total = 0
-    for m in maps:
-        below = [0] * edge_count
-        strict = [0] * edge_count
-        for height, a, b in adjacent:
-            u, v = m[a], m[b]
-            below[v] |= 1 << u
-            if height[u] > height[v]:
-                strict[v] |= 1 << u
-        total += _down_set_chains(below, strict, bits)
+    for pattern, ways in patterns.items():
+        total += ways * _down_set_chains(units, pattern, edge_count, bits)
     return _unpack(total, bits, edge_count)
 
 
@@ -571,21 +587,6 @@ def _fixed_point_counts(diagram: WebDiagram) -> tuple[int, ...]:
     return tuple(c * math.factorial(k) for k, c in enumerate(counts))
 
 
-def _row_diagonal(world: WebWorld) -> tuple[int, ...]:
-    """Sum of M's diagonal cells, each read from its member's `_SubsetDP` row.
-
-    M(flip D, flip D) = M(D, D), so one row serves each pair of flips.
-    """
-    dp = _SubsetDP(world)
-    total = [0] * (world.edge_count + 1)
-    for row, (diagram, mirror) in enumerate(zip(world, _flip_permutation(world))):
-        if mirror >= row:
-            cell = dp.unpack(dp.row(diagram).get(row, 0))
-            copies = 1 if mirror == row else 2
-            total = [t + copies * c for t, c in zip(total, cell)]
-    return tuple(total)
-
-
 def world_traces(
     diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD
 ) -> tuple[IntPolynomial, Fraction]:
@@ -593,10 +594,9 @@ def world_traces(
 
     Without parallel edges the fixed-point DP needs no members and
     `max_size` does not apply; its work estimate is 3^e. Otherwise the
-    world is built, within `max_size`, and the diagonal cells are summed
-    from the single-target kernel or from subset-DP rows, whichever has
-    the smaller estimate: members x `_kernel_work` or members x
-    `_row_work`. The estimate taken must stay within DEFAULT_WORK_GUARD.
+    world is built, within `max_size`, and the single-target kernel's
+    diagonal cells are summed; the estimate is members x `_kernel_work`.
+    Either estimate must stay within DEFAULT_WORK_GUARD.
     """
     edge_count = diagram.edge_count
     if edge_count == 0:
@@ -605,18 +605,9 @@ def world_traces(
         _check_work(3**edge_count)
         counts = _fixed_point_counts(diagram)
     else:
-        members = predicted_world_size(diagram)
-        kernel = members * _kernel_work(diagram)
-        # a row visits every subset and block, 3^e steps, before any key count
-        rows = members * 3**edge_count
-        if rows < min(kernel, DEFAULT_WORK_GUARD):
-            rows = members * _row_work(diagram)
-        _check_work(min(kernel, rows))
+        _check_work(predicted_world_size(diagram) * _kernel_work(diagram))
         world = web_world(diagram, max_size)
-        if rows < kernel:
-            counts = _row_diagonal(world)
-        else:
-            counts = tuple(map(sum, zip(*(_colouring_counts(d, d) for d in world))))
+        counts = tuple(map(sum, zip(*(_colouring_counts(d, d) for d in world))))
     poly = IntPolynomial(counts)
     return poly, mixing_from_polynomial(poly)
 

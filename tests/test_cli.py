@@ -314,6 +314,20 @@ def test_case_matrices_over_the_entry_guard_exit_three(capsys, monkeypatch, comm
     assert err == f"error: {size}x{size} matrix exceeds the 4000000-entry guard\n"
 
 
+@pytest.mark.parametrize("command, work", [("case2", 761_266_176), ("case3", 4_037_017_600)])
+def test_case_matrices_over_the_work_guard_exit_three(capsys, monkeypatch, command, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError("family built before the work guard")
+
+    # 4^10 cells pass the entry guard, but their pushes would take minutes
+    monkeypatch.setattr("webworlds.cases.sign_vectors", refuse)
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", "10", "--matrix", "mixing")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {work} estimated counting steps exceed the 40000000-step guard\n"
+
+
 def test_case1_trace_needs_no_matrix(capsys):
     code, out, err = run(capsys, "case1", "--n", "7", "--trace")
     assert (code, err) == (0, "")
@@ -349,8 +363,8 @@ def test_trace_of_parallel_edge_worlds(capsys):
 
 
 def test_trace_of_a_six_edge_bundle(capsys):
-    # 720 relabellings per kernel cell: the subset-DP rows answer instead,
-    # with the output of the full-matrix route
+    # 720 relabellings per kernel cell, most of them cut by the search:
+    # the output of the full-matrix route
     bundle = json.dumps({"n": 2, "edges": [[1, 2, h, h] for h in range(1, 7)]})
     code, out, err = run(capsys, "trace", "--input", bundle)
     assert (code, err) == (0, "")
@@ -366,13 +380,15 @@ def test_trace_guards_work_not_cells(capsys):
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (3, "")
     assert err == f"error: {3**16} estimated counting steps exceed the 40000000-step guard\n"
-    # sixteen edges alone on their pegs beside two parallel ones: 3^18 steps at least
+    # sixteen edges alone on their pegs beside two parallel ones: 3^16 down-set
+    # pairs on the free edges, for each of 2 relabellings of 2 members
     lonely = [[1, 2, 1, 1], [1, 2, 2, 2]] + [[2 * i + 1, 2 * i + 2, 1, 1] for i in range(1, 17)]
     started = time.perf_counter()
     code, out, err = run(capsys, "trace", "--input", json.dumps({"edges": lonely}))
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (3, "")
-    assert err == f"error: {2 * 3**18} estimated counting steps exceed the 40000000-step guard\n"
+    work = 4 * (18**2 + 6 * 3**16)
+    assert err == f"error: {work} estimated counting steps exceed the 40000000-step guard\n"
     with pytest.raises(SystemExit) as info:
         main(["trace", "--input", PATH4_JSON, "--max-entries", "100"])
     assert info.value.code == 2

@@ -31,6 +31,8 @@ from webworlds.errors import (
 
 from webworlds.verify import _orbit_keys
 
+from conftest import small_worlds
+
 
 def test_edges_are_stored_sorted():
     d = validate_diagram(((3, 4, 2, 1), (1, 2, 1, 1), (2, 3, 2, 1)), 4)
@@ -155,6 +157,14 @@ def test_world_membership_and_indexing(path4):
 def test_world_rejects_mixed_members(path4):
     with pytest.raises(BadRange):
         WebWorld([path4, validate_diagram(((1, 2, 1, 1),))])
+
+
+def test_world_members_are_valid_diagrams(nine_edge):
+    # orbit generation skips validation, so every member must pass it unchanged
+    worlds = [world for _name, world in small_worlds()] + [web_world(nine_edge)]
+    for world in worlds:
+        for member in world:
+            assert member == validate_diagram(member.edges, member.num_pegs)
 
 
 def test_world_guard(path4):

@@ -2,10 +2,10 @@
 
 `world_traces` takes trace M(x) and trace R from the fixed-point DP when
 the world has no parallel edges, and otherwise from the diagonal cells
-of the single-target kernel or of subset-DP rows, whichever is estimated
-cheaper. All routes are set against `world_matrices`, and the kernel's
-identity-relabelling part against the fixed-point DP on labelled edges,
-a second route that needs no matrix.
+of the single-target kernel. Both routes are set against
+`world_matrices`, the kernel's single cells against subset-DP rows, and
+the kernel's identity-relabelling part against the fixed-point DP on
+labelled edges, a second route that needs no matrix.
 """
 
 import itertools
@@ -75,22 +75,53 @@ def test_world_traces_match_matrix_traces():
             assert world_traces(member) == (trace(poly), trace(mix)), name
 
 
-def test_row_diagonals_match_matrix_traces():
-    # the row route, whichever route world_traces would pick
-    checked = 0
-    for name, world in small_worlds():
-        if world.edge_count and _group_order(world[0]) > 1:
-            poly, _mix = world_matrices(world)
-            assert IntPolynomial(matrices._row_diagonal(world)) == trace(poly), name
-            checked += 1
-    assert checked > 20
+def _bundle(size):
+    return validate_diagram([(1, 2, h, h) for h in range(1, size + 1)], 2)
+
+
+def test_kernel_traces_of_bundles(monkeypatch):
+    # bundles of parallel edges, with and without a triangle beside them:
+    # the kernel alone, since no subset-DP row can be built
+    expected = {}
+    for size in range(2, 6):
+        poly, mix = world_matrices(web_world(_bundle(size)))
+        expected[size] = (trace(poly), trace(mix))
+    monkeypatch.setattr(matrices, "_SubsetDP", None)
+    for size, traces in expected.items():
+        assert world_traces(_bundle(size)) == traces, size
+    # the full-matrix route's output for a bundle of six
+    six = (IntPolynomial((0, 720, 532, 1002, 1920, 1920, 720)), Fraction(572))
+    assert world_traces(_bundle(6)) == six
+    beside = _world_of([[0, 4, 1], [0, 0, 1], [0, 0, 0]])
+    assert predicted_world_size(beside) == 1200
+    poly, mix = world_traces(beside)
+    assert poly == IntPolynomial((0, 1200, 1678, 2376, 2976, 2280, 720))
+    assert mix == 745
+
+
+def test_kernel_skips_relabellings_that_count_zero(monkeypatch):
+    # a bundle of five: 271 of the 120 x 120 relabellings of its diagonal
+    # cells count nonzero, and a strict pattern needs one chain count
+    calls = 0
+    count = matrices._down_set_chains
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return count(*args)
+
+    world = web_world(_bundle(5))
+    poly, _mix = world_matrices(world)
+    monkeypatch.setattr(matrices, "_down_set_chains", counted)
+    assert IntPolynomial(map(sum, zip(*(_colouring_counts(d, d) for d in world)))) == trace(poly)
+    assert calls <= 271
 
 
 def _identity_part(world, monkeypatch):
     """Sum over members of the identity-relabelling term of the diagonal."""
-    full = matrices._relabellings
     with monkeypatch.context() as patch:
-        patch.setattr(matrices, "_relabellings", lambda diagram: full(diagram)[:1])
+        # no parallel edge to place: the identity is the only relabelling
+        patch.setattr(matrices, "_parallel_runs", lambda pairs: ((), (-1,) * len(pairs), 1))
         return [sum(column) for column in zip(*(_colouring_counts(d, d) for d in world))]
 
 
@@ -158,7 +189,7 @@ def test_work_guard_refuses_before_counting(no_worlds):
     path = validate_diagram([(i, i + 1, 1 if i == 1 else 2, 1) for i in range(1, 17)], 17)
     with pytest.raises(WorldTooLarge, match="-step guard"):
         world_traces(path)
-    # parallel edges: both the kernel's and the rows' estimates are over the guard
+    # parallel edges: the kernel's estimate is over the guard
     doubled = _world_of([[0, 2, 1, 1], [0, 0, 1, 1], [0, 0, 0, 2], [0, 0, 0, 0]])
     with pytest.raises(WorldTooLarge, match="-step guard"):
         world_traces(doubled)
@@ -198,7 +229,10 @@ def test_kernel_estimate_bounds_the_down_set_pairs():
             size = diagram.edge_count
             orders = matrices._peg_orders(diagram)
             visited = 0
-            for m in matrices._relabellings(diagram):
+            runs = itertools.groupby(range(size), key=lambda idx: diagram.edges[idx][:2])
+            relabellings = itertools.product(*(itertools.permutations(run) for _, run in runs))
+            for images in relabellings:
+                m = list(itertools.chain.from_iterable(images))
                 below = [0] * size
                 for order in orders:
                     for a, b in zip(order, order[1:]):
@@ -218,16 +252,6 @@ def test_entries_guard_their_work():
     isolated = validate_diagram([(2 * i - 1, 2 * i, 1, 1) for i in range(1, 21)], 40)
     with pytest.raises(WorldTooLarge, match="-step guard"):
         colouring_entry(isolated, isolated)
-
-
-def test_bundle_traces_take_the_row_route(monkeypatch):
-    # five parallel edges: 120 relabellings per kernel cell, so the
-    # subset-DP rows are estimated cheaper and the kernel is never called
-    bundle = validate_diagram([(1, 2, h, h) for h in range(1, 6)], 2)
-    assert matrices._row_work(bundle) < matrices._kernel_work(bundle)
-    poly, mix = world_matrices(web_world(bundle))
-    monkeypatch.setattr(matrices, "_colouring_counts", None)
-    assert world_traces(bundle) == (trace(poly), trace(mix))
 
 
 def test_max_size_guards_only_the_kernel_route():
@@ -252,3 +276,29 @@ if given is not None:
     def test_fixed_point_traces_property(diagram):
         poly, mix = world_matrices(web_world(diagram))
         assert world_traces(diagram) == (trace(poly), trace(mix))
+
+    @st.composite
+    def with_parallel_edges(draw):
+        pegs = draw(st.integers(2, 3))
+        pairs = [(a, b) for a in range(pegs) for b in range(a + 1, pegs)]
+        counts = draw(
+            st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)).filter(
+                lambda counts: max(counts) > 1 and sum(counts) <= 5
+            )
+        )
+        rows = [[0] * pegs for _ in range(pegs)]
+        for (a, b), count in zip(pairs, counts):
+            rows[a][b] = count
+        return _world_of(rows)
+
+    @settings(max_examples=30, deadline=5000)
+    @given(with_parallel_edges(), st.data())
+    def test_kernel_property(diagram, data):
+        world = web_world(diagram)
+        poly, mix = world_matrices(world)
+        assert world_traces(diagram) == (trace(poly), trace(mix))
+        dp = matrices._SubsetDP(world)
+        for _ in range(2):
+            d1, d2 = (world[data.draw(st.integers(0, len(world) - 1))] for _ in range(2))
+            cell = dp.unpack(dp.row(d1).get(world.index_of(d2), 0))
+            assert colouring_entry(d1, d2) == IntPolynomial(cell)
