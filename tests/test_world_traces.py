@@ -75,6 +75,24 @@ def test_world_traces_match_matrix_traces():
             assert world_traces(member) == (trace(poly), trace(mix)), name
 
 
+def test_row_diagonals_match_matrix_traces():
+    # the diagonal cell of each subset-DP row is the kernel's diagonal
+    # cell, and together they sum to the matrix trace
+    checked = 0
+    for name, world in small_worlds():
+        if world.edge_count and _group_order(world[0]) > 1:
+            poly, _mix = world_matrices(world)
+            dp = matrices._SubsetDP(world)
+            diagonal = []
+            for idx, member in enumerate(world):
+                cell = dp.unpack(dp.row(member).get(idx, 0))
+                assert _colouring_counts(member, member) == cell, (name, idx)
+                diagonal.append(cell)
+            assert IntPolynomial(map(sum, zip(*diagonal))) == trace(poly), name
+            checked += 1
+    assert checked > 20
+
+
 def _bundle(size):
     return validate_diagram([(1, 2, h, h) for h in range(1, size + 1)], 2)
 
