@@ -224,11 +224,7 @@ def chain_diagram(signs: Sequence[int]) -> WebDiagram:
 
 def chain_world(n: int) -> WebWorld:
     """The world of all 2^n chain diagrams with n interior pegs."""
-    if n < 0:
-        raise BadRange("sign count must be non-negative")
-    return WebWorld(
-        chain_diagram(signs) for signs in product((1, -1), repeat=n)
-    )
+    return WebWorld(map(chain_diagram, sign_vectors(n)))
 
 
 def cycle_edge_list(signs: Sequence[int]) -> tuple[Edge, ...]:
@@ -264,9 +260,7 @@ def cycle_world(n: int) -> WebWorld:
     """The world of all cycle diagrams on n pegs."""
     if n < 2:
         raise BadRange("a cycle needs at least two pegs")
-    return WebWorld(
-        cycle_diagram(signs) for signs in product((1, -1), repeat=n)
-    )
+    return WebWorld(map(cycle_diagram, sign_vectors(n)))
 
 
 def cycle_result_signs(

@@ -153,15 +153,7 @@ _COUNTERS = {
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count is not None:
-        missing = [
-            flag
-            for flag, value in (
-                ("--pegs", args.pegs),
-                ("--edges", args.edges),
-                ("--pairs", args.pairs),
-            )
-            if value is None
-        ]
+        missing = [f"--{name}" for name in ("pegs", "edges", "pairs") if getattr(args, name) is None]
         if missing:
             raise UsageError(f"--count needs {', '.join(missing)}")
         value = _COUNTERS[args.count](args.pegs, args.edges, args.pairs)

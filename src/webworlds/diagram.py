@@ -1,4 +1,4 @@
-"""Web diagrams, their world orbits, and colouring-based reconstruction.
+"""Web diagrams, their world orbits and symmetries, and colouring reconstruction.
 
 A web diagram is a finite set of edges strung between vertical pegs.
 Every edge runs from a lower-numbered peg to a higher-numbered one and
@@ -138,8 +138,13 @@ def subweb(diagram: WebDiagram, edges: Iterable[Edge]) -> WebDiagram:
     for e in subset:
         if e not in present:
             raise EdgeNotInDiagram(f"edge {tuple(e)} is not in the diagram")
+    return WebDiagram(_compressed(subset, diagram.num_pegs).edges, diagram.num_pegs)
+
+
+def _compressed(edges: Sequence[Edge], num_pegs: int) -> WebDiagram:
+    """`subweb` of distinct edges of a valid diagram: valid, so not checked again."""
     kept: dict[int, list[int]] = {}
-    for e in subset:
+    for e in edges:
         kept.setdefault(e.left_peg, []).append(e.left_height)
         kept.setdefault(e.right_peg, []).append(e.right_height)
     rank = {
@@ -147,11 +152,15 @@ def subweb(diagram: WebDiagram, edges: Iterable[Edge]) -> WebDiagram:
         for peg, heights in kept.items()
         for i, h in enumerate(sorted(heights), 1)
     }
-    compressed = [
-        Edge(e.left_peg, e.right_peg, rank[(e.left_peg, e.left_height)], rank[(e.right_peg, e.right_height)])
-        for e in subset
-    ]
-    return WebDiagram(tuple(compressed), diagram.num_pegs)
+    return _unchecked((Edge(a, b, rank[a, ha], rank[b, hb]) for a, b, ha, hb in edges), num_pegs)
+
+
+def _unchecked(edges: Iterable[Edge], num_pegs: int) -> WebDiagram:
+    """A diagram of edges known to be valid: sorted, but not validated again."""
+    diagram = object.__new__(WebDiagram)
+    object.__setattr__(diagram, "edges", tuple(sorted(edges)))
+    object.__setattr__(diagram, "num_pegs", num_pegs)
+    return diagram
 
 
 def apply_permutations(diagram: WebDiagram, family: Sequence[Sequence[int]]) -> WebDiagram:
@@ -385,11 +394,7 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
             lefts = combo[a - 1][("out", b)]
             rights = combo[b - 1][("in", a)]
             edges.extend(Edge(a, b, lefts[t], rights[t]) for t in range(count))
-        # valid by construction: sorted, but not validated again
-        member = object.__new__(WebDiagram)
-        object.__setattr__(member, "edges", tuple(sorted(edges)))
-        object.__setattr__(member, "num_pegs", diagram.num_pegs)
-        members.append(member)
+        members.append(_unchecked(edges, diagram.num_pegs))
     world = WebWorld(members)
     if len(world) != expected:
         raise InconsistentResult(
@@ -413,6 +418,90 @@ def _fill_groups(
         for sub in _fill_groups(remaining, rest):
             sub[key] = chosen
             yield sub
+
+
+def _orbits(perms: list[list[int]], size: int) -> list[list[tuple[int, int, list[int]]]]:
+    """Orbits of 0..size-1 under the group that the permutations generate.
+
+    An orbit starts with (x, x, []) for its smallest point x; every later
+    step (x, y, perm) has perm[x] = y for a point y listed before it.
+    """
+    inverses = [sorted(range(size), key=perm.__getitem__) for perm in perms]
+    seen = [False] * size
+    orbits = []
+    for start in range(size):
+        if not seen[start]:
+            seen[start] = True
+            orbit = [(start, start, [])]
+            for y, _source, _perm in orbit:
+                for perm, inverse in zip(perms, inverses):
+                    x = inverse[y]
+                    if not seen[x]:
+                        seen[x] = True
+                        orbit.append((x, y, perm))
+            orbits.append(orbit)
+    return orbits
+
+
+def _peg_automorphisms(diagram: WebDiagram) -> list[tuple[int, ...]]:
+    """Generators of the peg permutations that keep every peg-pair multiplicity.
+
+    From the last peg i down: for each peg c that the generators found so
+    far cannot send i to, search for one automorphism that fixes the pegs
+    below i and sends i to c. Each generator reaches a new peg, and those
+    found for i generate the automorphisms fixing every peg below i.
+    """
+    n = diagram.num_pegs
+    mult = [[0] * n for _ in range(n)]
+    for (a, b), m in diagram.peg_pair_counts().items():
+        mult[a - 1][b - 1] = mult[b - 1][a - 1] = m
+    # an automorphism keeps each peg's multiset of multiplicities
+    kind = [sorted(row) for row in mult]
+
+    def extensions(image: list[int]) -> Iterator[tuple[int, ...]]:
+        # the peg placed last must keep its multiplicities to the pegs before it
+        i, last = len(image) - 1, image[-1]
+        if kind[last] != kind[i] or any(mult[i][j] != mult[last][image[j]] for j in range(i)):
+            return
+        if i == n - 1:
+            yield tuple(image)
+            return
+        for c in range(n):
+            if c not in image:
+                yield from extensions(image + [c])
+
+    gens: list[tuple[int, ...]] = []
+    # pegs without endpoints stay fixed: moving them moves no member
+    for i in [i for i in reversed(range(n)) if any(mult[i])]:
+        for c in range(i + 1, n):
+            # every generator fixes the pegs below i, so orbit i starts at i
+            if all(x != c for x, _y, _p in _orbits(gens, n)[i]):
+                gens.extend(itertools.islice(extensions(list(range(i)) + [c]), 1))
+    return gens
+
+
+def _symmetry_orbits(world: WebWorld) -> list[list[tuple[int, int, list[int]]]]:
+    """Orbits of the members under G = <Aut(web graph), flip>, as `_orbits`.
+
+    A peg automorphism s moves the endpoint at height h on peg p to height
+    h on peg s p, and the flip moves it to height P + 1 - h on p, for P
+    endpoints on p. Both map the world onto itself and keep every
+    reconstruction, so M(g D, g D2) = M(D, D2) for every g in G.
+    """
+    heights = world[0].peg_heights
+    slots = [(p, h) for p, top in enumerate(heights, 1) for h in range(1, top + 1)]
+    moves = [{(p, h): (p, heights[p - 1] + 1 - h) for p, h in slots}]
+    moves += [{(p, h): (s[p - 1] + 1, h) for p, h in slots} for s in _peg_automorphisms(world[0])]
+    edges = set(itertools.chain.from_iterable(d.edges for d in world))
+    perms = []
+    for move in moves:
+        image = {}
+        for a, b, ha, hb in edges:
+            # an edge lists the endpoint on its lower peg first
+            (x, hx), (y, hy) = sorted((move[a, ha], move[b, hb]))
+            image[a, b, ha, hb] = x, y, hx, hy
+        perms.append([world.index[tuple(sorted(map(image.__getitem__, d.edges)))] for d in world])
+    return _orbits(perms, len(world))
 
 
 def diagram_to_json(diagram: WebDiagram) -> dict:

@@ -54,15 +54,8 @@ def is_proper(source: WebDiagram | WebWorld) -> bool:
 def world_size(rows: Sequence[Sequence[int]]) -> int:
     """Orbit size from a represent matrix: peg factorials over cell factorials."""
     a = validate_represent(rows)
-    n = len(a)
-    size = 1
-    for i in range(n):
-        load = sum(a[i][j] for j in range(n)) + sum(a[j][i] for j in range(n))
-        size *= math.factorial(load)
-    for i in range(n):
-        for j in range(n):
-            size //= math.factorial(a[i][j])
-    return size
+    cells = math.prod(math.factorial(v) for row in a for v in row)
+    return math.prod(map(math.factorial, peg_loads(a))) // cells
 
 
 def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
@@ -107,24 +100,11 @@ def peg_loads(rows: Rows) -> tuple[int, ...]:
 
 def _is_connected(rows: Rows) -> bool:
     # connectivity over the pegs that carry endpoints
-    n = len(rows)
     used = [i for i, load in enumerate(peg_loads(rows)) if load]
-    if not used:
-        return False
-    adjacency: dict[int, set[int]] = {v: set() for v in used}
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j]:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    seen = {used[0]}
-    frontier = [used[0]]
-    while frontier:
-        for w in adjacency[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(used)
+    seen = used[:1]
+    for i in seen:
+        seen += [j for j in used if (rows[i][j] or rows[j][i]) and j not in seen]
+    return bool(used) and len(seen) == len(used)
 
 
 def enumerate_worlds(
@@ -173,12 +153,14 @@ def count_worlds(pegs: int, edges: int, pairs: int) -> int:
     exactly `pairs` peg pairs, counted by direct matrix enumeration."""
     if pegs < 2 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 2 and non-negative edges/pairs")
-    cells = math.comb(pegs, 2)
-    return sum(
-        1
-        for values in _weak_compositions(edges, cells)
-        if sum(1 for v in values if v) == pairs
-    )
+    return sum(1 for _rows in _with_pairs(pegs, edges, pairs))
+
+
+def _with_pairs(pegs: int, edges: int, pairs: int) -> Iterator[Rows]:
+    """Represent matrices on `pegs` pegs with `edges` edges on `pairs` pairs."""
+    for values in _weak_compositions(edges, math.comb(pegs, 2)):
+        if sum(1 for v in values if v) == pairs:
+            yield _matrix_from_cells(pegs, values)
 
 
 def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
@@ -220,14 +202,7 @@ def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
 def count_worlds_no_isolated_direct(pegs: int, edges: int, pairs: int) -> int:
     if pegs < 2 or edges < 1 or pairs < 1:
         raise BadRange("need pegs >= 2, edges >= 1, pairs >= 1")
-    cells = math.comb(pegs, 2)
-    count = 0
-    for values in _weak_compositions(edges, cells):
-        if sum(1 for v in values if v) != pairs:
-            continue
-        if 0 not in peg_loads(_matrix_from_cells(pegs, values)):
-            count += 1
-    return count
+    return sum(0 not in peg_loads(rows) for rows in _with_pairs(pegs, edges, pairs))
 
 
 def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
@@ -263,15 +238,10 @@ def count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
         raise BadRange("need pegs >= 1 and non-negative edges/pairs")
     if pegs == 1:
         return 1 if edges == 0 and pairs == 0 else 0
-    cells = math.comb(pegs, 2)
-    count = 0
-    for values in _weak_compositions(edges, cells):
-        if sum(1 for v in values if v) != pairs:
-            continue
-        rows = _matrix_from_cells(pegs, values)
-        if 0 not in peg_loads(rows) and _is_connected(rows):
-            count += 1
-    return count
+    return sum(
+        0 not in peg_loads(rows) and _is_connected(rows)
+        for rows in _with_pairs(pegs, edges, pairs)
+    )
 
 
 class TruncatedSeries:
@@ -311,13 +281,6 @@ class TruncatedSeries:
         merged = dict(self.terms)
         for exponents, coeff in other.terms.items():
             merged[exponents] = merged.get(exponents, Fraction(0)) + coeff
-        return TruncatedSeries(self.orders, merged)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) - coeff
         return TruncatedSeries(self.orders, merged)
 
     def __mul__(self, other) -> "TruncatedSeries":

@@ -30,8 +30,8 @@ independent computations.
 
 `world_traces` gets both traces with no matrix: a fixed-point DP over
 edge subsets when no peg pair carries parallel edges, and otherwise the
-diagonal cells of every member from the single-target kernel
-`_colouring_counts`, which also serves the single-entry functions.
+diagonal cell of one member per symmetry orbit from the single-target
+kernel `_colouring_counts`, which also serves the single-entry functions.
 `world_matrices` stays the reference that both are checked against.
 """
 
@@ -51,7 +51,7 @@ from .diagram import (
     DEFAULT_WORLD_GUARD,
     WebDiagram,
     WebWorld,
-    flip,
+    _symmetry_orbits,
     json_int,
     peg_slots,
     predicted_world_size,
@@ -147,32 +147,19 @@ class IntPolynomial:
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
+        # "-" or " - " before a negative term, " + " between the others
+        text = ""
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{c}{var}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+            if c:
+                var = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+                sign = ("-" if c < 0 else "") if not text else " - " if c < 0 else " + "
+                text += sign + ("" if var and abs(c) == 1 else str(abs(c))) + var
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
-ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
@@ -594,8 +581,9 @@ def world_traces(
 
     Without parallel edges the fixed-point DP needs no members and
     `max_size` does not apply; its work estimate is 3^e. Otherwise the
-    world is built, within `max_size`, and the single-target kernel's
-    diagonal cells are summed; the estimate is members x `_kernel_work`.
+    world is built, within `max_size`, and the kernel's diagonal cell of
+    each orbit is summed times its size; the estimate is members x
+    `_kernel_work`, which stays an upper bound.
     Either estimate must stay within DEFAULT_WORK_GUARD.
     """
     edge_count = diagram.edge_count
@@ -607,7 +595,8 @@ def world_traces(
     else:
         _check_work(predicted_world_size(diagram) * _kernel_work(diagram))
         world = web_world(diagram, max_size)
-        counts = tuple(map(sum, zip(*(_colouring_counts(d, d) for d in world))))
+        cells = ((len(orbit), world[orbit[0][0]]) for orbit in _symmetry_orbits(world))
+        counts = tuple(map(sum, zip(*([n * c for c in _colouring_counts(d, d)] for n, d in cells))))
     poly = IntPolynomial(counts)
     return poly, mixing_from_polynomial(poly)
 
@@ -730,50 +719,39 @@ class _SubsetDP:
         return _unpack(vec, self.block_bits, self.edge_count)
 
 
-def _flip_permutation(world: WebWorld) -> list[int]:
-    """Index of flip(D) for every member D."""
-    return [world.index_of(flip(d)) for d in world]
-
-
 def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None:
     """Raise WorldTooLarge before a size x size matrix over the entry guard is built."""
     if size * size > max_entries:
         raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
 
 
-def _world_counts(world: WebWorld, max_entries: int) -> list[list[tuple[int, ...]]]:
+def _world_counts(world: WebWorld, max_entries: int) -> list[Sequence[tuple[int, ...]]]:
     """Per row and column, the colouring counts by number of colours.
 
-    Rows come from the subset DP. Since M(flip D, flip D2) = M(D, D2),
-    each computed row also fills the row of flip(D), with its columns
-    permuted by the flip; members that are their own flip are computed
-    directly. Equal count vectors share one tuple.
+    The subset DP computes one row per orbit of `_symmetry_orbits`, and
+    every other row of the orbit reads an earlier row at the columns a
+    generator permutes: M(x, k) = M(g x, g k). Equal count vectors share
+    one tuple.
     """
     size = len(world)
     check_entry_guard(size, max_entries)
     if world.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
     dp = _SubsetDP(world)
-    flips = _flip_permutation(world)
     zero = (0,) * (world.edge_count + 1)
-    counts: list[list[tuple[int, ...]] | None] = [None] * size
+    counts: list[Sequence[tuple[int, ...]] | None] = [None] * size
     unpacked: dict[int, tuple[int, ...]] = {}
-    for row, diagram in enumerate(world):
-        if counts[row] is not None:
-            continue
+    for (rep, _rep, _perm), *steps in _symmetry_orbits(world):
         cells = [zero] * size
-        for target, vec in dp.row(diagram).items():
+        for target, vec in dp.row(world[rep]).items():
             cell = unpacked.get(vec)
             if cell is None:
                 cell = unpacked[vec] = dp.unpack(vec)
             cells[target] = cell
-        counts[row] = cells
-        mirror = flips[row]
-        if mirror != row:
-            mirrored = [zero] * size
-            for col, cell in enumerate(cells):
-                mirrored[flips[col]] = cell
-            counts[mirror] = mirrored
+        counts[rep] = cells
+        for row, source, perm in steps:
+            # a world of two or more members: itemgetter returns a tuple
+            counts[row] = operator.itemgetter(*perm)(counts[source])
     return counts
 
 

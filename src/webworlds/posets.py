@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .diagram import Edge, WebDiagram, WebWorld, subweb
+from .diagram import Edge, WebDiagram, WebWorld, _compressed
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
 from .matrices import IntPolynomial, transitive_closure
 
@@ -193,7 +193,7 @@ def _decompose(diagram: WebDiagram) -> tuple[tuple[Block, ...], list[int], list[
     blocks = []
     for label, c in enumerate(order, 1):
         block_edges = tuple(e for i, e in enumerate(edges) if components[c] >> i & 1)
-        blocks.append(Block(label, block_edges, subweb(diagram, block_edges)))
+        blocks.append(Block(label, block_edges, _compressed(block_edges, diagram.num_pegs)))
     return tuple(blocks), [components[c] for c in order], reach
 
 

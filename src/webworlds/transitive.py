@@ -31,13 +31,7 @@ def is_transitive(rows: Sequence[Sequence[int]]) -> bool:
     loads = peg_loads(rows)
     if 0 in loads:
         raise IsolatedPeg(f"peg {loads.index(0) + 1} touches no edge")
-    for i in range(m - 1):
-        if all(rows[i][j] == 0 for j in range(m)):
-            return False
-    for j in range(1, m):
-        if all(rows[i][j] == 0 for i in range(m)):
-            return False
-    return True
+    return all(map(any, rows[:-1])) and all(any(row[j] for row in rows) for j in range(1, m))
 
 
 def core_matrix(rows: Sequence[Sequence[int]]) -> Rows:
@@ -76,11 +70,7 @@ def reattach(core: Sequence[Sequence[int]]) -> Rows:
             raise BadRange(f"core row {i + 1} is zero")
         if all(core[j][i] == 0 for j in range(k)):
             raise BadRange(f"core column {i + 1} is zero")
-    rows = [[0] * (k + 1) for _ in range(k + 1)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][j + 1] = core[i][j]
-    return validate_represent(rows)
+    return validate_represent([[0, *row] for row in core] + [[0] * (k + 1)])
 
 
 def transitive_matrices(edges: int) -> tuple[Rows, ...]:

@@ -320,25 +320,19 @@ def suite_posets(max_pegs: int = 5, max_edges: int = 4) -> list[CheckResult]:
     return results
 
 
-def _chain_poset(p: int) -> posets.DecompositionPoset:
-    return posets.DecompositionPoset.from_relations(
-        p, tuple((i, i + 1) for i in range(1, p))
+# chains of 1, 2 and 3, antichains of 2 and 3, the vee, the wedge and a diamond
+_SMALL_POSETS = tuple(
+    posets.DecompositionPoset.from_relations(size, relations)
+    for size, relations in (
+        (1, ()),
+        (2, ((1, 2),)),
+        (3, ((1, 2), (2, 3))),
+        (2, ()),
+        (3, ()),
+        (3, ((1, 2), (1, 3))),
+        (3, ((1, 3), (2, 3))),
+        (4, ((1, 2), (1, 3), (2, 4), (3, 4))),
     )
-
-
-def _antichain_poset(p: int) -> posets.DecompositionPoset:
-    return posets.DecompositionPoset.from_relations(p, ())
-
-
-_SMALL_POSETS = (
-    _chain_poset(1),
-    _chain_poset(2),
-    _chain_poset(3),
-    _antichain_poset(2),
-    _antichain_poset(3),
-    posets.DecompositionPoset.from_relations(3, ((1, 2), (1, 3))),
-    posets.DecompositionPoset.from_relations(3, ((1, 3), (2, 3))),
-    posets.DecompositionPoset.from_relations(4, ((1, 2), (1, 3), (2, 4), (3, 4))),
 )
 
 

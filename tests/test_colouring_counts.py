@@ -1,13 +1,17 @@
 """Colouring counts of whole worlds against direct enumeration.
 
-world_matrices counts colourings with a subset DP and fills half the
-rows from the height-flip symmetry; the oracle in conftest reconstructs
+world_matrices counts one row per orbit of the symmetry group generated
+by the web graph's peg automorphisms and the height flip, and fills the
+other rows by permuting columns; the oracle in conftest reconstructs
 every surjective colouring instead.
 """
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,17 +23,19 @@ from webworlds import (
     cases,
     enumeration,
     predicted_world_size,
+    trace,
     validate_diagram,
     web_world,
     world_matrices,
 )
 from webworlds import diagram as diagram_module
-from webworlds import verify
+from webworlds import matrices, verify
 from webworlds.diagram import flip
 from webworlds.enumeration import TruncatedSeries
 from webworlds.errors import InconsistentResult
+from webworlds.matrices import _colouring_counts
 
-from conftest import enumerated_counts, flipped, small_worlds
+from conftest import NINE_EDGE_EDGES, enumerated_counts, flipped, small_worlds
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,113 @@ def test_flip_identity_holds_for_enumeration(oracle_worlds):
         for i, row in enumerate(brute):
             for j, cell in enumerate(row):
                 assert brute[mirror[i]][mirror[j]] == cell, (name, i, j)
+
+
+def _relabelled(diagram, sigma):
+    """The diagram with peg p renamed sigma[p - 1], built and validated anew."""
+    edges = []
+    for a, b, ha, hb in diagram.edges:
+        x, y = sigma[a - 1], sigma[b - 1]
+        edges.append((x, y, ha, hb) if x < y else (y, x, hb, ha))
+    return validate_diagram(edges, diagram.num_pegs)
+
+
+def _automorphisms(diagram):
+    """Every peg permutation keeping the peg-pair multiplicities, by listing all."""
+    pairs = dict(diagram.peg_pair_counts())
+    return [
+        sigma
+        for sigma in itertools.permutations(range(1, diagram.num_pegs + 1))
+        if {tuple(sorted((sigma[a - 1], sigma[b - 1]))): m for (a, b), m in pairs.items()} == pairs
+    ]
+
+
+def test_peg_automorphism_identity_holds_for_enumeration(oracle_worlds):
+    # M(s D, s D2) = M(D, D2) for every peg automorphism s, as the flip
+    # identity above, with every image built and validated anew
+    moved = 0
+    for name, world, brute in oracle_worlds:
+        sigmas = _automorphisms(world[0])
+        assert sigmas[0] == tuple(range(1, world.num_pegs + 1)), name
+        for sigma in sigmas[1:]:
+            image = [world.index_of(_relabelled(d, sigma)) for d in world]
+            assert sorted(image) == list(range(len(world))), name
+            moved += image != list(range(len(world)))
+            for i, row in enumerate(brute):
+                for j, cell in enumerate(row):
+                    assert brute[image[i]][image[j]] == cell, (name, i, j)
+    assert moved > 150
+
+
+def _order(gens, size):
+    """Order of the group that a strong generating set for the base 0, 1, ... generates."""
+    order = 1
+    for i in range(size):
+        fixing = [g for g in gens if all(g[j] == j for j in range(i))]
+        order *= len(diagram_module._orbits(fixing, size)[i])
+    return order
+
+
+def test_peg_automorphisms_generate_every_automorphism():
+    for name, world in small_worlds():
+        diagram = world[0]
+        gens = diagram_module._peg_automorphisms(diagram)
+        found = set(map(tuple, _automorphisms(diagram)))
+        assert all(tuple(p + 1 for p in g) in found for g in gens), name
+        assert _order(gens, diagram.num_pegs) == len(found), name
+    # eight edges that share no peg: 8! 2^8 automorphisms, a few generators
+    started = time.perf_counter()
+    apart = validate_diagram([(2 * i - 1, 2 * i, 1, 1) for i in range(1, 9)], 16)
+    gens = diagram_module._peg_automorphisms(apart)
+    assert len(gens) <= 16
+    assert _order(gens, 16) == math.factorial(8) * 2**8
+    assert time.perf_counter() - started < 1.0
+
+
+def test_pegs_without_endpoints_stay_fixed():
+    path = validate_diagram([(1, 2, 1, 1), (2, 3, 2, 1)], 6)
+    assert diagram_module._peg_automorphisms(path) == [(2, 1, 0, 3, 4, 5)]
+
+
+def _complete(n):
+    return enumeration.seed_diagram([[1 if j > i else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "world, orbits",
+    [
+        (cases.fan_world(5), 1),
+        (cases.fan_world(6), 1),
+        (cases.cycle_world(6), 8),
+        (cases.chain_world(5), 10),
+        (web_world(_complete(4)), 36),
+        (web_world(validate_diagram(NINE_EDGE_EDGES, 7)), 2352),
+    ],
+    ids=["fan5", "fan6", "cycle6", "chain5", "K4", "nine-edge"],
+)
+def test_symmetry_orbit_counts(world, orbits):
+    found = diagram_module._symmetry_orbits(world)
+    assert len(found) == orbits
+    assert sorted(x for orbit in found for x, _y, _perm in orbit) == list(range(len(world)))
+    for orbit in found:
+        start, source, _perm = orbit[0]
+        assert start == source == min(x for x, _y, _p in orbit)
+        # each later member is one generator step from a member listed before it
+        listed = {start}
+        for x, y, perm in orbit[1:]:
+            assert perm[x] == y and y in listed
+            listed.add(x)
+
+
+def test_k4_matrices_compute_one_row_per_orbit(monkeypatch):
+    rows = []
+    row = matrices._SubsetDP.row
+    monkeypatch.setattr(matrices._SubsetDP, "row", lambda dp, d: rows.append(d) or row(dp, d))
+    world = web_world(_complete(4))
+    poly, mix = world_matrices(world)
+    assert len(rows) == 36
+    assert trace(mix) == 544
+    assert poly.rows[5][77] == _colouring_counts(world[5], world[77])
 
 
 @pytest.mark.parametrize(

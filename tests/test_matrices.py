@@ -50,6 +50,9 @@ def test_polynomial_arithmetic_basics():
     assert (3 * X).evaluate(5) == 15
     assert IntPolynomial((1, 0, 0)).degree == 0
     assert str(IntPolynomial((0, 4, 10, 6))) == "4x + 10x^2 + 6x^3"
+    assert str(IntPolynomial((-1, 1, 0, -2))) == "-1 + x - 2x^3"
+    assert str(IntPolynomial((0, -1, 1))) == "-x + x^2"
+    assert str(IntPolynomial(())) == "0"
 
 
 @pytest.mark.parametrize("coeffs", [(1.7, 2), (True,), (0, 1, 2.0), ("1",)])

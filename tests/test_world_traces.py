@@ -24,6 +24,7 @@ from webworlds import (
     web_world,
     world_matrices,
 )
+from webworlds import diagram as diagram_module
 from webworlds import matrices, verify
 from webworlds.errors import BadRange, WorldTooLarge
 from webworlds.matrices import _colouring_counts, colouring_entry, world_traces
@@ -31,7 +32,7 @@ from webworlds.matrices import _colouring_counts, colouring_entry, world_traces
 from conftest import NINE_EDGE_EDGES, small_worlds
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 except ImportError:  # the property test needs hypothesis; the rest do not
     given = None
@@ -308,6 +309,38 @@ if given is not None:
         for (a, b), count in zip(pairs, counts):
             rows[a][b] = count
         return _world_of(rows)
+
+    @st.composite
+    def symmetric(draw):
+        # multiplicities constant on the orbits of peg pairs under a reversal
+        # or a rotation of the pegs: that turn is an automorphism of the web graph
+        pegs = draw(st.integers(2, 4))
+        turn = draw(st.sampled_from([lambda p: pegs - 1 - p, lambda p: (p + 1) % pegs]))
+        drawn = {}
+        rows = [[0] * pegs for _ in range(pegs)]
+        for pair in itertools.combinations(range(pegs), 2):
+            orbit = [pair]
+            while (step := tuple(sorted(map(turn, orbit[-1])))) != pair:
+                orbit.append(step)
+            key = min(orbit)
+            if key not in drawn:
+                drawn[key] = draw(st.integers(0, 2))
+            rows[pair[0]][pair[1]] = drawn[key]
+        assume(0 < sum(map(sum, rows)) <= 5)
+        diagram = _world_of(rows)
+        assume(predicted_world_size(diagram) <= 48)
+        return diagram
+
+    @settings(max_examples=25, deadline=5000)
+    @given(symmetric())
+    def test_symmetric_world_matrices_property(diagram):
+        # rows filled by a symmetry against cells counted one by one
+        assert diagram_module._peg_automorphisms(diagram)
+        world = web_world(diagram)
+        poly, _mix = world_matrices(world)
+        for i, d1 in enumerate(world):
+            for j, d2 in enumerate(world):
+                assert poly.rows[i][j] == _colouring_counts(d1, d2), (i, j)
 
     @settings(max_examples=30, deadline=5000)
     @given(with_parallel_edges(), st.data())
