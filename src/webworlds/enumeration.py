@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+import operator
 from typing import Callable, Iterator, Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, validate_diagram
-from .errors import BadRange, BoundsTooLarge, InconsistentResult, SeriesTruncationTooSmall
+from .errors import BadRange, BoundsTooLarge
+from .matrices import DEFAULT_WORK_GUARD
 
 Rows = tuple[tuple[int, ...], ...]
+# A truncated series in two variables: series[i][j] is the coefficient of
+# (edge variable)^i (pair variable)^j for i <= edges and j <= pairs.
+Series = list[list[int]]
 
 DEFAULT_MATRIX_GUARD = 2_000_000
 
@@ -95,7 +99,7 @@ def _matrix_from_cells(m: int, values: tuple[int, ...]) -> Rows:
 
 def peg_loads(rows: Rows) -> tuple[int, ...]:
     """Endpoints on each peg; a peg with load 0 is isolated."""
-    return tuple(sum(row) + sum(other[i] for other in rows) for i, row in enumerate(rows))
+    return tuple(map(operator.add, map(sum, rows), map(sum, zip(*rows))))
 
 
 def _is_connected(rows: Rows) -> bool:
@@ -168,20 +172,19 @@ def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
     (1 + y*z/(1-z))^C(pegs,2) as the z^edges y^pairs coefficient."""
     if pegs < 2 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 2 and non-negative edges/pairs")
-    orders = (edges, pairs)
-    z = TruncatedSeries.monomial(orders, (1, 0))
-    y = TruncatedSeries.monomial(orders, (0, 1))
-    geometric = TruncatedSeries.constant(orders, 1)
-    power = TruncatedSeries.constant(orders, 1)
-    for _ in range(edges):
-        power = power * z
-        geometric = geometric + power
-    base = TruncatedSeries.constant(orders, 1) + y * z * geometric
-    series = base ** math.comb(pegs, 2)
-    value = series.coefficient((edges, pairs))
-    if value.denominator != 1:
-        raise InconsistentResult(f"series coefficient {value} is not an integer")
-    return int(value)
+    cells = math.comb(pegs, 2)
+    if pairs > edges or pairs > cells:
+        return 0
+    _check_series_work(2 * cells.bit_length(), edges, pairs)
+    base = _pair_series(edges, pairs)
+    power = _series_one(edges, pairs)
+    while cells:
+        if cells & 1:
+            power = _series_product(power, base)
+        cells >>= 1
+        if cells:
+            base = _series_product(base, base)
+    return power[edges][pairs]
 
 
 def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
@@ -207,29 +210,35 @@ def count_worlds_no_isolated_direct(pegs: int, edges: int, pairs: int) -> int:
 
 def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
     """Proper (connected, no isolated peg) worlds on `pegs` labeled pegs,
-    via the logarithm of the exponential generating series."""
+    via the logarithm of the exponential generating series.
+
+    a_n = (1 + q*x/(1-x))^C(n,2) counts all worlds on n pegs and c_n the
+    connected ones; log sum a_n t^n/n! = sum c_n t^n/n! is the
+    exponential-formula recurrence
+    c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k}.
+    """
     if pegs < 1 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 1 and non-negative edges/pairs")
-    orders = (edges, pairs, pegs)
-    x = TruncatedSeries.monomial(orders, (1, 0, 0))
-    q = TruncatedSeries.monomial(orders, (0, 1, 0))
-    one = TruncatedSeries.constant(orders, 1)
-    geometric = TruncatedSeries.constant(orders, 1)
-    power = TruncatedSeries.constant(orders, 1)
-    for _ in range(edges):
-        power = power * x
-        geometric = geometric + power
-    per_pair = one + q * x * geometric
-    inner = TruncatedSeries.constant(orders, 0)
+    if pairs > edges or pairs > math.comb(pegs, 2):
+        return 0
+    _check_series_work((pegs - 1) * (pegs + 4) // 2, edges, pairs)
+    base = _pair_series(edges, pairs)
+    step = _series_one(edges, pairs)
+    worlds = [step]  # worlds[n - 1] = a_n, with step = base^(n - 1)
+    for _ in range(1, pegs):
+        step = _series_product(step, base)
+        worlds.append(_series_product(worlds[-1], step))
+    connected: list[Series] = []
     for n in range(1, pegs + 1):
-        term = per_pair ** math.comb(n, 2)
-        zn = TruncatedSeries.monomial(orders, (0, 0, n), Fraction(1, math.factorial(n)))
-        inner = inner + term * zn
-    series = inner.log_one_plus()
-    value = series.coefficient((edges, pairs, pegs)) * math.factorial(pegs)
-    if value.denominator != 1:
-        raise InconsistentResult(f"series coefficient {value} is not an integer")
-    return int(value)
+        c_n = [row[:] for row in worlds[n - 1]]
+        for k in range(1, n):
+            weight = math.comb(n - 1, k - 1)
+            product = _series_product(connected[k - 1], worlds[n - k - 1])
+            for row, terms in zip(c_n, product):
+                for j, value in enumerate(terms):
+                    row[j] -= weight * value
+        connected.append(c_n)
+    return connected[-1][edges][pairs]
 
 
 def count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
@@ -244,94 +253,39 @@ def count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
     )
 
 
-class TruncatedSeries:
-    """Multivariate power series truncated per variable.
+def _series_one(edges: int, pairs: int) -> Series:
+    one = [[0] * (pairs + 1) for _ in range(edges + 1)]
+    one[0][0] = 1
+    return one
 
-    Terms map exponent tuples to exact rationals; any product term whose
-    exponent exceeds its variable's order is silently dropped, so every
-    kept coefficient is exact.
-    """
 
-    __slots__ = ("orders", "terms")
+def _pair_series(edges: int, pairs: int) -> Series:
+    """1 + y*z/(1-z): a peg pair carries no edge, or k >= 1 parallel edges."""
+    base = _series_one(edges, pairs)
+    if pairs:
+        for row in base[1:]:
+            row[1] = 1
+    return base
 
-    def __init__(self, orders: tuple[int, ...], terms: dict | None = None):
-        self.orders = tuple(int(o) for o in orders)
-        if any(o < 0 for o in self.orders):
-            raise BadRange("truncation orders must be non-negative")
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value and all(e <= o for e, o in zip(exponents, self.orders)):
-                self.terms[tuple(exponents)] = value
 
-    @classmethod
-    def constant(cls, orders: tuple[int, ...], value) -> "TruncatedSeries":
-        return cls(orders, {tuple([0] * len(orders)): Fraction(value)})
+def _series_product(a: Series, b: Series) -> Series:
+    """The product of a and b, truncated to their common shape."""
+    edges, pairs = len(a) - 1, len(a[0]) - 1
+    out = [[0] * (pairs + 1) for _ in range(edges + 1)]
+    for i, row_a in enumerate(a):
+        for j, coeff in enumerate(row_a):
+            if coeff:
+                for row_b, row in zip(b, out[i:]):
+                    for k in range(pairs + 1 - j):
+                        row[j + k] += coeff * row_b[k]
+    return out
 
-    @classmethod
-    def monomial(cls, orders: tuple[int, ...], exponents: tuple[int, ...], coeff=1) -> "TruncatedSeries":
-        return cls(orders, {tuple(exponents): Fraction(coeff)})
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.orders != other.orders:
-            raise BadRange("series have different truncation orders")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) + coeff
-        return TruncatedSeries(self.orders, merged)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                self.orders, {e: c * other for e, c in self.terms.items()}
-            )
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                combined = tuple(a + b for a, b in zip(e1, e2))
-                if all(e <= o for e, o in zip(combined, self.orders)):
-                    out[combined] = out.get(combined, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.orders, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise BadRange("series power must be non-negative")
-        result = TruncatedSeries.constant(self.orders, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def log_one_plus(self) -> "TruncatedSeries":
-        """Series for log(1 + self); self must have no constant term."""
-        zero = tuple([0] * len(self.orders))
-        if self.terms.get(zero):
-            raise BadRange("log expansion needs a series with zero constant term")
-        result = TruncatedSeries(self.orders, {})
-        power = TruncatedSeries.constant(self.orders, 1)
-        for k in range(1, sum(self.orders) + 2):
-            power = power * self
-            if not power.terms:
-                break
-            result = result + power * Fraction((-1) ** (k - 1), k)
-        return result
-
-    def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        key = tuple(exponents)
-        if len(key) != len(self.orders):
-            raise BadRange("exponent tuple has the wrong arity")
-        if any(e > o for e, o in zip(key, self.orders)):
-            raise SeriesTruncationTooSmall(
-                f"coefficient {key} lies beyond truncation orders {self.orders}"
-            )
-        return self.terms.get(key, Fraction(0))
+def _check_series_work(products: int, edges: int, pairs: int) -> None:
+    """Raise BoundsTooLarge before a counter whose products would take
+    more than DEFAULT_WORK_GUARD multiply-adds."""
+    work = products * (edges + 1) * (edges + 2) * (pairs + 1) * (pairs + 2) // 4
+    if work > DEFAULT_WORK_GUARD:
+        raise BoundsTooLarge(
+            f"{work} estimated series steps exceed the {DEFAULT_WORK_GUARD}-step guard"
+        )

@@ -77,7 +77,3 @@ class NotTransitive(WebWorldsError):
 
 class IsolatedPeg(WebWorldsError):
     """A peg that must carry an edge endpoint has none."""
-
-
-class SeriesTruncationTooSmall(WebWorldsError):
-    """A coefficient was requested beyond a series' truncation order."""

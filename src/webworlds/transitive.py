@@ -27,11 +27,15 @@ def is_transitive(rows: Sequence[Sequence[int]]) -> bool:
     merely should not be in the matrix at all.
     """
     rows = validate_represent(rows)
-    m = len(rows)
     loads = peg_loads(rows)
     if 0 in loads:
         raise IsolatedPeg(f"peg {loads.index(0) + 1} touches no edge")
-    return all(map(any, rows[:-1])) and all(any(row[j] for row in rows) for j in range(1, m))
+    return _spans(rows)
+
+
+def _spans(rows: Rows) -> bool:
+    """is_transitive without validation, for rows the enumerator made."""
+    return all(map(any, rows[:-1])) and all(map(any, list(zip(*rows))[1:]))
 
 
 def core_matrix(rows: Sequence[Sequence[int]]) -> Rows:
@@ -86,14 +90,13 @@ def transitive_matrices(edges: int) -> tuple[Rows, ...]:
             f"edge count {edges} exceeds the guard {TRANSITIVE_EDGE_GUARD}"
         )
     return tuple(
-        rows
-        for rows in enumerate_worlds(
+        enumerate_worlds(
             max_pegs=edges + 1,
             max_edges=edges,
             exact_edges=edges,
             no_isolated=True,
+            predicate=_spans,
         )
-        if is_transitive(rows)
     )
 
 

@@ -103,6 +103,27 @@ def test_enumerate_count_row(capsys):
     assert out == "3,3,2,6\n"
 
 
+def test_enumerate_count_of_an_impossible_cell_is_zero(capsys):
+    code, out, _ = run(
+        capsys,
+        "enumerate", "--count", "nww", "--pegs", "2", "--edges", "100000", "--pairs", "2",
+    )
+    assert code == 0
+    assert out == "2,100000,2,0\n"
+
+
+def test_enumerate_count_over_the_work_guard_exits_three(capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "enumerate", "--count", "nww", "--pegs", "2", "--edges", "100000", "--pairs", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "40000000-step guard" in err
+    assert time.perf_counter() - started < 5
+
+
 def test_enumerate_listing(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-pegs", "2", "--max-edges", "2")
     assert code == 0

@@ -31,7 +31,6 @@ from webworlds import (
 from webworlds import diagram as diagram_module
 from webworlds import matrices, verify
 from webworlds.diagram import flip
-from webworlds.enumeration import TruncatedSeries
 from webworlds.errors import InconsistentResult
 from webworlds.matrices import _colouring_counts
 
@@ -209,19 +208,6 @@ def test_world_size_mismatch_raises(monkeypatch, path4):
     )
     with pytest.raises(InconsistentResult, match="size formula 5"):
         web_world(path4)
-
-
-@pytest.mark.parametrize(
-    "counter, args",
-    [
-        (enumeration.count_worlds_series, (3, 2, 1)),
-        (enumeration.count_proper_worlds, (3, 2, 2)),
-    ],
-)
-def test_fractional_series_coefficient_raises(monkeypatch, counter, args):
-    monkeypatch.setattr(TruncatedSeries, "coefficient", lambda self, key: Fraction(1, 7))
-    with pytest.raises(InconsistentResult, match="not an integer"):
-        counter(*args)
 
 
 def test_structure_suite_checks_counts_against_enumeration(monkeypatch):

@@ -1,6 +1,6 @@
 """Represent matrices, world counting, and the generating-series routes."""
 
-from fractions import Fraction
+import math
 
 import pytest
 
@@ -18,7 +18,6 @@ from webworlds import (
     world_size,
 )
 from webworlds.enumeration import (
-    TruncatedSeries,
     count_proper_worlds_direct,
     count_worlds_no_isolated_direct,
     validate_represent,
@@ -123,8 +122,6 @@ def test_pinned_world_counts():
 
 
 def test_counting_routes_agree_on_a_small_sweep():
-    import math
-
     for pegs in range(2, 5):
         for edges in range(5):
             for pairs in range(math.comb(pegs, 2) + 1):
@@ -141,8 +138,6 @@ def test_counting_routes_agree_on_a_small_sweep():
 
 
 def test_three_edge_census_is_thirty():
-    import math
-
     census = sum(
         count_worlds_no_isolated(pegs, 3, pairs)
         for pegs in range(2, 5)
@@ -151,13 +146,49 @@ def test_three_edge_census_is_thirty():
     assert census == 30
 
 
-def test_truncated_series_log_expansion():
-    x = TruncatedSeries.monomial((6,), (1,))
-    log_series = x.log_one_plus()
-    for k in range(1, 7):
-        assert log_series.coefficient((k,)) == Fraction((-1) ** (k - 1), k)
-    with pytest.raises(BadRange):
-        (TruncatedSeries.constant((3,), 1) + x).log_one_plus()
+def test_series_counts_match_the_binomial_formula():
+    # choose the occupied pairs, then split the edges over them
+    for pegs in range(2, 11):
+        for edges in range(1, 11):
+            for pairs in range(1, edges + 1):
+                expected = math.comb(math.comb(pegs, 2), pairs) * math.comb(edges - 1, pairs - 1)
+                assert count_worlds_series(pegs, edges, pairs) == expected
+
+
+def test_proper_counts_on_trees_follow_cayley():
+    # a proper world on n - 1 pairs is a labeled tree with its edges split
+    for n in range(2, 9):
+        for edges in range(n - 1, n + 3):
+            expected = n ** (n - 2) * math.comb(edges - 1, n - 2)
+            assert count_proper_worlds(n, edges, n - 1) == expected
+
+
+def test_proper_counts_on_complete_graphs():
+    for n in range(2, 6):
+        pairs = math.comb(n, 2)
+        for edges in range(pairs, pairs + 3):
+            assert count_proper_worlds(n, edges, pairs) == math.comb(edges - 1, pairs - 1)
+
+
+def test_pinned_proper_counts():
+    assert count_proper_worlds(8, 8, 8) == 1_436_568
+    assert count_proper_worlds(12, 12, 12) == 787_368_574_080
+
+
+def test_impossible_cells_count_zero_without_work():
+    # more pairs than edges or than peg pairs: zero, far past the work guard
+    assert count_worlds_series(2, 10**9, 2) == 0
+    assert count_worlds_series(4, 3, 4) == 0
+    assert count_proper_worlds(3, 10**9, 4) == 0
+    assert count_proper_worlds(5, 2, 3) == 0
+    assert count_proper_worlds(1, 0, 0) == 1
+
+
+def test_series_counters_guard_their_work():
+    with pytest.raises(BoundsTooLarge, match="series steps"):
+        count_worlds_series(2, 100_000, 1)
+    with pytest.raises(BoundsTooLarge, match="series steps"):
+        count_proper_worlds(40, 60, 60)
 
 
 def test_counting_guards():
