@@ -481,7 +481,12 @@ def _peg_automorphisms(diagram: WebDiagram) -> list[tuple[int, ...]]:
 
 
 def _symmetry_orbits(world: WebWorld) -> list[list[tuple[int, int, list[int]]]]:
-    """Orbits of the members under G = <Aut(web graph), flip>, as `_orbits`.
+    """Orbits of the members under G = <Aut(web graph), flip>, as `_orbits`."""
+    return _orbits(_symmetry_generators(world), len(world))
+
+
+def _symmetry_generators(world: WebWorld) -> list[list[int]]:
+    """Generators of G = <Aut(web graph), flip> as member permutations, the flip first.
 
     A peg automorphism s moves the endpoint at height h on peg p to height
     h on peg s p, and the flip moves it to height P + 1 - h on p, for P
@@ -501,7 +506,7 @@ def _symmetry_orbits(world: WebWorld) -> list[list[tuple[int, int, list[int]]]]:
             (x, hx), (y, hy) = sorted((move[a, ha], move[b, hb]))
             image[a, b, ha, hb] = x, y, hx, hy
         perms.append([world.index[tuple(sorted(map(image.__getitem__, d.edges)))] for d in world])
-    return _orbits(perms, len(world))
+    return perms
 
 
 def diagram_to_json(diagram: WebDiagram) -> dict:

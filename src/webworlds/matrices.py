@@ -17,13 +17,22 @@ them into IntPolynomial and Fraction objects for output only.
   entry of N N is at most n B^2 and every entry of L N at most L B in
   size, for B = max |N[i][j]|; with both below 2^(w-1) the base-2^w digits
   are unique, and the packed integers are equal exactly when every entry is.
-- If R^2 = R, then rank(R) + rank(I - R) = n over Q, and no rank mod a
-  prime exceeds the rank over Q. So rank_p(N) + rank_p(L I - N) = n for
-  p = 2^24 - 3 proves rank(R) = rank_p(N), whether or not p divides L.
-  Rows are packed into 64-bit fields that are not reduced after an
-  update, which stays below p + n p^2 < 2^64 while n <= 65536. If R is
-  not idempotent, the certificate falls short or a field could overflow,
-  the rank comes from Bareiss elimination of N instead.
+- Both checks run on two blocks of N. A world's R commutes with the flip
+  f of the members, R[fa][fb] = R[a][b], so R keeps the spans of the
+  vectors e_a + e_fa and of e_a - e_fa. In those bases R acts as
+  N+[a][b] = N[a][b] + N[a][fb] (N[a][b] when fb = b) over a <= fa, and
+  as N-[a][b] = N[a][b] - N[a][fb] over a < fa, both over L. R is
+  idempotent exactly when both blocks are, and rank R is the sum of
+  their ranks. A matrix with no flip, or whose flip fails the O(n^2)
+  check, takes f = identity: N+ = N and N- is empty.
+- If a block B is idempotent, then rank(B) + rank(I - B) = n_B over Q,
+  and no rank mod a prime exceeds the rank over Q. So rank_p(N_B) +
+  rank_p(L I - N_B) = n_B for p = 2^24 - 3 proves rank(B) = rank_p(N_B),
+  whether or not p divides L. Rows are packed into 64-bit fields that
+  are not reduced after an update, which stays below p + n p^2 < 2^64
+  while n <= 65536. If B is not idempotent, the certificate falls short
+  or a field could overflow, the block's rank comes from Bareiss
+  elimination instead.
 
 The trace sums the diagonal entries, so trace(R) = rank(R) compares two
 independent computations.
@@ -42,7 +51,7 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Sequence
@@ -51,6 +60,8 @@ from .diagram import (
     DEFAULT_WORLD_GUARD,
     WebDiagram,
     WebWorld,
+    _orbits,
+    _symmetry_generators,
     _symmetry_orbits,
     json_int,
     peg_slots,
@@ -200,12 +211,14 @@ class WorldMatrix:
     Every cell is held as exact integers. A polynomial matrix holds per
     cell the tuple of x^k coefficients, all of one length, and its
     denominator is 1; a rational matrix holds integer numerators over
-    `denominator`.
+    `denominator`. `flip`, a permutation of the members, splits the
+    structure checks into blocks (see the module docstring).
     """
 
     rows: tuple[tuple, ...]
     denominator: int = 1
     polynomial: bool = False
+    flip: Sequence[int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))
@@ -254,8 +267,43 @@ class WorldMatrix:
         return tuple(tuple(map(cells.__getitem__, row)) for row in self.rows)
 
     @cached_property
-    def _idempotent(self) -> bool:
-        return _squares_to_itself(self.rows, self.denominator)
+    def _blocks(self) -> tuple[list[list[int]], list[list[int]]]:
+        """N+ and N- of the flip split, from the identity if the flip fails."""
+        rows = self.rows
+        n = len(rows)
+        f = self.flip
+        commutes = (
+            f is not None
+            and sorted(f) == list(range(n))
+            and all(f[f[a]] == a for a in range(n))
+            # row fa read at the columns fb is row a
+            and all(map(operator.eq, map(_picker(f), map(rows.__getitem__, f)), rows))
+        )
+        if not commutes:
+            f = range(n)
+        plus = [a for a in range(n) if a <= f[a]]
+        minus = [a for a in plus if a < f[a]]
+        # a fixed column reads the appended zero as its partner
+        partner = [f[b] if b < f[b] else n for b in plus]
+        high = [f[b] for b in minus]
+
+        def block(members: list[int], op, partners: list[int]) -> list[list[int]]:
+            first, second = _picker(members), _picker(partners)
+            return [list(map(op, first(r), second(r))) for r in (rows[a] + (0,) for a in members)]
+
+        return block(plus, operator.add, partner), block(minus, operator.sub, high)
+
+    @cached_property
+    def _idempotent(self) -> tuple[bool, bool]:
+        """Whether each block of `_blocks` squares to itself."""
+        return tuple(_squares_to_itself(block, self.denominator) for block in self._blocks)
+
+
+def _picker(indices: Sequence[int]):
+    """The function taking a row to the tuple of its cells at `indices`."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
 
 
 def _sum_entry(matrix: WorldMatrix, cells) -> IntPolynomial | Fraction:
@@ -308,24 +356,34 @@ def mixing_from_polynomial(poly: IntPolynomial) -> Fraction:
     return from_counts([[poly.coeffs or (0,)]])[1].entries[0][0]
 
 
-def from_counts(counts: Sequence[Sequence[tuple[int, ...]]]) -> tuple[WorldMatrix, WorldMatrix]:
+def from_counts(
+    counts: Sequence[Sequence[tuple[int, ...]]],
+    orbits: list[list[tuple[int, int, list[int]]]] | None = None,
+    flip: Sequence[int] | None = None,
+) -> tuple[WorldMatrix, WorldMatrix]:
     """Colouring and mixing matrices from per-cell colouring counts.
 
     counts[i][j][k], for k = 0..e, counts the surjective k-colourings of
     row diagram i that reconstruct to column diagram j; it is M's cell.
     R's cell sends x^k to (-1)^(k-1)/k, which integrates -M(-x)/x over
-    [0, 1] term by term, as one numerator over L = lcm(1..e).
+    [0, 1] term by term, as one numerator over L = lcm(1..e). Each
+    orbit's first row is weighed cell by cell, and every later row reads
+    an earlier one through the orbit step's permutation, as M's rows were
+    filled; without `orbits` every row is weighed. Both matrices get `flip`.
     """
     edge_count = len(counts[0][0]) - 1
     denom = math.lcm(*range(1, edge_count + 1))
     weights = [0] + [(-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)]
     # a world has few distinct count vectors, so each is weighed once
-    numerators = {
-        cell: sum(map(operator.mul, weights, cell))
-        for cell in set(itertools.chain.from_iterable(counts))
-    }
-    mixing = [tuple(map(numerators.__getitem__, row)) for row in counts]
-    return WorldMatrix(counts, polynomial=True), WorldMatrix(mixing, denom)
+    numerators: dict[tuple[int, ...], int] = {}
+    mixing: list = [None] * len(counts)
+    for (rep, _rep, _perm), *steps in orbits or [[(i, i, [])] for i in range(len(counts))]:
+        new = set(counts[rep]).difference(numerators)
+        numerators.update((cell, sum(map(operator.mul, weights, cell))) for cell in new)
+        mixing[rep] = tuple(map(numerators.__getitem__, counts[rep]))
+        for row, source, perm in steps:
+            mixing[row] = operator.itemgetter(*perm)(mixing[source])
+    return WorldMatrix(counts, polynomial=True, flip=flip), WorldMatrix(mixing, denom, flip=flip)
 
 
 def _unpack(vec: int, bits: int, edge_count: int) -> tuple[int, ...]:
@@ -725,23 +783,22 @@ def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None
         raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
 
 
-def _world_counts(world: WebWorld, max_entries: int) -> list[Sequence[tuple[int, ...]]]:
+def _world_counts(
+    world: WebWorld, orbits: list[list[tuple[int, int, list[int]]]]
+) -> list[Sequence[tuple[int, ...]]]:
     """Per row and column, the colouring counts by number of colours.
 
-    The subset DP computes one row per orbit of `_symmetry_orbits`, and
+    The subset DP computes one row per orbit of the symmetry group, and
     every other row of the orbit reads an earlier row at the columns a
     generator permutes: M(x, k) = M(g x, g k). Equal count vectors share
     one tuple.
     """
     size = len(world)
-    check_entry_guard(size, max_entries)
-    if world.edge_count == 0:
-        raise BadRange("matrices are defined for worlds with at least one edge")
     dp = _SubsetDP(world)
     zero = (0,) * (world.edge_count + 1)
     counts: list[Sequence[tuple[int, ...]] | None] = [None] * size
     unpacked: dict[int, tuple[int, ...]] = {}
-    for (rep, _rep, _perm), *steps in _symmetry_orbits(world):
+    for (rep, _rep, _perm), *steps in orbits:
         cells = [zero] * size
         for target, vec in dp.row(world[rep]).items():
             cell = unpacked.get(vec)
@@ -759,7 +816,13 @@ def world_matrices(
     world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD
 ) -> tuple[WorldMatrix, WorldMatrix]:
     """Colouring and mixing matrices from one pass of colouring counts."""
-    return from_counts(_world_counts(world, max_entries))
+    check_entry_guard(len(world), max_entries)
+    if world.edge_count == 0:
+        raise BadRange("matrices are defined for worlds with at least one edge")
+    generators = _symmetry_generators(world)
+    orbits = _orbits(generators, len(world))
+    # the flip is the first generator
+    return from_counts(_world_counts(world, orbits), orbits, generators[0])
 
 
 def _require_rational(matrix: WorldMatrix, what: str) -> None:
@@ -768,15 +831,15 @@ def _require_rational(matrix: WorldMatrix, what: str) -> None:
 
 
 def is_idempotent(matrix: WorldMatrix) -> bool:
-    """Exact check that the matrix squares to itself, by packed rows."""
+    """Exact check that the matrix squares to itself, by packed block rows."""
     _require_rational(matrix, "idempotence")
-    return matrix._idempotent
+    return all(matrix._idempotent)
 
 
 def _squares_to_itself(rows: list[list[int]], denom: int) -> bool:
     """N N == L N, with each row of N packed into one integer."""
     values = set().union(*rows)
-    bound = max(map(abs, values))
+    bound = max(map(abs, values), default=0)
     width = max(len(rows) * bound * bound, denom * bound).bit_length() + 1
     # whole bytes per field; a value v is stored as v + 2^(8 size - 1)
     size = (width + 7) // 8
@@ -851,16 +914,21 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 
 def rank(matrix: WorldMatrix) -> int:
-    """Exact rank: certified modular elimination if the matrix is
-    idempotent, Bareiss elimination otherwise (see the module docstring)."""
+    """Exact rank, the sum over the flip blocks: certified modular
+    elimination of an idempotent block, Bareiss elimination of any other
+    (see the module docstring)."""
     _require_rational(matrix, "rank")
-    rows = matrix.rows
-    if matrix._idempotent:
+    return sum(map(partial(_block_rank, denom=matrix.denominator), matrix._blocks, matrix._idempotent))
+
+
+def _block_rank(rows: list[list[int]], idempotent: bool, denom: int) -> int:
+    """Rank of N: the certificate if N / denom is idempotent, else Bareiss."""
+    if idempotent:
         found = _rank_mod_p(rows)
         if found is not None:
             complement = [list(map(operator.neg, row)) for row in rows]
             for i, row in enumerate(complement):
-                row[i] += matrix.denominator
+                row[i] += denom
             if _rank_mod_p(complement) == len(rows) - found:
                 return found
     return _bareiss_rank(rows)

@@ -11,13 +11,15 @@ descents drive the closed forms for diagonal matrix entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, _compressed
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial, transitive_closure
+from .matrices import IntPolynomial, _peg_orders, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -25,66 +27,84 @@ class Block:
     """One indecomposable component of a diagram.
 
     `edges` are the component's edges as they appear in the parent
-    diagram; `normalized` is their height-compressed subweb (None for
-    posets built without an underlying diagram).
+    diagram, which has `num_pegs` pegs (0 for posets built without an
+    underlying diagram); `normalized` is their height-compressed subweb,
+    built on first use (None without a diagram).
     """
 
     label: int
     edges: tuple[Edge, ...]
-    normalized: WebDiagram | None
+    num_pegs: int = 0
+
+    @cached_property
+    def normalized(self) -> WebDiagram | None:
+        return _compressed(self.edges, self.num_pegs) if self.num_pegs else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecompositionPoset:
-    """Blocks labeled 1..k with a reflexive-transitive order matrix.
+    """Blocks labeled 1..k with their order as bitmask rows.
 
+    Bit j of `up[i]` says that block i + 1 strictly precedes block j + 1.
     The labeling is natural: whenever block i strictly precedes block j
-    in the order, i < j.
+    in the order, i < j. `DecompositionPoset(blocks, leq)` takes a
+    reflexive-transitive order matrix and checks it; `leq` gives that
+    matrix back.
     """
 
     blocks: tuple[Block, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        k = len(self.blocks)
-        if len(self.leq) != k or any(len(row) != k for row in self.leq):
+    def __init__(self, blocks: tuple[Block, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
+        k = len(blocks)
+        if len(leq) != k or any(len(row) != k for row in leq):
             raise BadRange("order matrix shape does not match the block count")
         for i in range(k):
-            if not self.leq[i][i]:
+            if not leq[i][i]:
                 raise BadRange("order matrix must be reflexive")
             for j in range(k):
-                if i != j and self.leq[i][j]:
-                    if self.leq[j][i]:
+                if i != j and leq[i][j]:
+                    if leq[j][i]:
                         raise BadRange("order matrix must be antisymmetric")
                     if i > j:
                         raise BadRange("labeling is not natural (strict relation goes downward)")
                     for t in range(k):
-                        if self.leq[j][t] and not self.leq[i][t]:
+                        if leq[j][t] and not leq[i][t]:
                             raise BadRange("order matrix must be transitive")
+        up = tuple(sum(1 << j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(leq))
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "up", up)
+
+    @classmethod
+    def _valid(cls, blocks: tuple[Block, ...], up: tuple[int, ...]) -> "DecompositionPoset":
+        """A poset whose rows are a natural strict order by construction: not checked."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "blocks", blocks)
+        object.__setattr__(poset, "up", up)
+        return poset
 
     @property
     def size(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        return _order_matrix(self.up)
+
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         """All strict relations as 1-based (smaller, larger) label pairs."""
         return tuple(
-            (i + 1, j + 1)
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j and self.leq[i][j]
+            (i + 1, j + 1) for i, row in enumerate(self.up) for j in range(self.size) if row >> j & 1
         )
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """Strict pairs with no strict element in between (Hasse edges)."""
-        strict = set(self.strict_pairs())
-        return tuple(
-            sorted(
-                (a, b)
-                for a, b in strict
-                if not any((a, t) in strict and (t, b) in strict for t in range(a + 1, b))
-            )
-        )
+        up = self.up
+        pairs = []
+        for i, row in enumerate(up):
+            covers = row & ~_union(up, row)
+            pairs += [(i + 1, j + 1) for j in range(self.size) if covers >> j & 1]
+        return tuple(pairs)
 
     @cached_property
     def descent_histogram(self) -> tuple[int, ...]:
@@ -96,7 +116,11 @@ class DecompositionPoset:
         field exceeds the k! extensions.
         """
         k = self.size
-        lower = [sum(1 << u for u in range(k) if u != v and self.leq[u][v]) for v in range(k)]
+        lower = [0] * k
+        for u, row in enumerate(self.up):
+            for v in range(u + 1, k):
+                if row >> v & 1:
+                    lower[v] |= 1 << u
         width = math.factorial(k).bit_length()
         level: dict[int, dict[int, int]] = {0: {-1: 1}}
         for _ in range(k):
@@ -113,6 +137,24 @@ class DecompositionPoset:
         field = (1 << width) - 1
         return tuple(total >> (width * d) & field for d in range(max(k, 1)))
 
+    @cached_property
+    def repeated_blocks(self) -> bool:
+        """Whether two blocks have the same normalized subweb.
+
+        Such blocks run over the same peg pairs, so only blocks with equal
+        peg-pair lists are compared; in a diagram without parallel edges
+        no two blocks share a peg pair.
+        """
+        by_pairs: dict[tuple, list[Block]] = {}
+        for block in self.blocks:
+            if block.edges:
+                by_pairs.setdefault(tuple(map(_peg_pair, block.edges)), []).append(block)
+        return any(
+            len({b.normalized.edges for b in group}) < len(group)
+            for group in by_pairs.values()
+            if len(group) > 1
+        )
+
     @classmethod
     def from_relations(cls, size: int, relations) -> "DecompositionPoset":
         """Build an abstract poset from 1-based generating pairs."""
@@ -122,11 +164,14 @@ class DecompositionPoset:
                 raise BadRange(f"relation ({a},{b}) is not a strict pair within 1..{size}")
             rows[a - 1] |= 1 << (b - 1)
         transitive_closure(rows)
-        blocks = tuple(Block(i + 1, (), None) for i in range(size))
+        blocks = tuple(Block(i + 1, ()) for i in range(size))
         return cls(blocks, _order_matrix(rows))
 
 
-def _order_matrix(rows: list[int]) -> tuple[tuple[bool, ...], ...]:
+_peg_pair = operator.itemgetter(0, 1)
+
+
+def _order_matrix(rows: Sequence[int]) -> tuple[tuple[bool, ...], ...]:
     """Reflexive boolean matrix of a relation given as bitmask rows."""
     k = len(rows)
     return tuple(
@@ -134,22 +179,7 @@ def _order_matrix(rows: list[int]) -> tuple[tuple[bool, ...], ...]:
     )
 
 
-def _edge_below_rows(edges: tuple[Edge, ...]) -> list[int]:
-    """Bit j of row i: an endpoint of edge i sits below one of edge j on a shared peg."""
-    per_peg: dict[int, list[tuple[int, int]]] = {}
-    for i, e in enumerate(edges):
-        per_peg.setdefault(e.left_peg, []).append((e.left_height, i))
-        per_peg.setdefault(e.right_peg, []).append((e.right_height, i))
-    below = [0] * len(edges)
-    for slots in per_peg.values():
-        above = 0
-        for _, i in sorted(slots, reverse=True):
-            below[i] |= above
-            above |= 1 << i
-    return below
-
-
-def _union(rows: list[int], members: int) -> int:
+def _union(rows: Sequence[int], members: int) -> int:
     """Bitwise or of the rows whose index is a bit of `members`."""
     out = 0
     for i, row in enumerate(rows):
@@ -158,43 +188,71 @@ def _union(rows: list[int], members: int) -> int:
     return out
 
 
-def _decompose(diagram: WebDiagram) -> tuple[tuple[Block, ...], list[int], list[int]]:
-    """Blocks in label order, each block's edge bitmask, and edge reachability.
+def decomposition_poset(diagram: WebDiagram) -> DecompositionPoset:
+    """The blocks of `decompose` in label order and their order as bitmask rows.
 
     Edge e reaches e' when a chain of below-steps leads from e to e';
-    blocks are the strongly connected components of that relation.
+    blocks are the strongly connected components of that relation, and
+    block a precedes block b when an edge of a reaches an edge of b.
+    Reachability is already transitive, and a path between blocks passes
+    through whole components, so no second closure is needed.
     """
     if diagram.edge_count == 0:
         raise BadRange("cannot decompose an empty diagram")
     edges = diagram.edges
     count = len(edges)
-    below = _edge_below_rows(edges)
-    reach = transitive_closure(below[:])
-    components = list(
-        dict.fromkeys(
-            sum(1 << j for j in range(count) if j == i or reach[i] >> j & reach[j] >> i & 1)
-            for i in range(count)
-        )
-    )
-    outs = [_union(below, members) & ~members for members in components]
-    preds = [sum(1 << d for d, out in enumerate(outs) if out & members) for members in components]
-    # an edge's lowest endpoint is its left one, since left_peg < right_peg
-    lowest = [
-        min((e.left_peg, e.left_height) for i, e in enumerate(edges) if members >> i & 1)
-        for members in components
-    ]
+    below = [0] * count
+    for order in _peg_orders(diagram):
+        above = 0
+        for i in reversed(order):
+            below[i] |= above
+            above |= 1 << i
+    reach = transitive_closure(below)
+    # an edge on a cycle reaches itself and shares its block with every
+    # edge it reaches and is reached by; any other edge is a block alone
+    component = [-1] * count
+    members: list[int] = []
+    for i, row in enumerate(reach):
+        if component[i] < 0:
+            mask = 1 << i
+            if row >> i & 1:
+                for j in range(i + 1, count):
+                    if row >> j & reach[j] >> i & 1:
+                        mask |= 1 << j
+                        component[j] = len(members)
+            component[i] = len(members)
+            members.append(mask)
+    # the components that each one reaches and the components before it
+    after = [0] * len(members)
+    before = [0] * len(members)
+    for c, mask in enumerate(members):
+        out = _union(reach, mask) & ~mask
+        while out:
+            d = component[(out & -out).bit_length() - 1]
+            after[c] |= 1 << d
+            before[d] |= 1 << c
+            out &= ~members[d]
+    # priority-Kahn order: an edge's lowest endpoint is its left one, since
+    # left_peg < right_peg, so candidates are the components in the order
+    # of their edges' lowest left endpoints
+    lowest = sorted((e.left_peg, e.left_height, i) for i, e in enumerate(edges))
+    pending = list(dict.fromkeys(component[i] for _peg, _height, i in lowest))
     order: list[int] = []
     done = 0
-    while len(order) < len(components):
-        ready = (c for c, p in enumerate(preds) if not done >> c & 1 and not p & ~done)
-        current = min(ready, key=lowest.__getitem__)
+    while pending:
+        current = next(c for c in pending if not before[c] & ~done)
+        pending.remove(current)
         order.append(current)
         done |= 1 << current
-    blocks = []
-    for label, c in enumerate(order, 1):
-        block_edges = tuple(e for i, e in enumerate(edges) if components[c] >> i & 1)
-        blocks.append(Block(label, block_edges, _compressed(block_edges, diagram.num_pegs)))
-    return tuple(blocks), [components[c] for c in order], reach
+    grouped: list[list] = [[] for _ in members]
+    for i, e in enumerate(edges):
+        grouped[component[i]].append(e)
+    label = [0] * len(members)
+    for b, c in enumerate(order):
+        label[c] = b
+    blocks = tuple(Block(b, tuple(grouped[c]), diagram.num_pegs) for b, c in enumerate(order, 1))
+    up = tuple(sum(1 << label[d] for d in order if after[c] >> d & 1) for c in order)
+    return DecompositionPoset._valid(blocks, up)
 
 
 def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
@@ -206,30 +264,13 @@ def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
     of the block order, so stacking the blocks in label order rebuilds
     the diagram.
     """
-    return _decompose(diagram)[0]
-
-
-def decomposition_poset(diagram: WebDiagram) -> DecompositionPoset:
-    """Blocks of `decompose` ordered by edge reachability.
-
-    Block a precedes block b when an edge of a reaches an edge of b.
-    Reachability is already transitive, and a path between blocks passes
-    through whole components, so no second closure is needed.
-    """
-    blocks, members, reach = _decompose(diagram)
-    rows = []
-    for block_members in members:
-        out = _union(reach, block_members)
-        rows.append(sum(1 << b for b, other in enumerate(members) if out & other))
-    return DecompositionPoset(blocks, _order_matrix(rows))
+    return decomposition_poset(diagram).blocks
 
 
 def linear_extensions(poset: DecompositionPoset) -> tuple[tuple[int, ...], ...]:
     """Every order-preserving arrangement of the block labels."""
     k = poset.size
-    predecessors = [
-        [i for i in range(k) if i != j and poset.leq[i][j]] for j in range(k)
-    ]
+    predecessors = [[i for i in range(k) if poset.up[i] >> j & 1] for j in range(k)]
     out: list[tuple[int, ...]] = []
     used = [False] * k
     sequence: list[int] = []
@@ -280,14 +321,8 @@ def surjective_order_preserving_count(poset: DecompositionPoset, m: int) -> int:
 
 
 def _require_distinct_blocks(poset: DecompositionPoset) -> None:
-    seen = set()
-    for block in poset.blocks:
-        if block.normalized is None:
-            continue
-        key = (block.normalized.edges, block.normalized.num_pegs)
-        if key in seen:
-            raise RepeatedBlocks("two blocks are identical; diagonal closed forms do not apply")
-        seen.add(key)
+    if poset.repeated_blocks:
+        raise RepeatedBlocks("two blocks are identical; diagonal closed forms do not apply")
 
 
 def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
@@ -313,12 +348,14 @@ def diagonal_mixing_value(poset: DecompositionPoset) -> Fraction:
     p = poset.size
     if p < 1:
         raise BadRange("poset must have at least one block")
-    return sum(
-        (
-            Fraction((-1) ** d * count, p * math.comb(p - 1, d))
+    # sum over d of (-1)^d count_d / (p C(p - 1, d)), over one denominator
+    denom = p * math.lcm(*(math.comb(p - 1, d) for d in range(p)))
+    return Fraction(
+        sum(
+            (-1) ** d * count * (denom // (p * math.comb(p - 1, d)))
             for d, count in enumerate(poset.descent_histogram)
         ),
-        Fraction(0),
+        denom,
     )
 
 

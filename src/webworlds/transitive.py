@@ -10,12 +10,21 @@ these worlds easy to count.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .diagram import json_int_rows
-from .enumeration import Rows, enumerate_worlds, peg_loads, validate_represent
+from .enumeration import (
+    Rows,
+    _check_series_work,
+    _series_product,
+    enumerate_worlds,
+    peg_loads,
+    validate_represent,
+)
 from .errors import BadRange, BoundsTooLarge, IsolatedPeg, NotTransitive
 
+# bounds the listing only; the count comes from a series
 TRANSITIVE_EDGE_GUARD = 6
 
 
@@ -101,5 +110,23 @@ def transitive_matrices(edges: int) -> tuple[Rows, ...]:
 
 
 def count_transitive(edges: int) -> int:
-    """Number of transitive web worlds with the given edge count."""
-    return len(transitive_matrices(edges))
+    """Number of transitive web worlds with the given edge count.
+
+    Their cores are the upper-triangular non-negative matrices with no
+    zero row or column, which the Fishburn numbers count by entry sum
+    (Dukes and Parviainen 2010): the coefficient of x^edges in Zagier's
+    series sum_n prod_{i=1..n} (1 - (1 - x)^i). Every factor starts at x,
+    so the terms with n > edges vanish there. The series is truncated at
+    x^edges, and its multiply-adds must stay within DEFAULT_WORK_GUARD.
+    """
+    if edges < 1:
+        raise BadRange("a transitive world needs at least one edge")
+    _check_series_work(edges, edges, 0)
+    # series in x alone, as one-column arrays: product[k][0] is its x^k term
+    product = [[1]] + [[0] for _ in range(edges)]
+    total = 0
+    for i in range(1, edges + 1):
+        factor = [[0]] + [[(-1) ** (k + 1) * math.comb(i, k)] for k in range(1, edges + 1)]
+        product = _series_product(product, factor)
+        total += product[edges][0]
+    return total

@@ -687,6 +687,17 @@ def suite_transitive() -> list[CheckResult]:
             f"edge counts 1, 2, 3 give {counts} transitive worlds (expected [1, 2, 5])",
         )
     )
+    series = [transitive.count_transitive(t) for t in range(1, 10)]
+    listed = [len(transitive.transitive_matrices(t)) for t in range(1, 6)]
+    ascents = [_ascent_sequences(t) for t in range(1, 10)]
+    results.append(
+        CheckResult(
+            "census matches the Fishburn series",
+            series[:5] == listed and series == ascents,
+            f"the series gives {series} for 1..9 edges: the listing for <= 5 edges "
+            "and the ascent sequences of each length agree",
+        )
+    )
     expected = {
         ((0, 3), (0, 0)),
         ((0, 2, 0), (0, 0, 1), (0, 0, 0)),
@@ -732,6 +743,22 @@ def suite_transitive() -> list[CheckResult]:
         )
     )
     return results
+
+
+def _ascent_sequences(length: int) -> int:
+    """Ascent sequences of the given length, listed one by one.
+
+    x_1 = 0, and each later x_i is at most one more than the number of
+    ascents x_j < x_(j+1) before it (Bousquet-Melou, Claesson, Dukes and
+    Kitaev 2010).
+    """
+
+    def extend(size: int, last: int, ascents: int) -> int:
+        if size == length:
+            return 1
+        return sum(extend(size + 1, x, ascents + (x > last)) for x in range(ascents + 2))
+
+    return extend(1, 0, 0)
 
 
 SUITES = {

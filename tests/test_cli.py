@@ -315,7 +315,9 @@ def test_matrix_exports_match_pinned_digests(capsys, command, kind, fmt):
 def test_guard_violations_exit_three(capsys):
     code, _, err = run(capsys, "world", "--input", PATH4_JSON, "--max-size", "2")
     assert code == 3
-    code, _, err = run(capsys, "transitive", "--edges", "9")
+    code, _, err = run(capsys, "transitive", "--edges", "9", "--list")
+    assert code == 3
+    code, _, err = run(capsys, "transitive", "--edges", "1000")
     assert code == 3
 
 

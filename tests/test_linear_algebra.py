@@ -1,4 +1,4 @@
-"""Row sums, traces, idempotence and rank on the exact integer rows.
+"""Row sums, traces, idempotence and rank on the exact integer rows and flip blocks.
 
 Oracles: plain Fraction arithmetic on the entries (a row-by-row sum, the
 product R R, and Gauss elimination in conftest) on every world with at
@@ -6,6 +6,7 @@ most 4 pegs and 4 edges, on small fan, chain and cycle worlds, and on
 their closed-form matrices.
 """
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -24,9 +25,17 @@ from webworlds import (
     web_world,
     world_matrices,
 )
-from webworlds import matrices
+from webworlds import enumeration, matrices
+from webworlds.diagram import predicted_world_size
+from webworlds.matrices import ordered_bell_polynomial
 
 from conftest import fraction_rank, small_worlds
+
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test needs hypothesis; the rest do not
+    given = None
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +70,51 @@ def test_rank_and_idempotence_match_fraction_oracles(world_pairs, case_pairs):
         assert fraction_square_is_self(mix.entries), name
         assert is_idempotent(mix), name
         assert rank(mix) == fraction_rank(mix.entries), name
+
+
+def fraction_block(rows, denom):
+    return [[Fraction(v, denom) for v in row] for row in rows]
+
+
+def test_flip_blocks_match_fraction_oracles(world_pairs):
+    split = 0
+    for name, (_poly, mix) in world_pairs:
+        plus, minus = mix._blocks
+        assert len(plus) + len(minus) == mix.size, name
+        # a world's R commutes with its flip, so every flip pair splits off
+        assert len(plus) - len(minus) == sum(1 for a, fa in enumerate(mix.flip) if a == fa), name
+        split += bool(minus)
+        ranks = []
+        for block, idempotent in zip(mix._blocks, mix._idempotent):
+            fractions = fraction_block(block, mix.denominator)
+            assert idempotent == fraction_square_is_self(fractions), name
+            ranks.append(matrices._block_rank(block, idempotent, mix.denominator))
+            assert ranks[-1] == fraction_rank(fractions), name
+        assert rank(mix) == sum(ranks) == fraction_rank(mix.entries), name
+    assert split > 100
+
+
+def with_mirror_change(mix, a, b, delta):
+    """R plus delta at (a, b) and at its flip image: R still commutes with the flip."""
+    rows = [list(row) for row in mix.rows]
+    for i, j in {(a, b), (mix.flip[a], mix.flip[b])}:
+        rows[i][j] += delta
+    return WorldMatrix(rows, mix.denominator, flip=mix.flip)
+
+
+def test_unsplit_matrices_take_the_identity(case_pairs):
+    _poly, fan = world_matrices(cases.fan_world(3))
+    rows = [list(row) for row in fan.rows]
+    a, b = 0, 1
+    assert (fan.flip[a], fan.flip[b]) != (a, b)
+    rows[a][b] += 1
+    samples = [("flip fails", WorldMatrix(rows, fan.denominator, flip=fan.flip))]
+    samples += [("from_entries", WorldMatrix.from_entries(fan.entries))]
+    samples += [(name, mix) for name, (_poly, mix) in case_pairs]
+    for name, matrix in samples:
+        plus, minus = matrix._blocks
+        assert plus == [list(row) for row in matrix.rows] and minus == [], name
+        assert rank(matrix) == fraction_rank(matrix.entries), name
 
 
 def test_structure_checks_build_no_entries():
@@ -146,16 +200,17 @@ def test_forced_short_certificate_still_gives_the_rank(monkeypatch, bareiss_call
     monkeypatch.setattr(matrices, "_rank_mod_p", lambda rows: 0)
     _poly, mix = world_matrices(cases.fan_world(4))
     assert rank(mix) == fraction_rank(mix.entries) == 6
-    assert bareiss_calls == [24]
+    # one elimination per flip block: fan 4's 24 members are 12 flip pairs
+    assert bareiss_calls == [12, 12]
 
 
 def test_possible_field_overflow_falls_back_to_bareiss(monkeypatch, bareiss_calls):
     # with a 31-bit prime, n p^2 no longer fits 64 bits from n = 4 on
     monkeypatch.setattr(matrices, "_PRIME", (1 << 31) - 1)
-    _poly, mix = world_matrices(cases.fan_world(3))
-    assert matrices._rank_mod_p(mix.rows) is None
-    assert rank(mix) == fraction_rank(mix.entries) == 2
-    assert bareiss_calls == [6]
+    _poly, mix = world_matrices(cases.fan_world(4))
+    assert all(matrices._rank_mod_p(block) is None for block in mix._blocks)
+    assert rank(mix) == fraction_rank(mix.entries) == 6
+    assert bareiss_calls == [12, 12]
 
 
 def test_modular_rank_alone_can_undercount():
@@ -190,3 +245,35 @@ def test_single_entry_changes_break_idempotence(world):
             changed[i][j] += delta
             assert not fraction_square_is_self(changed)
             assert not is_idempotent(WorldMatrix.from_entries(changed)), (i, j, delta)
+            # the same change at the flip image keeps the flip split
+            mirrored = with_mirror_change(mix, i, j, int(delta / step))
+            assert mirrored._blocks[1], (i, j)
+            assert not fraction_square_is_self(mirrored.entries)
+            assert not is_idempotent(mirrored), (i, j, delta)
+            assert rank(mirrored) == fraction_rank(mirrored.entries), (i, j, delta)
+
+
+if given is not None:
+
+    @st.composite
+    def small_world(draw):
+        pegs = draw(st.integers(2, 4))
+        pairs = list(itertools.combinations(range(pegs), 2))
+        counts = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+        assume(0 < sum(counts) <= 5)
+        rows = [[0] * pegs for _ in range(pegs)]
+        for (a, b), count in zip(pairs, counts):
+            rows[a][b] = count
+        diagram = enumeration.seed_diagram(enumeration.validate_represent(rows))
+        assume(predicted_world_size(diagram) <= 48)
+        return web_world(diagram)
+
+    @settings(max_examples=30, deadline=5000)
+    @given(small_world())
+    def test_structure_laws_property(world):
+        poly, mix = world_matrices(world)
+        edges = world.edge_count
+        assert set(row_sums(poly)) == {ordered_bell_polynomial(edges)}
+        assert set(row_sums(mix)) == {Fraction(edges == 1)}
+        assert is_idempotent(mix) and fraction_square_is_self(mix.entries)
+        assert trace(mix) == rank(mix) == fraction_rank(mix.entries)

@@ -4,7 +4,9 @@ Oracle: order-preserving maps counted by filtering every function
 [k] -> [m] directly.
 """
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +31,9 @@ from webworlds import (
     world_matrices,
     world_posets,
 )
-from webworlds.errors import LabelNotOne, RepeatedBlocks
+from webworlds.errors import BadRange, LabelNotOne, RepeatedBlocks
+
+from conftest import small_worlds
 
 CHAIN2 = DecompositionPoset.from_relations(2, ((1, 2),))
 ANTICHAIN2 = DecompositionPoset.from_relations(2, ())
@@ -189,3 +193,59 @@ def test_nine_edge_poset_cover_relations(nine_edge):
         (4, 5),
         (6, 7),
     )
+
+
+# sha256 of the JSON list, over every member of every small world in world
+# order, of [leq as 0/1 rows, cover pairs, poset_to_json, descent histogram],
+# as the posets were before their order became bitmask rows
+SMALL_WORLD_POSETS_SHA256 = "c5ac7518bea7a09bc72f9331dd6b37308a2b4ff4c2f02a85ab780e62a71c6036"
+
+
+def test_member_posets_are_valid_and_unchanged():
+    rows = []
+    for name, world in small_worlds():
+        for member in world:
+            poset = decomposition_poset(member)
+            # the checking constructor accepts the order and gives back the same rows
+            assert DecompositionPoset(poset.blocks, poset.leq) == poset, name
+            rows.append(
+                [
+                    [list(map(int, row)) for row in poset.leq],
+                    poset.cover_pairs(),
+                    poset_to_json(poset),
+                    poset.descent_histogram,
+                ]
+            )
+    assert len(rows) == 1792
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == SMALL_WORLD_POSETS_SHA256
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [
+        ((True, False), (False, False)),
+        ((True, True), (True, True)),
+        ((True, False), (True, True)),
+        ((True, True, False), (False, True, True), (False, False, True)),
+        ((True, True),),
+    ],
+    ids=["not reflexive", "not antisymmetric", "not natural", "not transitive", "shape"],
+)
+def test_direct_construction_checks_the_order(leq):
+    with pytest.raises(BadRange):
+        DecompositionPoset(ANTICHAIN3.blocks[: len(leq[0])], leq)
+
+
+def test_repeated_blocks_need_equal_peg_pairs():
+    # two crossed pairs on pegs 1 and 2: identical blocks
+    twice = validate_diagram(((1, 2, 1, 2), (1, 2, 2, 1), (1, 2, 3, 4), (1, 2, 4, 3)))
+    poset = decomposition_poset(twice)
+    assert poset.size == 2 and poset.repeated_blocks
+    with pytest.raises(RepeatedBlocks):
+        diagonal_mixing_value(poset)
+    # a crossed pair and a single edge share a peg pair but not the pair list
+    once = validate_diagram(((1, 2, 1, 2), (1, 2, 2, 1), (1, 2, 3, 3)))
+    poset = decomposition_poset(once)
+    assert poset.size == 2 and not poset.repeated_blocks
+    assert diagonal_colouring_polynomial(poset) == IntPolynomial((0, 1, 1))

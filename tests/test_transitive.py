@@ -40,6 +40,12 @@ def test_is_transitive_requires_no_isolated_pegs():
 
 def test_counts_follow_the_known_sequence():
     assert [count_transitive(t) for t in (1, 2, 3, 4, 5)] == [1, 2, 5, 15, 53]
+    assert [len(transitive_matrices(t)) for t in (1, 2, 3, 4, 5)] == [1, 2, 5, 15, 53]
+
+
+def test_counts_are_the_fishburn_numbers():
+    fishburn = [217, 1014, 5335, 31240, 201608, 1422074, 10886503]
+    assert [count_transitive(t) for t in range(6, 13)] == fishburn
 
 
 def test_three_edge_matrices_are_the_pinned_five():
@@ -49,8 +55,14 @@ def test_three_edge_matrices_are_the_pinned_five():
 def test_edge_guards():
     with pytest.raises(BadRange):
         count_transitive(0)
+    with pytest.raises(BadRange):
+        transitive_matrices(0)
+    # the listing is bounded by edges, the series count by its work
     with pytest.raises(BoundsTooLarge):
-        count_transitive(7)
+        transitive_matrices(7)
+    assert count_transitive(7) == 1014
+    with pytest.raises(BoundsTooLarge):
+        count_transitive(1000)
 
 
 def test_core_round_trip():
