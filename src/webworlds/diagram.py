@@ -262,21 +262,6 @@ def surjective_colourings(edge_count: int, colours: int) -> Iterator[Colouring]:
         yield Colouring(assignment, colours)
 
 
-def peg_slots(diagram: WebDiagram) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per peg, the endpoint list sorted by height.
-
-    Each endpoint is (edge_index, field) where field is the position of
-    that endpoint's height inside the edge tuple (2 = left, 3 = right).
-    """
-    per_peg: list[list[tuple[int, int, int]]] = [[] for _ in range(diagram.num_pegs)]
-    for idx, e in enumerate(diagram.edges):
-        per_peg[e.left_peg - 1].append((e.left_height, idx, 2))
-        per_peg[e.right_peg - 1].append((e.right_height, idx, 3))
-    return tuple(
-        tuple((idx, field) for _h, idx, field in sorted(lst)) for lst in per_peg
-    )
-
-
 def restack(edges: Sequence[Edge], num_pegs: int, assignment: Sequence[int]) -> tuple[Edge, ...]:
     """Stack the colour classes of an edge list in colour order.
 

@@ -37,11 +37,14 @@ them into IntPolynomial and Fraction objects for output only.
 The trace sums the diagonal entries, so trace(R) = rank(R) compares two
 independent computations.
 
-`world_traces` gets both traces with no matrix: a fixed-point DP over
-edge subsets when no peg pair carries parallel edges, and otherwise the
-diagonal cell of one member per symmetry orbit from the single-target
-kernel `_colouring_counts`, which also serves the single-entry functions.
-`world_matrices` stays the reference that both are checked against.
+`world_matrices` counts M by one subset pass per world, `_SubsetDP`,
+which reads one row per symmetry orbit off its last layer; the other
+rows are that row's columns permuted. `world_traces` gets both traces
+with no matrix: a fixed-point DP over edge subsets when no peg pair
+carries parallel edges, and otherwise the diagonal cell of one member per
+symmetry orbit from the single-target kernel `_colouring_counts`, which
+also serves the single-entry functions. `world_matrices` stays the
+reference that both are checked against.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagram import (
     DEFAULT_WORLD_GUARD,
@@ -64,7 +67,6 @@ from .diagram import (
     _symmetry_generators,
     _symmetry_orbits,
     json_int,
-    peg_slots,
     predicted_world_size,
     web_world,
 )
@@ -254,17 +256,8 @@ class WorldMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple, ...]:
-        """The cells as IntPolynomial or Fraction objects, for output.
-
-        A matrix has few distinct cells, so each is converted once and
-        the immutable entries are shared between cells.
-        """
-        if self.polynomial:
-            convert = IntPolynomial
-        else:
-            convert = partial(Fraction, denominator=self.denominator)
-        cells = {cell: convert(cell) for cell in set(itertools.chain.from_iterable(self.rows))}
-        return tuple(tuple(map(cells.__getitem__, row)) for row in self.rows)
+        """The cells as IntPolynomial or Fraction objects, for output."""
+        return tuple(map(tuple, _formed_rows(self)))
 
     @cached_property
     def _blocks(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -297,6 +290,16 @@ class WorldMatrix:
     def _idempotent(self) -> tuple[bool, bool]:
         """Whether each block of `_blocks` squares to itself."""
         return tuple(_squares_to_itself(block, self.denominator) for block in self._blocks)
+
+
+def _formed_rows(matrix: WorldMatrix, form=lambda entry: entry) -> Iterator[Iterator]:
+    """Per row, each cell as form(entry) for its IntPolynomial or Fraction.
+
+    A matrix has few distinct cells, so each is formed once and shared.
+    """
+    convert = IntPolynomial if matrix.polynomial else partial(Fraction, denominator=matrix.denominator)
+    cells = {cell: form(convert(cell)) for cell in set(itertools.chain.from_iterable(matrix.rows))}
+    return (map(cells.__getitem__, row) for row in matrix.rows)
 
 
 def _picker(indices: Sequence[int]):
@@ -377,12 +380,11 @@ def from_counts(
     # a world has few distinct count vectors, so each is weighed once
     numerators: dict[tuple[int, ...], int] = {}
     mixing: list = [None] * len(counts)
-    for (rep, _rep, _perm), *steps in orbits or [[(i, i, [])] for i in range(len(counts))]:
+    for (rep, _rep, _perm), *_steps in orbits or [[(i, i, [])] for i in range(len(counts))]:
         new = set(counts[rep]).difference(numerators)
         numerators.update((cell, sum(map(operator.mul, weights, cell))) for cell in new)
         mixing[rep] = tuple(map(numerators.__getitem__, counts[rep]))
-        for row, source, perm in steps:
-            mixing[row] = operator.itemgetter(*perm)(mixing[source])
+    _fill_orbits(mixing, orbits or [])
     return WorldMatrix(counts, polynomial=True, flip=flip), WorldMatrix(mixing, denom, flip=flip)
 
 
@@ -660,118 +662,126 @@ def world_traces(
 
 
 class _SubsetDP:
-    """Counts one row of a world's colouring matrix by a DP over edge subsets.
+    """Counts the requested rows of a world's colouring matrix in one pass over edge subsets.
 
     A surjective k-colouring is an ordered set partition B1..Bk of the
-    edges, and its reconstruction lists each peg's endpoints block by
-    block, in old height order within a block. So a pass over edge
-    subsets S in increasing bitmask order, keyed by the per-peg endpoint
-    sequence of S, counts the whole row at once: each nonempty B outside S
-    appends its own per-peg order and adds one block. The work is about
-    3^e transitions times the keys per subset, against Fubini(e)
-    colourings for direct enumeration.
-
-    A key packs, for each peg with two or more endpoints, the edge
-    indices of its endpoints in their new height order into fixed-width
-    bit fields. The slot that the next endpoint on a peg fills depends on
-    S alone, so a block's contribution is one OR. A count vector packs
-    its count per block number into fixed-width bit fields too, so adding
-    a block is one shift. Edge i runs between the same pegs in every
-    member, so a finished key names one target member for the whole world.
+    edges. Restacking sends an endpoint y on peg p in block B to height
+    1 + |S on p| + #{x on p in B below y in D}, for S the earlier blocks
+    and D the row diagram. So a pass over edge subsets S in increasing
+    bitmask order, keyed by the packed target heights of S's endpoints,
+    counts the rows: each nonempty B outside S adds |S on p| at its
+    endpoints on p, and each same-peg pair inside B adds one at its upper
+    endpoint in D. A pair in the same order in every requested row adds
+    this lift in the pass; a pair whose order differs sets a bit above the
+    heights instead, and `row` adds its lift for D. With one requested row
+    no pair varies. The work is about 3^e transitions times the keys per
+    subset, against Fubini(e) colourings per row for direct enumeration.
+    A count vector packs its count per block number into fixed-width bit
+    fields, so adding a block is one shift. Edge i runs between the same
+    pegs in every member, so finished heights name one target member.
     """
 
-    def __init__(self, world: WebWorld):
+    def __init__(self, world: WebWorld, rows: Sequence[WebDiagram]):
         first = world[0]
-        edge_count = first.edge_count
-        self.full = (1 << edge_count) - 1
-        self.width = max(1, (edge_count - 1).bit_length())
+        edge_count = self.edge_count = first.edge_count
+        full = (1 << edge_count) - 1
         # no count in a row exceeds the Fubini number, the row's total
-        self.block_bits = _fubini(edge_count).bit_length()
-        self.edge_count = edge_count
-        self.world = world
-        self.template = first.edges
-        slots = peg_slots(first)
-        # pegs with a single endpoint never react to a colouring
-        self.live = [p for p, lst in enumerate(slots) if len(lst) > 1]
-        self.masks = [sum(1 << idx for idx, _field in slots[p]) for p in self.live]
-        self.offsets: list[int] = []
-        offset = 0
-        for p in self.live:
-            self.offsets.append(offset)
-            offset += len(slots[p]) * self.width
-        # per subset S, the bit position of the next free slot on each peg
-        self.shifts = [
-            tuple(
-                off + self.width * (subset & mask).bit_count()
-                for off, mask in zip(self.offsets, self.masks)
-            )
-            for subset in range(self.full + 1)
-        ]
-        self.targets: dict[int, int] = {}
-
-    def _orders(self, diagram: WebDiagram) -> list[list[int]]:
-        """Per live peg and per edge subset B, B's packed per-peg order."""
-        slots = peg_slots(diagram)
-        width = self.width
-        tables = []
-        for p, peg_mask in zip(self.live, self.masks):
-            by_height = [idx for idx, _field in slots[p]]
-            packed = {0: 0}
-            for pick in range(1, 1 << len(by_height)):
-                mask = code = slot = 0
-                for pos, idx in enumerate(by_height):
-                    if pick >> pos & 1:
-                        mask |= 1 << idx
-                        code |= idx << (width * slot)
-                        slot += 1
-                packed[mask] = code
-            tables.append([packed[b & peg_mask] for b in range(self.full + 1)])
-        return tables
-
-    def row(self, diagram: WebDiagram) -> dict[int, int]:
-        """Target member index -> packed count vector of one row."""
-        full = self.full
-        bits = self.block_bits
-        shifts = self.shifts
-        orders = self._orders(diagram)
+        self.block_bits = bits = _fubini(edge_count).bit_length()
+        self.world, self.template = world, first.edges
+        by_peg: list[list[tuple[int, int]]] = [[] for _ in range(first.num_pegs)]
+        for idx, e in enumerate(first.edges):
+            by_peg[e.left_peg - 1].append((idx, 2))
+            by_peg[e.right_peg - 1].append((idx, 3))
+        # an endpoint alone on its peg stays at height 1 and gets no field
+        pegs = [ends for ends in by_peg if len(ends) > 1]
+        self.fields = [end for ends in pegs for end in ends]
+        self.width = width = max(1, (max(map(len, pegs), default=1) - 1).bit_length())
+        top = width * len(self.fields)
+        unit = {end: 1 << width * f for f, end in enumerate(self.fields)}
+        # per edge, (its peg's edge mask, its field's unit) per endpoint with a field
+        ends: list[list[tuple[int, int]]] = [[] for _ in range(edge_count)]
+        # per edge i, (j, the pair's lift) per edge j < i on a common peg
+        partners: list[list[tuple[int, int]]] = [[] for _ in range(edge_count)]
+        # per varying pair, its lift when the later edge is upper, and when the earlier is
+        self.lifts: list[tuple[int, int]] = []
+        self.orient = dict.fromkeys(rows, 0)
+        for peg in pegs:
+            mask = sum(1 << idx for idx, _side in peg)
+            for a, (i, i_side) in enumerate(peg):
+                ends[i].append((mask, unit[i, i_side]))
+                for j, j_side in peg[:a]:
+                    j_upper = [d.edges[j][j_side] > d.edges[i][i_side] for d in rows]
+                    if len(set(j_upper)) == 1:
+                        lift = unit[(j, j_side) if j_upper[0] else (i, i_side)]
+                    else:
+                        lift = 1 << top + len(self.lifts)
+                        for d in itertools.compress(rows, j_upper):
+                            self.orient[d] |= lift >> top
+                        self.lifts.append((unit[i, i_side], unit[j, j_side]))
+                    partners[i].append((j, lift))
+        # per block B, the lifts of the pairs inside B
+        inner = [0]
+        for i in range(edge_count):
+            inner += [t + sum(lift for j, lift in partners[i] if b >> j & 1) for b, t in enumerate(inner)]
         layers: list[dict[int, int] | None] = [None] * (full + 1)
         layers[0] = {0: 1}
         for subset in range(full):
             here = layers[subset]
             layers[subset] = None
             grown = [(key, vec << bits) for key, vec in here.items()]
-            free = full ^ subset
-            slots = list(zip(orders, shifts[subset]))
-            block = free
-            while block:
-                contrib = 0
-                for order, shift in slots:
-                    contrib |= order[block] << shift
+            # every block B outside S, and the sum over its edges of |S on p| per endpoint
+            blocks, adds = [0], [0]
+            for i in range(edge_count):
+                if not subset >> i & 1:
+                    add = sum((subset & mask).bit_count() * u for mask, u in ends[i])
+                    blocks += [b | 1 << i for b in blocks]
+                    adds += [x + add for x in adds]
+            for block, add in zip(blocks[1:], adds[1:]):
+                contrib = add + inner[block]
                 dest = layers[subset | block]
                 if dest is None:
                     dest = layers[subset | block] = {}
                 for key, vec in grown:
-                    key |= contrib
+                    key += contrib
                     dest[key] = dest.get(key, 0) + vec
-                block = (block - 1) & free
-        out: dict[int, int] = {}
-        targets = self.targets
+        # the last layer by varying pairs inside one block
+        self.groups: dict[int, tuple[list[int], list[int]]] = {}
         for key, vec in layers[full].items():
-            target = targets.get(key)
-            if target is None:
-                target = targets[key] = self._target(key)
-            # parallel edges let several keys name one target: add, never overwrite
-            out[target] = out.get(target, 0) + vec
+            heights, vecs = self.groups.setdefault(key >> top, ([], []))
+            heights.append(key & (1 << top) - 1)
+            vecs.append(vec)
+        # each member under its own heights; relabelled parallel edges are decoded on first use
+        self.index = {
+            sum((d.edges[idx][side] - 1) * unit[idx, side] for idx, side in self.fields): i
+            for i, d in enumerate(world)
+        }
+        self.targets: dict[tuple[int, int], list[int]] = {}
+
+    def row(self, diagram: WebDiagram) -> list[int]:
+        """The packed count vectors of one requested row, by target member."""
+        orient = self.orient[diagram]
+        out = [0] * len(self.world)
+        for varying, (heights, vecs) in self.groups.items():
+            sides = orient & varying
+            targets = self.targets.get((varying, sides))
+            if targets is None:
+                lift = sum(pair[sides >> v & 1] for v, pair in enumerate(self.lifts) if varying >> v & 1)
+                index = self.index
+                targets = self.targets[varying, sides] = [
+                    index[h] if h in index else self._target(h) for h in map(lift.__add__, heights)
+                ]
+            for target, vec in zip(targets, vecs):
+                # parallel edges let several heights name one target: add, never overwrite
+                out[target] += vec
         return out
 
-    def _target(self, key: int) -> int:
-        rows = [list(e) for e in self.template]
-        field_mask = (1 << self.width) - 1
-        for p, off, mask in zip(self.live, self.offsets, self.masks):
-            for height in range(1, mask.bit_count() + 1):
-                idx = key >> (off + self.width * (height - 1)) & field_mask
-                rows[idx][2 if rows[idx][0] == p + 1 else 3] = height
-        return self.world.index[tuple(sorted(map(tuple, rows)))]
+    def _target(self, heights: int) -> int:
+        """The member with these heights, after sorting relabelled parallel edges."""
+        edges = [list(e) for e in self.template]
+        for f, (idx, side) in enumerate(self.fields):
+            edges[idx][side] = (heights >> self.width * f & (1 << self.width) - 1) + 1
+        target = self.index[heights] = self.world.index[tuple(sorted(map(tuple, edges)))]
+        return target
 
     def unpack(self, vec: int) -> tuple[int, ...]:
         return _unpack(vec, self.block_bits, self.edge_count)
@@ -788,28 +798,31 @@ def _world_counts(
 ) -> list[Sequence[tuple[int, ...]]]:
     """Per row and column, the colouring counts by number of colours.
 
-    The subset DP computes one row per orbit of the symmetry group, and
-    every other row of the orbit reads an earlier row at the columns a
-    generator permutes: M(x, k) = M(g x, g k). Equal count vectors share
-    one tuple.
+    One subset pass serves the world, read once per orbit of the symmetry
+    group, and every other row of the orbit reads an earlier row at the
+    columns a generator permutes: M(x, k) = M(g x, g k). Equal count
+    vectors share one tuple.
     """
-    size = len(world)
-    dp = _SubsetDP(world)
-    zero = (0,) * (world.edge_count + 1)
-    counts: list[Sequence[tuple[int, ...]] | None] = [None] * size
+    dp = _SubsetDP(world, [world[rep] for (rep, _rep, _perm), *_steps in orbits])
+    counts: list[Sequence[tuple[int, ...]] | None] = [None] * len(world)
     unpacked: dict[int, tuple[int, ...]] = {}
-    for (rep, _rep, _perm), *steps in orbits:
-        cells = [zero] * size
-        for target, vec in dp.row(world[rep]).items():
-            cell = unpacked.get(vec)
-            if cell is None:
-                cell = unpacked[vec] = dp.unpack(vec)
-            cells[target] = cell
-        counts[rep] = cells
-        for row, source, perm in steps:
-            # a world of two or more members: itemgetter returns a tuple
-            counts[row] = operator.itemgetter(*perm)(counts[source])
+    for (rep, _rep, _perm), *_steps in orbits:
+        row = dp.row(world[rep])
+        unpacked.update((vec, dp.unpack(vec)) for vec in set(row).difference(unpacked))
+        counts[rep] = list(map(unpacked.__getitem__, row))
+    _fill_orbits(counts, orbits)
     return counts
+
+
+def _fill_orbits(rows: list, orbits: list[list[tuple[int, int, list[int]]]]) -> None:
+    """Fill each orbit's later rows: step (x, y, perm) reads row y at the columns perm."""
+    pickers: dict[int, object] = {}  # one reader per generator
+    for _first, *steps in orbits:
+        for row, source, perm in steps:
+            pick = pickers.get(id(perm))
+            if pick is None:
+                pick = pickers[id(perm)] = _picker(perm)
+            rows[row] = pick(rows[source])
 
 
 def world_matrices(
@@ -942,7 +955,7 @@ def _format_cell(entry) -> str:
 
 def matrix_to_csv(matrix: WorldMatrix) -> str:
     """One matrix row per line; rationals as "p/q", polynomials as "c0;c1;..."."""
-    return "\n".join(",".join(_format_cell(e) for e in row) for row in matrix.entries)
+    return "\n".join(map(",".join, _formed_rows(matrix, _format_cell)))
 
 
 def _json_cell(entry):
@@ -955,5 +968,5 @@ def matrix_to_json(matrix: WorldMatrix) -> dict:
     return {
         "size": matrix.size,
         "kind": "polynomial" if matrix.polynomial else "rational",
-        "entries": [[_json_cell(e) for e in row] for row in matrix.entries],
+        "entries": list(map(list, _formed_rows(matrix, _json_cell))),
     }

@@ -2,8 +2,8 @@
 
 Every suite recomputes the same quantity along two independent routes
 and reports exact comparisons as CheckResult records. The library's
-matrices come from a subset DP over ordered set partitions (see
-webworlds.matrices); the structure check "colouring counts match
+matrices come from one subset pass per world over ordered set partitions
+(see webworlds.matrices); the structure check "colouring counts match
 enumeration" compares them with the brute-force route, which visits
 every surjective colouring of every member and restacks it. The other
 checks set those matrices against a closed formula, series coefficient
@@ -85,7 +85,8 @@ def _enumerated_counts(world: WebWorld) -> list[list[list[int]]]:
 
     Entry [row][column][k] counts the k-colourings of the row member that
     reconstruct to the column member: Fubini(e) restacks per row, the
-    brute-force twin of the subset DP in webworlds.matrices.
+    brute-force twin of the rows read off the subset pass in
+    webworlds.matrices.
     """
     edge_count = world.edge_count
     size = len(world)

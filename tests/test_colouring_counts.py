@@ -36,6 +36,12 @@ from webworlds.matrices import _colouring_counts
 
 from conftest import NINE_EDGE_EDGES, enumerated_counts, flipped, small_worlds
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test needs hypothesis; the rest do not
+    given = None
+
 
 @pytest.fixture(scope="module")
 def oracle_worlds():
@@ -180,6 +186,77 @@ def test_k4_matrices_compute_one_row_per_orbit(monkeypatch):
     assert len(rows) == 36
     assert trace(mix) == 544
     assert poly.rows[5][77] == _colouring_counts(world[5], world[77])
+
+
+def _one_row(world, member):
+    dp = matrices._SubsetDP(world, [member])
+    # one requested row leaves no pair varying: today's single-row pass
+    assert not dp.lifts and set(dp.groups) == {0}
+    return dp.row(member)
+
+
+def test_shared_pass_rows_equal_one_row_passes():
+    # every member of every small world requested at once, so every pair
+    # whose order differs between members varies; the kernel reads the
+    # first and the last row
+    for name, world in small_worlds():
+        if world.edge_count:
+            dp = matrices._SubsetDP(world, list(world))
+            for i, member in enumerate(world):
+                row = dp.row(member)
+                assert row == _one_row(world, member), (name, i)
+                for j, target in enumerate(world if i in (0, len(world) - 1) else ()):
+                    assert dp.unpack(row[j]) == _colouring_counts(member, target), (name, i, j)
+
+
+def test_k4_shared_pass_rows_equal_one_row_passes():
+    world = web_world(_complete(4))
+    reps = [world[orbit[0][0]] for orbit in diagram_module._symmetry_orbits(world)]
+    dp = matrices._SubsetDP(world, reps)
+    assert len(reps) == 36 and dp.lifts
+    for member in reps:
+        row = dp.row(member)
+        assert row == _one_row(world, member)
+        for target in reps:
+            cell = row[world.index_of(target)]
+            assert dp.unpack(cell) == _colouring_counts(member, target)
+
+
+def test_rows_must_be_requested(path4):
+    world = web_world(path4)
+    dp = matrices._SubsetDP(world, [world[0]])
+    with pytest.raises(KeyError):
+        dp.row(world[1])
+
+
+if given is not None:
+
+    @st.composite
+    def requested_rows(draw):
+        pegs = draw(st.integers(2, 4))
+        pairs = [(a, b) for a in range(pegs) for b in range(a + 1, pegs)]
+        counts = draw(
+            st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)).filter(
+                lambda counts: 0 < sum(counts) <= 4
+            )
+        )
+        rows = [[0] * pegs for _ in range(pegs)]
+        for (a, b), count in zip(pairs, counts):
+            rows[a][b] = count
+        world = web_world(enumeration.seed_diagram(rows))
+        picked = draw(st.sets(st.integers(0, len(world) - 1), min_size=1, max_size=len(world)))
+        return world, sorted(picked)
+
+    @settings(max_examples=30, deadline=5000)
+    @given(requested_rows())
+    def test_shared_pass_property(case):
+        # any set of requested rows, one row included, against reconstructing
+        # every colouring
+        world, picked = case
+        brute = enumerated_counts(world)
+        dp = matrices._SubsetDP(world, [world[i] for i in picked])
+        for i in picked:
+            assert list(map(dp.unpack, dp.row(world[i]))) == list(map(tuple, brute[i])), i
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ from webworlds import (
     validate_diagram,
     web_world,
 )
-from webworlds.diagram import surjection_tuples
+from webworlds import enumeration
+from webworlds.diagram import restack, surjection_tuples
 from webworlds.errors import (
     BadRange,
     DuplicateSlot,
@@ -32,6 +33,12 @@ from webworlds.errors import (
 from webworlds.verify import _orbit_keys
 
 from conftest import small_worlds
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test needs hypothesis; the rest do not
+    given = None
 
 
 def test_edges_are_stored_sorted():
@@ -186,6 +193,40 @@ def test_reconstruct_with_one_colour_is_identity(path4, nine_edge):
     for diagram in (path4, nine_edge):
         assignment = (1,) * diagram.edge_count
         assert reconstruct(diagram, Colouring(assignment, 1)) == diagram
+
+
+if given is not None:
+
+    @st.composite
+    def coloured_diagrams(draw):
+        # a random member of a random world: per-peg height permutations
+        # of the seed diagram, with a surjective colouring of its edges
+        pegs = draw(st.integers(2, 4))
+        pairs = [(a, b) for a in range(pegs) for b in range(a + 1, pegs)]
+        counts = draw(
+            st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)).filter(
+                lambda counts: 0 < sum(counts) <= 6
+            )
+        )
+        rows = [[0] * pegs for _ in range(pegs)]
+        for (a, b), count in zip(pairs, counts):
+            rows[a][b] = count
+        seed = enumeration.seed_diagram(rows)
+        family = [draw(st.permutations(range(1, h + 1))) for h in seed.peg_heights]
+        diagram = apply_permutations(seed, family)
+        edges = diagram.edge_count
+        raw = draw(st.lists(st.integers(1, edges), min_size=edges, max_size=edges))
+        # the drawn values ranked, so every colour 1..k is used
+        rank = {c: k for k, c in enumerate(sorted(set(raw)), 1)}
+        return diagram, Colouring(tuple(rank[c] for c in raw), len(rank))
+
+    @settings(max_examples=60, deadline=5000)
+    @given(coloured_diagrams())
+    def test_reconstruction_stays_in_the_world_property(case):
+        diagram, colouring = case
+        assert reconstruct(diagram, colouring) in web_world(diagram)
+        moved = restack(diagram.edges, diagram.num_pegs, colouring.assignment)
+        assert [e[:2] for e in moved] == [e[:2] for e in diagram.edges]
 
 
 def test_colouring_requires_surjectivity_and_range():

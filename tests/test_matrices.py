@@ -133,9 +133,9 @@ def test_reconstruction_count_basics(path4):
 def test_nine_edge_entries_need_no_world(nine_edge, monkeypatch):
     # reference: the target's cell in nine_edge's row of the subset DP
     world = web_world(nine_edge)
-    dp = _SubsetDP(world)
+    dp = _SubsetDP(world, [nine_edge])
     row = dp.row(nine_edge)
-    best = max(row, key=lambda j: sum(dp.unpack(row[j])))
+    best = max(range(len(world)), key=lambda j: sum(dp.unpack(row[j])))
     target, expected = world[best], dp.unpack(row[best])
     assert expected == (0, 0, 5, 121, 936, 3367, 6447, 6794, 3726, 832)
     diagonal = dp.unpack(row[world.index_of(nine_edge)])
