@@ -114,7 +114,7 @@ def _cmd_world(args: argparse.Namespace) -> int:
     payload = {
         "n": world.num_pegs,
         "size": len(world),
-        "diagrams": [[list(e) for e in d.edges] for d in world],
+        "diagrams": [[list(e) for e in key] for key in world.keys],
     }
     print(json.dumps(payload))
     return 0

@@ -72,10 +72,6 @@ class WebDiagram:
         """Multiplicity of edges on each (left_peg, right_peg) pair."""
         return Counter((e.left_peg, e.right_peg) for e in self.edges)
 
-    def edge_key(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Plain-tuple form of the sorted edge list, usable as a dict key."""
-        return tuple(tuple(e) for e in self.edges)
-
 
 def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
     if num_pegs < 0:
@@ -152,13 +148,14 @@ def _compressed(edges: Sequence[Edge], num_pegs: int) -> WebDiagram:
         for peg, heights in kept.items()
         for i, h in enumerate(sorted(heights), 1)
     }
-    return _unchecked((Edge(a, b, rank[a, ha], rank[b, hb]) for a, b, ha, hb in edges), num_pegs)
+    moved = sorted(Edge(a, b, rank[a, ha], rank[b, hb]) for a, b, ha, hb in edges)
+    return _unchecked(tuple(moved), num_pegs)
 
 
-def _unchecked(edges: Iterable[Edge], num_pegs: int) -> WebDiagram:
-    """A diagram of edges known to be valid: sorted, but not validated again."""
+def _unchecked(edges: tuple[Edge, ...], num_pegs: int) -> WebDiagram:
+    """A diagram of sorted edges known to be valid: neither sorted nor validated again."""
     diagram = object.__new__(WebDiagram)
-    object.__setattr__(diagram, "edges", tuple(sorted(edges)))
+    object.__setattr__(diagram, "edges", edges)
     object.__setattr__(diagram, "num_pegs", num_pegs)
     return diagram
 
@@ -295,47 +292,36 @@ def reconstruct(diagram: WebDiagram, colouring: Colouring) -> WebDiagram:
 
 
 class WebWorld:
-    """The orbit of a diagram under per-peg height permutations.
+    """The orbit of a diagram under per-peg height permutations, built by `web_world`.
 
-    Diagrams are stored in lexicographic order of their sorted edge lists,
-    which fixes the row and column indexing of the world's matrices.
+    `keys` holds each member's sorted edge tuple, in lexicographic order,
+    which fixes the row and column indexing of the world's matrices;
+    `index` maps a key to its position. `world[i]` wraps `keys[i]` in a
+    `WebDiagram` on access.
     """
 
-    def __init__(self, diagrams: Iterable[WebDiagram]):
-        unique = {d.edge_key(): d for d in diagrams}
-        self.diagrams: tuple[WebDiagram, ...] = tuple(
-            unique[k] for k in sorted(unique)
-        )
-        if not self.diagrams:
-            raise BadRange("a web world needs at least one diagram")
-        first = self.diagrams[0]
-        pair_counts = first.peg_pair_counts()
-        for d in self.diagrams[1:]:
-            if d.num_pegs != first.num_pegs or d.peg_pair_counts() != pair_counts:
-                raise BadRange("world diagrams disagree on pegs or edge multiplicities")
-        self.num_pegs = first.num_pegs
-        self.edge_count = first.edge_count
-        self.index: dict[tuple, int] = {
-            d.edge_key(): i for i, d in enumerate(self.diagrams)
-        }
+    def __init__(self, keys: list[tuple[Edge, ...]], num_pegs: int):
+        self.keys = keys
+        self.num_pegs = num_pegs
+        self.edge_count = len(keys[0])
+        self.index = {key: i for i, key in enumerate(keys)}
 
     def __len__(self) -> int:
-        return len(self.diagrams)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[WebDiagram]:
-        return iter(self.diagrams)
+        return map(self.__getitem__, range(len(self.keys)))
 
     def __getitem__(self, i: int) -> WebDiagram:
-        return self.diagrams[i]
+        return _unchecked(self.keys[i], self.num_pegs)
 
     def __contains__(self, diagram: WebDiagram) -> bool:
-        return diagram.edge_key() in self.index
+        return diagram.num_pegs == self.num_pegs and diagram.edges in self.index
 
     def index_of(self, diagram: WebDiagram) -> int:
-        try:
-            return self.index[diagram.edge_key()]
-        except KeyError:
-            raise BadRange("diagram is not a member of this world") from None
+        if diagram not in self:
+            raise BadRange("diagram is not a member of this world")
+        return self.index[diagram.edges]
 
 
 def predicted_world_size(diagram: WebDiagram) -> int:
@@ -350,7 +336,7 @@ def predicted_world_size(diagram: WebDiagram) -> int:
 
 
 def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWorld:
-    """Materialize the full orbit of `diagram`.
+    """Materialize the full orbit of `diagram` as sorted edge keys.
 
     Generation fills each peg's height slots group by group: parallel
     edges claim their left-peg slots as an unordered combination (they
@@ -361,29 +347,31 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
     expected = predicted_world_size(diagram)
     if expected > max_size:
         raise WorldTooLarge(f"world has {expected} diagrams, guard is {max_size}")
-    pair_counts = diagram.peg_pair_counts()
+    pairs = sorted(diagram.peg_pair_counts().items())
     per_peg_choices: list[list[dict]] = []
     for peg in range(1, diagram.num_pegs + 1):
         groups: list[tuple[tuple[str, int], int, bool]] = []
-        for (a, b), count in sorted(pair_counts.items()):
+        for (a, b), count in pairs:
             if a == peg:
                 groups.append((("out", b), count, False))
             if b == peg:
                 groups.append((("in", a), count, True))
         slots = tuple(range(1, diagram.peg_heights[peg - 1] + 1))
         per_peg_choices.append(list(_fill_groups(slots, groups)))
-    members: list[WebDiagram] = []
-    for combo in itertools.product(*per_peg_choices):
-        edges: list[Edge] = []
-        for (a, b), count in sorted(pair_counts.items()):
-            lefts = combo[a - 1][("out", b)]
-            rights = combo[b - 1][("in", a)]
-            edges.extend(Edge(a, b, lefts[t], rights[t]) for t in range(count))
-        members.append(_unchecked(edges, diagram.num_pegs))
-    world = WebWorld(members)
-    if len(world) != expected:
+    # peg pairs in order, parallel edges by their ascending left slots: each key is sorted
+    keys = sorted(
+        tuple([
+            Edge(a, b, left, right)
+            for (a, b), _count in pairs
+            for left, right in zip(combo[a - 1]["out", b], combo[b - 1]["in", a])
+        ])
+        for combo in itertools.product(*per_peg_choices)
+    )
+    world = WebWorld(keys, diagram.num_pegs)
+    if not len(keys) == len(world.index) == expected:
         raise InconsistentResult(
-            f"orbit generation gave {len(world)} diagrams, the size formula {expected}"
+            f"orbit generation gave {len(keys)} diagrams, {len(world.index)} distinct,"
+            f" the size formula {expected}"
         )
     return world
 
@@ -482,7 +470,7 @@ def _symmetry_generators(world: WebWorld) -> list[list[int]]:
     slots = [(p, h) for p, top in enumerate(heights, 1) for h in range(1, top + 1)]
     moves = [{(p, h): (p, heights[p - 1] + 1 - h) for p, h in slots}]
     moves += [{(p, h): (s[p - 1] + 1, h) for p, h in slots} for s in _peg_automorphisms(world[0])]
-    edges = set(itertools.chain.from_iterable(d.edges for d in world))
+    edges = set(itertools.chain.from_iterable(world.keys))
     perms = []
     for move in moves:
         image = {}
@@ -490,7 +478,7 @@ def _symmetry_generators(world: WebWorld) -> list[list[int]]:
             # an edge lists the endpoint on its lower peg first
             (x, hx), (y, hy) = sorted((move[a, ha], move[b, hb]))
             image[a, b, ha, hb] = x, y, hx, hy
-        perms.append([world.index[tuple(sorted(map(image.__getitem__, d.edges)))] for d in world])
+        perms.append([world.index[tuple(sorted(map(image.__getitem__, key)))] for key in world.keys])
     return perms
 
 

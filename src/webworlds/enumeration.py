@@ -42,7 +42,7 @@ def validate_represent(rows: Sequence[Sequence[int]]) -> Rows:
 
 def represent(source: WebDiagram | WebWorld) -> Rows:
     """Per peg pair, the number of parallel edges (a world invariant)."""
-    diagram = source.diagrams[0] if isinstance(source, WebWorld) else source
+    diagram = source[0] if isinstance(source, WebWorld) else source
     n = diagram.num_pegs
     rows = [[0] * n for _ in range(n)]
     for e in diagram.edges:

@@ -752,8 +752,8 @@ class _SubsetDP:
             vecs.append(vec)
         # each member under its own heights; relabelled parallel edges are decoded on first use
         self.index = {
-            sum((d.edges[idx][side] - 1) * unit[idx, side] for idx, side in self.fields): i
-            for i, d in enumerate(world)
+            sum((key[idx][side] - 1) * unit[idx, side] for idx, side in self.fields): i
+            for i, key in enumerate(world.keys)
         }
         self.targets: dict[tuple[int, int], list[int]] = {}
 
@@ -803,11 +803,12 @@ def _world_counts(
     columns a generator permutes: M(x, k) = M(g x, g k). Equal count
     vectors share one tuple.
     """
-    dp = _SubsetDP(world, [world[rep] for (rep, _rep, _perm), *_steps in orbits])
+    reps = [(rep, world[rep]) for (rep, _rep, _perm), *_steps in orbits]
+    dp = _SubsetDP(world, [diagram for _rep, diagram in reps])
     counts: list[Sequence[tuple[int, ...]] | None] = [None] * len(world)
     unpacked: dict[int, tuple[int, ...]] = {}
-    for (rep, _rep, _perm), *_steps in orbits:
-        row = dp.row(world[rep])
+    for rep, diagram in reps:
+        row = dp.row(diagram)
         unpacked.update((vec, dp.unpack(vec)) for vec in set(row).difference(unpacked))
         counts[rep] = list(map(unpacked.__getitem__, row))
     _fill_orbits(counts, orbits)
@@ -828,10 +829,15 @@ def _fill_orbits(rows: list, orbits: list[list[tuple[int, int, list[int]]]]) -> 
 def world_matrices(
     world: WebWorld, max_entries: int = DEFAULT_ENTRY_GUARD
 ) -> tuple[WorldMatrix, WorldMatrix]:
-    """Colouring and mixing matrices from one pass of colouring counts."""
+    """Colouring and mixing matrices from one pass of colouring counts.
+
+    The pass makes at least 3^e - 2^e transitions, so 3^e must stay
+    within DEFAULT_WORK_GUARD, as on the fixed-point route of `world_traces`.
+    """
     check_entry_guard(len(world), max_entries)
     if world.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
+    _check_work(3**world.edge_count)
     generators = _symmetry_generators(world)
     orbits = _orbits(generators, len(world))
     # the flip is the first generator

@@ -372,7 +372,7 @@ def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     multiplicity-free world (no parallel edges) and distinct blocks in
     every member.
     """
-    if any(v > 1 for v in world.diagrams[0].peg_pair_counts().values()):
+    if any(v > 1 for v in world[0].peg_pair_counts().values()):
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
     colouring_total = IntPolynomial()
     mixing_total = Fraction(0)

@@ -364,7 +364,7 @@ def _orbit_keys(diagram: WebDiagram) -> set:
     distinct images.
     """
     families = product(*(permutations(range(1, p + 1)) for p in diagram.peg_heights))
-    return {apply_permutations(diagram, family).edge_key() for family in families}
+    return {apply_permutations(diagram, family).edges for family in families}
 
 
 def suite_counting(

@@ -421,6 +421,18 @@ def test_trace_guards_work_not_cells(capsys):
     assert err == "error: matrices are defined for worlds with at least one edge\n"
 
 
+@pytest.mark.parametrize("kind", ["colouring", "mixing"])
+def test_matrix_guards_its_subset_pass(capsys, kind):
+    # sixteen disjoint edges make a one-member world, but the subset pass
+    # would still visit 3^16 subsets
+    disjoint = json.dumps({"edges": [[2 * i + 1, 2 * i + 2, 1, 1] for i in range(16)]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "matrix", "--kind", kind, "--input", disjoint)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {3**16} estimated counting steps exceed the 40000000-step guard\n"
+
+
 def test_unknown_flag_exits_two_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["matrix", "--kind", "wat", "--input", PATH4_JSON])

@@ -188,6 +188,25 @@ def test_k4_matrices_compute_one_row_per_orbit(monkeypatch):
     assert poly.rows[5][77] == _colouring_counts(world[5], world[77])
 
 
+@pytest.mark.parametrize("name, orbits", [("K4", 36), ("nine-edge", 2352)])
+def test_members_are_built_only_for_orbit_representatives(monkeypatch, name, orbits):
+    # world_matrices on K4 and world_traces on the nine-edge world build
+    # member 0 and each orbit's representative, every other one once
+    diagram = _complete(4) if name == "K4" else validate_diagram(NINE_EDGE_EDGES, 7)
+    reps = {orbit[0][0] for orbit in diagram_module._symmetry_orbits(web_world(diagram))}
+    asked = []
+    getitem = diagram_module.WebWorld.__getitem__
+    monkeypatch.setattr(
+        diagram_module.WebWorld, "__getitem__", lambda world, i: asked.append(i) or getitem(world, i)
+    )
+    if name == "K4":
+        world_matrices(web_world(diagram))
+    else:
+        matrices.world_traces(diagram)
+    assert len(reps) == orbits and set(asked) == reps
+    assert sorted(i for i in asked if i) == sorted(reps - {0})
+
+
 def _one_row(world, member):
     dp = matrices._SubsetDP(world, [member])
     # one requested row leaves no pair varying: today's single-row pass

@@ -1,12 +1,14 @@
 """Diagram validation, world construction, and reconstruction."""
 
+import functools
+
 import pytest
 
 from webworlds import (
     Colouring,
     Edge,
-    WebWorld,
     apply_permutations,
+    decompose,
     diagram_from_json,
     diagram_to_json,
     predicted_world_size,
@@ -145,7 +147,7 @@ def test_crossed_pair_world_has_the_uncrossed_twin():
 def test_world_equals_orbit_closure_and_size_formula(edges):
     diagram = validate_diagram(edges)
     world = web_world(diagram)
-    assert {d.edge_key() for d in world} == _orbit_keys(diagram)
+    assert set(world.keys) == _orbit_keys(diagram)
     assert len(world) == predicted_world_size(diagram)
 
 
@@ -161,16 +163,22 @@ def test_world_membership_and_indexing(path4):
         world.index_of(outsider)
 
 
-def test_world_rejects_mixed_members(path4):
+def test_membership_checks_the_peg_count(path4):
+    world = web_world(path4)
+    padded = validate_diagram(path4.edges, 5)
+    assert padded != path4 and padded not in world
     with pytest.raises(BadRange):
-        WebWorld([path4, validate_diagram(((1, 2, 1, 1),))])
+        world.index_of(padded)
 
 
 def test_world_members_are_valid_diagrams(nine_edge):
     # orbit generation skips validation, so every member must pass it unchanged
     worlds = [world for _name, world in small_worlds()] + [web_world(nine_edge)]
     for world in worlds:
-        for member in world:
+        # keys are distinct and sorted, and each member wraps its key
+        assert world.keys == sorted(set(world.keys))
+        for key, member in zip(world.keys, world):
+            assert member.edges is key
             assert member == validate_diagram(member.edges, member.num_pegs)
 
 
@@ -198,14 +206,14 @@ def test_reconstruct_with_one_colour_is_identity(path4, nine_edge):
 if given is not None:
 
     @st.composite
-    def coloured_diagrams(draw):
+    def world_members(draw, max_edges):
         # a random member of a random world: per-peg height permutations
-        # of the seed diagram, with a surjective colouring of its edges
+        # of the seed diagram
         pegs = draw(st.integers(2, 4))
         pairs = [(a, b) for a in range(pegs) for b in range(a + 1, pegs)]
         counts = draw(
             st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)).filter(
-                lambda counts: 0 < sum(counts) <= 6
+                lambda counts: 0 < sum(counts) <= max_edges
             )
         )
         rows = [[0] * pegs for _ in range(pegs)]
@@ -213,7 +221,12 @@ if given is not None:
             rows[a][b] = count
         seed = enumeration.seed_diagram(rows)
         family = [draw(st.permutations(range(1, h + 1))) for h in seed.peg_heights]
-        diagram = apply_permutations(seed, family)
+        return apply_permutations(seed, family)
+
+    @st.composite
+    def coloured_diagrams(draw):
+        # a random member with a surjective colouring of its edges
+        diagram = draw(world_members(6))
         edges = diagram.edge_count
         raw = draw(st.lists(st.integers(1, edges), min_size=edges, max_size=edges))
         # the drawn values ranked, so every colour 1..k is used
@@ -227,6 +240,16 @@ if given is not None:
         assert reconstruct(diagram, colouring) in web_world(diagram)
         moved = restack(diagram.edges, diagram.num_pegs, colouring.assignment)
         assert [e[:2] for e in moved] == [e[:2] for e in diagram.edges]
+
+    @settings(max_examples=60, deadline=5000)
+    @given(world_members(5))
+    def test_stacking_the_blocks_rebuilds_the_diagram_property(diagram):
+        assert functools.reduce(stack, (b.normalized for b in decompose(diagram))) == diagram
+
+    @settings(max_examples=60, deadline=5000)
+    @given(world_members(5))
+    def test_json_round_trip_property(diagram):
+        assert diagram_from_json(diagram_to_json(diagram)) == diagram
 
 
 def test_colouring_requires_surjectivity_and_range():
