@@ -348,6 +348,7 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
     if expected > max_size:
         raise WorldTooLarge(f"world has {expected} diagrams, guard is {max_size}")
     pairs = sorted(diagram.peg_pair_counts().items())
+    heights = diagram.peg_heights
     per_peg_choices: list[list[dict]] = []
     for peg in range(1, diagram.num_pegs + 1):
         groups: list[tuple[tuple[str, int], int, bool]] = []
@@ -356,13 +357,19 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
                 groups.append((("out", b), count, False))
             if b == peg:
                 groups.append((("in", a), count, True))
-        slots = tuple(range(1, diagram.peg_heights[peg - 1] + 1))
+        slots = tuple(range(1, heights[peg - 1] + 1))
         per_peg_choices.append(list(_fill_groups(slots, groups)))
+    # each distinct edge is built once, as grid[left - 1][right - 1] of its peg pair
+    grids = [
+        (a, b, [[Edge(a, b, hl, hr) for hr in range(1, heights[b - 1] + 1)]
+                for hl in range(1, heights[a - 1] + 1)])
+        for (a, b), _count in pairs
+    ]
     # peg pairs in order, parallel edges by their ascending left slots: each key is sorted
     keys = sorted(
         tuple([
-            Edge(a, b, left, right)
-            for (a, b), _count in pairs
+            grid[left - 1][right - 1]
+            for a, b, grid in grids
             for left, right in zip(combo[a - 1]["out", b], combo[b - 1]["in", a])
         ])
         for combo in itertools.product(*per_peg_choices)

@@ -6,20 +6,32 @@ whenever some endpoint of e sits strictly below an endpoint of e' on a
 shared peg. Blocks inherit that below-relation; closing it reflexively
 and transitively gives the decomposition poset, whose linear-extension
 descents drive the closed forms for diagonal matrix entries.
+
+The closed forms depend on the order rows alone, so each is computed
+once per poset shape and kept in a bounded module-level cache. A poset
+built from a diagram keeps one edge bitmask per block and builds its
+`Block` objects only when they are read; the repeated-block test answers
+from the peg pairs alone when no two edges share one, or when two
+one-edge blocks do.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, _compressed
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial, _peg_orders, transitive_closure
+from .matrices import IntPolynomial, transitive_closure
+
+# poset shapes (order rows) that each closed-form cache keeps
+CLOSED_FORM_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -49,9 +61,13 @@ class DecompositionPoset:
     The labeling is natural: whenever block i strictly precedes block j
     in the order, i < j. `DecompositionPoset(blocks, leq)` takes a
     reflexive-transitive order matrix and checks it; `leq` gives that
-    matrix back.
+    matrix back. A poset built by `decomposition_poset` holds the diagram
+    and, per block, the bitmask of its edge indices; `blocks` builds the
+    blocks on first read.
     """
 
+    # `blocks` is a field read through the cached property below, so the
+    # generated equality, hash and repr see the blocks either way
     blocks: tuple[Block, ...]
     up: tuple[int, ...]
 
@@ -59,33 +75,28 @@ class DecompositionPoset:
         k = len(blocks)
         if len(leq) != k or any(len(row) != k for row in leq):
             raise BadRange("order matrix shape does not match the block count")
-        for i in range(k):
-            if not leq[i][i]:
-                raise BadRange("order matrix must be reflexive")
-            for j in range(k):
-                if i != j and leq[i][j]:
-                    if leq[j][i]:
-                        raise BadRange("order matrix must be antisymmetric")
-                    if i > j:
-                        raise BadRange("labeling is not natural (strict relation goes downward)")
-                    for t in range(k):
-                        if leq[j][t] and not leq[i][t]:
-                            raise BadRange("order matrix must be transitive")
+        if not all(leq[i][i] for i in range(k)):
+            raise BadRange("order matrix must be reflexive")
         up = tuple(sum(1 << j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(leq))
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "up", up)
+        if any(up[i] >> j & up[j] >> i & 1 for i in range(k) for j in range(i)):
+            raise BadRange("order matrix must be antisymmetric")
+        if any(row & ((1 << i) - 1) for i, row in enumerate(up)):
+            raise BadRange("labeling is not natural (strict relation goes downward)")
+        if any(_union(up, row) & ~row for row in up):
+            raise BadRange("order matrix must be transitive")
+        vars(self).update(blocks=tuple(blocks), up=up, _masks=None)
 
-    @classmethod
-    def _valid(cls, blocks: tuple[Block, ...], up: tuple[int, ...]) -> "DecompositionPoset":
-        """A poset whose rows are a natural strict order by construction: not checked."""
-        poset = object.__new__(cls)
-        object.__setattr__(poset, "blocks", blocks)
-        object.__setattr__(poset, "up", up)
-        return poset
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        edges, num_pegs = self._diagram.edges, self._diagram.num_pegs
+        return tuple(
+            Block(b, tuple(e for i, e in enumerate(edges) if mask >> i & 1), num_pegs)
+            for b, mask in enumerate(self._masks, 1)
+        )
 
     @property
     def size(self) -> int:
-        return len(self.blocks)
+        return len(self.up)
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
@@ -106,54 +117,35 @@ class DecompositionPoset:
             pairs += [(i + 1, j + 1) for j in range(self.size) if covers >> j & 1]
         return tuple(pairs)
 
-    @cached_property
+    @property
     def descent_histogram(self) -> tuple[int, ...]:
-        """Entry d counts the linear extensions with d descents.
-
-        A DP over (down-set, last label): appending a minimal element v
-        of the rest adds a descent when the last label exceeds v.  Each
-        histogram is packed into one integer, entry d in field d, and no
-        field exceeds the k! extensions.
-        """
-        k = self.size
-        lower = [0] * k
-        for u, row in enumerate(self.up):
-            for v in range(u + 1, k):
-                if row >> v & 1:
-                    lower[v] |= 1 << u
-        width = math.factorial(k).bit_length()
-        level: dict[int, dict[int, int]] = {0: {-1: 1}}
-        for _ in range(k):
-            grown: dict[int, dict[int, int]] = {}
-            for mask, ends in level.items():
-                for v in range(k):
-                    if mask >> v & 1 or lower[v] & ~mask:
-                        continue
-                    packed = sum(h << width if last > v else h for last, h in ends.items())
-                    slot = grown.setdefault(mask | 1 << v, {})
-                    slot[v] = slot.get(v, 0) + packed
-            level = grown
-        total = sum(level[(1 << k) - 1].values())
-        field = (1 << width) - 1
-        return tuple(total >> (width * d) & field for d in range(max(k, 1)))
+        """Entry d counts the linear extensions with d descents."""
+        return _histogram(self.up)
 
     @cached_property
     def repeated_blocks(self) -> bool:
         """Whether two blocks have the same normalized subweb.
 
-        Such blocks run over the same peg pairs, so only blocks with equal
-        peg-pair lists are compared; in a diagram without parallel edges
-        no two blocks share a peg pair.
+        Such blocks share their peg-pair list, so without parallel edges,
+        or when no two blocks share a list, the answer is False; two
+        one-edge blocks that share a list are identical. Only blocks that
+        share a list with another are normalized and compared, and a
+        poset built from a diagram reads the lists off its edge masks.
         """
-        by_pairs: dict[tuple, list[Block]] = {}
-        for block in self.blocks:
-            if block.edges:
-                by_pairs.setdefault(tuple(map(_peg_pair, block.edges)), []).append(block)
-        return any(
-            len({b.normalized.edges for b in group}) < len(group)
-            for group in by_pairs.values()
-            if len(group) > 1
-        )
+        if self._masks is None:
+            lists = [tuple(map(_peg_pair, b.edges)) for b in self.blocks if b.edges]
+        else:
+            pairs = list(map(_peg_pair, self._diagram.edges))
+            if len(set(pairs)) == len(pairs):
+                return False
+            lists = [tuple([p for i, p in enumerate(pairs) if m >> i & 1]) for m in self._masks]
+        if len(set(lists)) == len(lists):
+            return False
+        shared = {k for k, c in Counter(lists).items() if c > 1}
+        if any(len(k) == 1 for k in shared):
+            return True
+        shapes = [b.normalized.edges for b in self.blocks if tuple(map(_peg_pair, b.edges)) in shared]
+        return len(set(shapes)) < len(shapes)
 
     @classmethod
     def from_relations(cls, size: int, relations) -> "DecompositionPoset":
@@ -188,71 +180,84 @@ def _union(rows: Sequence[int], members: int) -> int:
     return out
 
 
+def _priority_order(pending: list[tuple[int, int]]) -> list[int] | None:
+    """Priority-Kahn order of edge groups, given in priority order as
+    (edges, edges beneath them) bitmasks: each step takes the first group
+    with nothing left beneath it. None when no group is ready, as on a cycle."""
+    order: list[int] = []
+    done = 0
+    while pending:
+        for k, (group, beneath) in enumerate(pending):
+            if not beneath & ~done:
+                break
+        else:
+            return None
+        del pending[k]
+        order.append(group)
+        done |= group
+    return order
+
+
 def decomposition_poset(diagram: WebDiagram) -> DecompositionPoset:
     """The blocks of `decompose` in label order and their order as bitmask rows.
 
-    Edge e reaches e' when a chain of below-steps leads from e to e';
-    blocks are the strongly connected components of that relation, and
-    block a precedes block b when an edge of a reaches an edge of b.
-    Reachability is already transitive, and a path between blocks passes
-    through whole components, so no second closure is needed.
+    Edge e is below e' when an endpoint of e sits under an endpoint of e'
+    on a shared peg. Without a cycle of below-steps every edge is a block
+    alone; otherwise the edges that reach each other by below-steps form
+    one block. Each block's row is closed from its successors' rows, in
+    reverse label order.
     """
     if diagram.edge_count == 0:
         raise BadRange("cannot decompose an empty diagram")
     edges = diagram.edges
     count = len(edges)
+    # an edge's lowest endpoint is its left one, since left_peg < right_peg
+    lefts = sorted([(a, ha, i) for i, (a, _b, ha, _hb) in enumerate(edges)])
+    ends = sorted(lefts + [(b, hb, i) for i, (_a, b, _ha, hb) in enumerate(edges)])
+    # each peg read upwards gives the edges beneath an edge, downwards those above it
     below = [0] * count
-    for order in _peg_orders(diagram):
-        above = 0
-        for i in reversed(order):
-            below[i] |= above
-            above |= 1 << i
-    reach = transitive_closure(below)
-    # an edge on a cycle reaches itself and shares its block with every
-    # edge it reaches and is reached by; any other edge is a block alone
-    component = [-1] * count
-    members: list[int] = []
-    for i, row in enumerate(reach):
-        if component[i] < 0:
-            mask = 1 << i
-            if row >> i & 1:
-                for j in range(i + 1, count):
-                    if row >> j & reach[j] >> i & 1:
-                        mask |= 1 << j
-                        component[j] = len(members)
-            component[i] = len(members)
-            members.append(mask)
-    # the components that each one reaches and the components before it
-    after = [0] * len(members)
-    before = [0] * len(members)
-    for c, mask in enumerate(members):
-        out = _union(reach, mask) & ~mask
-        while out:
-            d = component[(out & -out).bit_length() - 1]
-            after[c] |= 1 << d
-            before[d] |= 1 << c
-            out &= ~members[d]
-    # priority-Kahn order: an edge's lowest endpoint is its left one, since
-    # left_peg < right_peg, so candidates are the components in the order
-    # of their edges' lowest left endpoints
-    lowest = sorted((e.left_peg, e.left_height, i) for i, e in enumerate(edges))
-    pending = list(dict.fromkeys(component[i] for _peg, _height, i in lowest))
-    order: list[int] = []
-    done = 0
-    while pending:
-        current = next(c for c in pending if not before[c] & ~done)
-        pending.remove(current)
-        order.append(current)
-        done |= 1 << current
-    grouped: list[list] = [[] for _ in members]
-    for i, e in enumerate(edges):
-        grouped[component[i]].append(e)
-    label = [0] * len(members)
-    for b, c in enumerate(order):
-        label[c] = b
-    blocks = tuple(Block(b, tuple(grouped[c]), diagram.num_pegs) for b, c in enumerate(order, 1))
-    up = tuple(sum(1 << label[d] for d in order if after[c] >> d & 1) for c in order)
-    return DecompositionPoset._valid(blocks, up)
+    beneath = [0] * count
+    for rows, run in ((beneath, ends), (below, reversed(ends))):
+        peg = seen = 0
+        for p, _h, i in run:
+            if p != peg:
+                peg, seen = p, 0
+            rows[i] |= seen
+            seen |= 1 << i
+    lowest = [i for _p, _h, i in lefts]
+    order = _priority_order([(1 << i, beneath[i]) for i in lowest])
+    if order is None:
+        # edges on one cycle reach exactly the same edges, themselves included
+        reach = transitive_closure(below[:])
+        key = [row if row >> i & 1 else ~i for i, row in enumerate(reach)]
+        mates: dict[int, int] = {}
+        for i, k in enumerate(key):
+            mates[k] = mates.get(k, 0) | 1 << i
+        groups = dict.fromkeys(mates[key[i]] for i in lowest)
+        order = _priority_order([(g, _union(beneath, g) & ~g) for g in groups])
+    label = [0] * count
+    after = []
+    for b, group in enumerate(order):
+        row, rest = 0, group
+        while rest:
+            low = rest & -rest
+            label[low.bit_length() - 1] = b
+            row |= below[low.bit_length() - 1]
+            rest ^= low
+        after.append(row & ~group)
+    up = [0] * len(order)
+    for b in reversed(range(len(order))):
+        row, closed = after[b], 0
+        while row:
+            low = row & -row
+            j = label[low.bit_length() - 1]
+            closed |= 1 << j | up[j]
+            row ^= low
+        up[b] = closed
+    # rows that are a natural strict order by construction: not checked
+    poset = object.__new__(DecompositionPoset)
+    vars(poset).update(up=tuple(up), _diagram=diagram, _masks=tuple(order))
+    return poset
 
 
 def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
@@ -268,27 +273,13 @@ def decompose(diagram: WebDiagram) -> tuple[Block, ...]:
 
 
 def linear_extensions(poset: DecompositionPoset) -> tuple[tuple[int, ...], ...]:
-    """Every order-preserving arrangement of the block labels."""
-    k = poset.size
-    predecessors = [[i for i in range(k) if poset.up[i] >> j & 1] for j in range(k)]
-    out: list[tuple[int, ...]] = []
-    used = [False] * k
-    sequence: list[int] = []
-
-    def extend() -> None:
-        if len(sequence) == k:
-            out.append(tuple(v + 1 for v in sequence))
-            return
-        for v in range(k):
-            if not used[v] and all(used[u] for u in predecessors[v]):
-                used[v] = True
-                sequence.append(v)
-                extend()
-                sequence.pop()
-                used[v] = False
-
-    extend()
-    return tuple(out)
+    """Every order-preserving arrangement of the block labels, in lexicographic order."""
+    up = poset.up
+    return tuple(
+        tuple(v + 1 for v in perm)
+        for perm in itertools.permutations(range(poset.size))
+        if not any(up[later] >> v & 1 for i, v in enumerate(perm) for later in perm[i + 1:])
+    )
 
 
 def descents(extension: tuple[int, ...]) -> int:
@@ -325,18 +316,53 @@ def _require_distinct_blocks(poset: DecompositionPoset) -> None:
         raise RepeatedBlocks("two blocks are identical; diagonal closed forms do not apply")
 
 
-def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
-    """Closed form for a diagonal colouring entry from the diagram's poset.
+@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
+def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry d counts the linear extensions of the order rows `up` with d descents.
 
-    Sums x^(1+d) (1+x)^(p-1-d) over linear extensions with d descents,
-    expanded coefficient by coefficient.
+    A DP over (down-set, last label): appending a minimal element v
+    of the rest adds a descent when the last label exceeds v.  Each
+    histogram is packed into one integer, entry d in field d, and no
+    field exceeds the k! extensions.
     """
+    k = len(up)
+    lower = [0] * k
+    for u, row in enumerate(up):
+        for v in range(u + 1, k):
+            if row >> v & 1:
+                lower[v] |= 1 << u
+    width = math.factorial(k).bit_length()
+    level: dict[int, dict[int, int]] = {0: {-1: 1}}
+    for _ in range(k):
+        grown: dict[int, dict[int, int]] = {}
+        for mask, ends in level.items():
+            for v in range(k):
+                if mask >> v & 1 or lower[v] & ~mask:
+                    continue
+                packed = sum(h << width if last > v else h for last, h in ends.items())
+                slot = grown.setdefault(mask | 1 << v, {})
+                slot[v] = slot.get(v, 0) + packed
+        level = grown
+    total = sum(level[(1 << k) - 1].values())
+    field = (1 << width) - 1
+    return tuple(total >> (width * d) & field for d in range(max(k, 1)))
+
+
+def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
+    """Closed form for a diagonal colouring entry from the diagram's poset."""
     _require_distinct_blocks(poset)
-    p = poset.size
+    return _colouring_polynomial(poset.up)
+
+
+@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
+def _colouring_polynomial(up: tuple[int, ...]) -> IntPolynomial:
+    """Sums x^(1+d) (1+x)^(p-1-d) over linear extensions with d descents,
+    expanded coefficient by coefficient."""
+    p = len(up)
     if p < 1:
         raise BadRange("poset must have at least one block")
     coeffs = [0] * (p + 1)
-    for d, count in enumerate(poset.descent_histogram):
+    for d, count in enumerate(_histogram(up)):
         for j in range(d + 1, p + 1):
             coeffs[j] += count * math.comb(p - 1 - d, j - 1 - d)
     return IntPolynomial(coeffs)
@@ -345,15 +371,21 @@ def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
 def diagonal_mixing_value(poset: DecompositionPoset) -> Fraction:
     """Closed form for a diagonal mixing entry from the diagram's poset."""
     _require_distinct_blocks(poset)
-    p = poset.size
+    return _mixing_value(poset.up)
+
+
+@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
+def _mixing_value(up: tuple[int, ...]) -> Fraction:
+    """Sums (-1)^d / (p C(p - 1, d)) over linear extensions with d descents,
+    over one denominator."""
+    p = len(up)
     if p < 1:
         raise BadRange("poset must have at least one block")
-    # sum over d of (-1)^d count_d / (p C(p - 1, d)), over one denominator
     denom = p * math.lcm(*(math.comb(p - 1, d) for d in range(p)))
     return Fraction(
         sum(
             (-1) ** d * count * (denom // (p * math.comb(p - 1, d)))
-            for d, count in enumerate(poset.descent_histogram)
+            for d, count in enumerate(_histogram(up))
         ),
         denom,
     )
@@ -367,19 +399,24 @@ def world_posets(world: WebWorld) -> tuple[DecompositionPoset, ...]:
 def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     """World traces of the colouring and mixing matrices, via posets only.
 
-    Sums the diagonal closed forms over every member's poset, so no
+    Counts the members by their order rows and adds the diagonal closed
+    forms of each distinct poset once, times its count, so no
     off-diagonal entry (and no matrix) is ever materialized. Requires a
     multiplicity-free world (no parallel edges) and distinct blocks in
     every member.
     """
     if any(v > 1 for v in world[0].peg_pair_counts().values()):
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
-    colouring_total = IntPolynomial()
-    mixing_total = Fraction(0)
+    shapes: Counter = Counter()
     for diagram in world:
         poset = decomposition_poset(diagram)
-        colouring_total = colouring_total + diagonal_colouring_polynomial(poset)
-        mixing_total += diagonal_mixing_value(poset)
+        _require_distinct_blocks(poset)
+        shapes[poset.up] += 1
+    colouring_total = IntPolynomial()
+    mixing_total = Fraction(0)
+    for up, count in shapes.items():
+        colouring_total = colouring_total + _colouring_polynomial(up) * count
+        mixing_total += _mixing_value(up) * count
     return colouring_total, mixing_total
 
 

@@ -1,6 +1,8 @@
 """CLI behaviour: pinned invocations, formats, and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import shlex
@@ -14,6 +16,12 @@ from webworlds.cli import main
 from webworlds.enumeration import seed_diagram
 
 from conftest import NINE_EDGE_EDGES
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the fuzz test needs hypothesis; the rest do not
+    given = None
 
 PATH4_JSON = '{"n": 4, "edges": [[1,2,1,1],[2,3,2,1],[3,4,2,1]]}'
 SINGLE_EDGE_JSON = '{"n": 2, "edges": [[1,2,1,1]]}'
@@ -450,3 +458,56 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "transitive")
     assert code == 1
     assert "FAIL [transitive] stub: forced mismatch" in out
+
+
+# every subcommand that reads --input, with the flags it needs besides
+FUZZED_COMMANDS = {
+    "validate": ["validate"],
+    "world": ["world"],
+    "matrix": ["matrix", "--kind", "mixing"],
+    "trace": ["trace"],
+    "posets": ["posets"],
+    "posets --world": ["posets", "--world"],
+}
+
+if given is not None:
+    # near-diagrams: the input keys, small integers, and wrong types anywhere
+    INPUT_KEYS = ("n", "edges", "seed_diagram", "represent", "other")
+
+    def edge_rows(min_width, max_width):
+        # one to four rows of small integers: edge lists, some of them valid
+        row = st.lists(st.integers(0, 4), min_size=min_width, max_size=max_width)
+        return st.lists(row, min_size=1, max_size=4)
+
+    json_values = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-2, 5)
+        | st.floats()
+        | st.text(max_size=3)
+        | edge_rows(3, 5),
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(st.sampled_from(INPUT_KEYS), inner, max_size=3),
+        max_leaves=24,
+    )
+    json_objects = st.dictionaries(
+        st.sampled_from(INPUT_KEYS), json_values, max_size=3
+    ).map(json.dumps)
+    # the same objects cut short, which no longer parse
+    cut_objects = json_objects.flatmap(lambda text: st.integers(1, len(text)).map(lambda k: text[:k]))
+    # diagram-shaped objects, which reach the diagram checks and sometimes pass them
+    diagram_objects = st.fixed_dictionaries(
+        {"edges": edge_rows(4, 4)}, optional={"n": st.integers(0, 5)}
+    ).map(json.dumps)
+
+    @pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
+    @settings(max_examples=10, deadline=5000)
+    @given(payload=st.one_of(json_objects, cut_objects, diagram_objects))
+    def test_malformed_json_exits_cleanly_fuzz(command, payload):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*FUZZED_COMMANDS[command], "--input", payload, "--max-size", "30"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error:"), err.getvalue()

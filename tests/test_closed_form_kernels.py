@@ -1,24 +1,30 @@
 """The counting kernels behind the closed forms, against enumeration.
 
 Oracles: `conftest.rule_word_count` lists every surjective word for the
-transfer-matrix rule counts; the descent histogram of a poset is
-compared with the descents of its listed linear extensions; the chain
-and cycle matrices are compared with the generic world matrices.
+transfer-matrix rule counts; the descent histogram of a poset and its
+two diagonal closed forms are compared with sums over its listed linear
+extensions; the chain and cycle matrices are compared with the generic
+world matrices.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import rule_word_count
 
 from webworlds import (
     DecompositionPoset,
+    IntPolynomial,
     cases,
     chain_matrices,
     cycle_matrices,
     descents,
+    diagonal_colouring_polynomial,
+    diagonal_mixing_value,
     fan_matrices,
     linear_extensions,
     order_preserving_count,
@@ -35,6 +41,14 @@ from webworlds.cases import (
     surjective_rule_counts,
 )
 from webworlds.errors import BadRange
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test needs hypothesis; the rest do not
+    given = None
+
+CLOSED_FORM_CACHES = ("_histogram", "_colouring_polynomial", "_mixing_value")
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
@@ -99,6 +113,63 @@ def test_histogram_on_random_posets():
 def test_histogram_on_member_posets(world):
     for poset in world_posets(world):
         assert poset.descent_histogram == expected_histogram(poset)
+
+
+def closed_forms_by_extensions(poset):
+    """Both diagonal closed forms summed term by term over the linear extensions."""
+    p = poset.size
+    x, one_plus_x = IntPolynomial((0, 1)), IntPolynomial((1, 1))
+    polynomial, mixing = IntPolynomial(), Fraction(0)
+    for extension in linear_extensions(poset):
+        d = descents(extension)
+        polynomial = polynomial + x ** (1 + d) * one_plus_x ** (p - 1 - d)
+        mixing += Fraction((-1) ** d, p * math.comb(p - 1, d))
+    return polynomial, mixing
+
+
+def test_closed_form_caches_are_module_attributes():
+    cached = {name for name, value in vars(posets).items() if hasattr(value, "cache_clear")}
+    assert cached >= set(CLOSED_FORM_CACHES)
+    for name in CLOSED_FORM_CACHES:
+        cache = getattr(posets, name)
+        assert cache.cache_info().maxsize == posets.CLOSED_FORM_CACHE_SIZE
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+
+
+if given is not None:
+
+    @st.composite
+    def natural_posets(draw):
+        # a random naturally labelled poset: any set of upward pairs, closed
+        size = draw(st.integers(1, 6))
+        pairs = list(itertools.combinations(range(1, size + 1), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return DecompositionPoset.from_relations(size, [pair for pair, k in zip(pairs, keep) if k])
+
+    @settings(max_examples=60, deadline=5000)
+    @given(natural_posets())
+    def test_cached_closed_forms_match_the_extensions_property(poset):
+        expected = (expected_histogram(poset), *closed_forms_by_extensions(poset))
+        for name in CLOSED_FORM_CACHES:
+            getattr(posets, name).cache_clear()
+        cold = (
+            poset.descent_histogram,
+            diagonal_colouring_polynomial(poset),
+            diagonal_mixing_value(poset),
+        )
+        # a second poset with the same rows reads every value from the caches
+        twin = DecompositionPoset.from_relations(poset.size, poset.strict_pairs())
+        hits = [getattr(posets, name).cache_info().hits for name in CLOSED_FORM_CACHES]
+        warm = (
+            twin.descent_histogram,
+            diagonal_colouring_polynomial(twin),
+            diagonal_mixing_value(twin),
+        )
+        assert [getattr(posets, name).cache_info().hits for name in CLOSED_FORM_CACHES] == [
+            h + 1 for h in hits
+        ]
+        assert cold == warm == expected
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from webworlds import (
     descents,
     diagonal_colouring_polynomial,
     diagonal_mixing_value,
+    enumeration,
     linear_extensions,
     order_preserving_count,
     poset_to_json,
@@ -249,3 +250,18 @@ def test_repeated_blocks_need_equal_peg_pairs():
     poset = decomposition_poset(once)
     assert poset.size == 2 and not poset.repeated_blocks
     assert diagonal_colouring_polynomial(poset) == IntPolynomial((0, 1, 1))
+
+
+def test_repeated_block_shortcuts_agree_with_the_full_comparison():
+    # every member of every world with parallel edges, <= 4 pegs and <= 5 edges
+    answers = Counter()
+    for rows in enumeration.enumerate_worlds(4, 5, no_isolated=True):
+        diagram = enumeration.seed_diagram(rows)
+        if diagram.edge_count and max(diagram.peg_pair_counts().values()) > 1:
+            for member in web_world(diagram):
+                poset = decomposition_poset(member)
+                shapes = [block.normalized for block in poset.blocks]
+                full = len(set(shapes)) < len(shapes)
+                assert poset.repeated_blocks == full, member
+                answers[full] += 1
+    assert answers == Counter({False: 12125, True: 6231})
