@@ -26,9 +26,9 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, restack, web_world
-from .errors import BadRange, LengthMismatch
+from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
-from .matrices import _check_work
+from .matrices import DEFAULT_ENTRY_GUARD, _check_work
 
 _ONE_PLUS_X = ONE + X
 
@@ -146,7 +146,7 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     """
     if n < 1:
         raise BadRange("a fan needs at least one edge")
-    check_entry_guard(factorial(n))
+    _check_members(n, factorial)
     world = fan_world(n)
     perms = [fan_permutation(d) for d in world]
     denom = lcm(*range(1, n + 1))
@@ -172,6 +172,9 @@ def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the fan world's two matrix traces."""
     if n < 1:
         raise BadRange("a fan needs at least one edge")
+    # (1 + x)^(n - 1) takes n^2 multiply-adds; each coefficient n! C(n - 1, k) < n! 2^n
+    _check_work(n * n)
+    _check_work(0, bits=factorial(n).bit_length() + n)
     return factorial(n) * (X * _ONE_PLUS_X ** (n - 1)), Fraction(factorial(n - 1))
 
 
@@ -382,7 +385,7 @@ def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
 def _sign_family_matrices(
     n: int, cyclic: bool
 ) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
-    check_entry_guard(2**n)
+    _check_members(n, lambda k: 2**k)
     length = n if cyclic else n + 1
     # surjective_rule_counts, per cell and i: i letters pushed through `length` rules per start
     _check_work(4**n * sum((i if cyclic else 1) * length * i for i in range(1, length + 1)))
@@ -392,6 +395,14 @@ def _sign_family_matrices(
         for src in vectors
     ]
     return (vectors, *from_counts(counts))
+
+
+def _check_members(n: int, members) -> None:
+    """`check_entry_guard` on a family of members(n) members. There are at
+    least 2^(n - 1), so from n = 64 on it trips before they are counted."""
+    if n >= 64:
+        raise WorldTooLarge(f"n = {n} gives over 2^62 members, past the {DEFAULT_ENTRY_GUARD}-entry guard")
+    check_entry_guard(members(n))
 
 
 def chain_matrices(
@@ -424,6 +435,9 @@ def chain_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the chain family's matrix traces."""
     if n < 0:
         raise BadRange("sign count must be non-negative")
+    # two Stirling sums per k, each of at most n + 3 powers i^(n + 2), in 64-bit
+    # words; within the guard no coefficient passes the digit limit
+    _check_work((n + 3) ** 2 * (n + 2) * (n + 2).bit_length() // 32)
     coeffs = [0] + [
         factorial(k) * (stirling2(n + 2, k + 1) - stirling2(n + 1, k + 1))
         for k in range(1, n + 2)
@@ -435,6 +449,8 @@ def cycle_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the cycle family's sign-level matrix traces."""
     if n < 2:
         raise BadRange("a cycle needs at least two pegs")
+    # one Stirling sum per k, of at most n + 2 powers i^(n + 1), in 64-bit words
+    _check_work((n + 2) ** 2 * (n + 1) * (n + 1).bit_length() // 64)
     coeffs = [0] + [factorial(k) * stirling2(n + 1, k + 1) for k in range(1, n + 1)]
     coeffs[1] += 1
     return IntPolynomial(coeffs), Fraction(n + 1)

@@ -24,7 +24,6 @@ from . import cases, enumeration, transitive
 from .diagram import (
     DEFAULT_WORLD_GUARD,
     WebDiagram,
-    WebWorld,
     diagram_from_json,
     diagram_to_json,
     predicted_world_size,
@@ -34,6 +33,7 @@ from .errors import BoundsTooLarge, MalformedInput, WebWorldsError, WorldTooLarg
 from .matrices import (
     DEFAULT_ENTRY_GUARD,
     WorldMatrix,
+    check_entry_guard,
     matrix_to_csv,
     matrix_to_json,
     polynomial_to_coeff_string,
@@ -72,14 +72,8 @@ def _diagram_from_input(obj: dict) -> WebDiagram:
     if "seed_diagram" in obj:
         return diagram_from_json(obj["seed_diagram"])
     if "represent" in obj:
-        rows = enumeration.validate_represent(obj["represent"])
-        return enumeration.seed_diagram(rows)
+        return enumeration.seed_diagram(obj["represent"])
     raise UsageError('input needs "edges", "seed_diagram", or "represent"')
-
-
-def _world_from_args(args: argparse.Namespace) -> WebWorld:
-    diagram = _diagram_from_input(_load_input(args.input))
-    return web_world(diagram, args.max_size)
 
 
 def _emit_matrix(matrix: WorldMatrix, fmt: str) -> None:
@@ -110,7 +104,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_world(args: argparse.Namespace) -> int:
-    world = _world_from_args(args)
+    world = web_world(_diagram_from_input(_load_input(args.input)), args.max_size)
     payload = {
         "n": world.num_pegs,
         "size": len(world),
@@ -121,8 +115,10 @@ def _cmd_world(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    world = _world_from_args(args)
-    poly, mix = world_matrices(world, args.max_entries)
+    diagram = _diagram_from_input(_load_input(args.input))
+    # before the world is built: it may hold up to --max-size members
+    check_entry_guard(predicted_world_size(diagram), args.max_entries)
+    poly, mix = world_matrices(web_world(diagram, args.max_size), args.max_entries)
     _emit_matrix(poly if args.kind == "colouring" else mix, args.format)
     return 0
 
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep transitive worlds only (implies --no-isolated)",
     )
-    p.add_argument("--max-matrices", type=int, default=2_000_000)
+    p.add_argument("--max-matrices", type=int, default=enumeration.DEFAULT_MATRIX_GUARD)
     p.add_argument(
         "--count",
         choices=tuple(_COUNTERS),

@@ -76,6 +76,9 @@ class WebDiagram:
 def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
     if num_pegs < 0:
         raise BadRange("peg count must be non-negative")
+    # bounds the per-peg lists (peg_heights, web_world) before any is made
+    if num_pegs > DEFAULT_WORLD_GUARD:
+        raise WorldTooLarge(f"peg count {num_pegs} exceeds the {DEFAULT_WORLD_GUARD}-peg guard")
     slots: dict[tuple[int, int], Edge] = {}
     for e in edges:
         if not (1 <= e.left_peg < e.right_peg <= num_pegs):
@@ -326,13 +329,9 @@ class WebWorld:
 
 def predicted_world_size(diagram: WebDiagram) -> int:
     """Orbit size by the product formula: per-peg factorials over
-    parallel-edge factorials."""
-    size = 1
-    for p in diagram.peg_heights:
-        size *= math.factorial(p)
-    for count in diagram.peg_pair_counts().values():
-        size //= math.factorial(count)
-    return size
+    parallel-edge factorials, in one division."""
+    cells = math.prod(math.factorial(count) for count in diagram.peg_pair_counts().values())
+    return math.prod(map(math.factorial, diagram.peg_heights)) // cells
 
 
 def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWorld:
@@ -346,7 +345,7 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
     """
     expected = predicted_world_size(diagram)
     if expected > max_size:
-        raise WorldTooLarge(f"world has {expected} diagrams, guard is {max_size}")
+        raise WorldTooLarge(f"world has {_amount(expected)} diagrams, guard is {max_size}")
     pairs = sorted(diagram.peg_pair_counts().items())
     heights = diagram.peg_heights
     per_peg_choices: list[list[dict]] = []
@@ -491,6 +490,15 @@ def _symmetry_generators(world: WebWorld) -> list[list[int]]:
 
 def diagram_to_json(diagram: WebDiagram) -> dict:
     return {"n": diagram.num_pegs, "edges": [list(e) for e in diagram.edges]}
+
+
+def _amount(value: int) -> str:
+    """`value` in decimal, or its power of two where Python refuses the
+    decimal text (more digits than sys.get_int_max_str_digits())."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"over 2^{value.bit_length() - 1}"
 
 
 def json_int(value, what: str) -> int:

@@ -14,9 +14,9 @@ import math
 import operator
 from typing import Callable, Iterator, Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, validate_diagram
+from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, predicted_world_size, validate_diagram
 from .errors import BadRange, BoundsTooLarge
-from .matrices import DEFAULT_WORK_GUARD
+from .matrices import DEFAULT_WORK_GUARD, _check_work
 
 Rows = tuple[tuple[int, ...], ...]
 # A truncated series in two variables: series[i][j] is the coefficient of
@@ -57,9 +57,7 @@ def is_proper(source: WebDiagram | WebWorld) -> bool:
 
 def world_size(rows: Sequence[Sequence[int]]) -> int:
     """Orbit size from a represent matrix: peg factorials over cell factorials."""
-    a = validate_represent(rows)
-    cells = math.prod(math.factorial(v) for row in a for v in row)
-    return math.prod(map(math.factorial, peg_loads(a))) // cells
+    return predicted_world_size(seed_diagram(rows))
 
 
 def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
@@ -78,16 +76,15 @@ def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
+    """The `parts`-tuples of non-negative integers summing to `total`, in
+    lexicographic order: the gaps around parts - 1 bars among total + parts - 1 slots."""
+    if parts < 2:
+        if parts or not total:
+            yield (total,) * parts
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def _matrix_from_cells(m: int, values: tuple[int, ...]) -> Rows:
@@ -130,14 +127,21 @@ def enumerate_worlds(
         raise BadRange("need at least two pegs to place an edge")
     if max_edges < 0 or (exact_edges is not None and exact_edges < 0):
         raise BadRange("edge bounds must be non-negative")
-    totals = [exact_edges] if exact_edges is not None else list(range(max_edges + 1))
-    candidates = sum(
-        math.comb(math.comb(m, 2) + t - 1, t)
-        for m in range(2, max_pegs + 1)
-        for t in totals
-    )
+    totals = [exact_edges] if exact_edges is not None else range(max_edges + 1)
+    top = max_edges if exact_edges is None else exact_edges
+    # t edges on c cells make C(c + t - 1, t) matrices, and up to T edges
+    # C(c + T, T), each listed at the cost of its m^2 entries; the entries pass
+    # the work guard by m = 500, so the count stops early on any max_pegs
+    candidates = entries = 0
+    for m in range(2, max_pegs + 1):
+        count = math.comb(math.comb(m, 2) + top - (exact_edges is not None), top)
+        candidates += count
+        entries += count * m * m
+        if candidates > max_matrices or entries > DEFAULT_WORK_GUARD:
+            break
     if candidates > max_matrices:
         raise BoundsTooLarge(f"{candidates} candidate matrices exceed the guard {max_matrices}")
+    _check_work(entries, what="listing", error=BoundsTooLarge)
     for m in range(2, max_pegs + 1):
         cells = math.comb(m, 2)
         for t in totals:
@@ -175,7 +179,7 @@ def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
     cells = math.comb(pegs, 2)
     if pairs > edges or pairs > cells:
         return 0
-    _check_series_work(2 * cells.bit_length(), edges, pairs)
+    _check_series_work(2 * cells.bit_length(), edges, pairs, _count_bits(cells, edges, pairs))
     base = _pair_series(edges, pairs)
     power = _series_one(edges, pairs)
     while cells:
@@ -196,6 +200,12 @@ def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
     """
     if pegs < 2 or edges < 1 or pairs < 1:
         raise BadRange("need pegs >= 2, edges >= 1, pairs >= 1")
+    cells = math.comb(pegs, 2)
+    # each pair needs an edge of its own, and every peg must lie on a pair
+    if pairs > edges or pairs > cells or pegs > 2 * pairs:
+        return 0
+    # pegs + 1 terms, each a binomial over `pairs` factors
+    _check_work((pegs + 1) * pairs, _count_bits(cells, edges, pairs), error=BoundsTooLarge)
     return math.comb(edges - 1, pairs - 1) * sum(
         (-1) ** (pegs - k) * math.comb(pegs, k) * math.comb(math.comb(k, 2), pairs)
         for k in range(pegs + 1)
@@ -281,11 +291,15 @@ def _series_product(a: Series, b: Series) -> Series:
     return out
 
 
-def _check_series_work(products: int, edges: int, pairs: int) -> None:
-    """Raise BoundsTooLarge before a counter whose products would take
-    more than DEFAULT_WORK_GUARD multiply-adds."""
+def _check_series_work(products: int, edges: int, pairs: int, bits: int = 0) -> None:
+    """Raise BoundsTooLarge before a counter whose products would take more
+    than DEFAULT_WORK_GUARD multiply-adds, or whose `bits`-bit answer could
+    pass the digit limit (see matrices._check_work)."""
     work = products * (edges + 1) * (edges + 2) * (pairs + 1) * (pairs + 2) // 4
-    if work > DEFAULT_WORK_GUARD:
-        raise BoundsTooLarge(
-            f"{work} estimated series steps exceed the {DEFAULT_WORK_GUARD}-step guard"
-        )
+    _check_work(work, bits, what="series", error=BoundsTooLarge)
+
+
+def _count_bits(cells: int, edges: int, pairs: int) -> int:
+    """Bits of C(cells, pairs) C(edges - 1, pairs - 1), the number of worlds
+    on those cells, or more: it is below cells^pairs edges^pairs."""
+    return pairs * (cells.bit_length() + edges.bit_length())

@@ -63,6 +63,7 @@ from .diagram import (
     DEFAULT_WORLD_GUARD,
     WebDiagram,
     WebWorld,
+    _amount,
     _orbits,
     _symmetry_generators,
     _symmetry_orbits,
@@ -419,11 +420,17 @@ def _peg_orders(diagram: WebDiagram) -> list[list[int]]:
     return [order for order in orders if len(order) > 1]
 
 
-def _check_work(work: int) -> None:
-    """Raise WorldTooLarge before a count whose work estimate is over the guard."""
+def _check_work(work: int, bits: int = 0, what: str = "counting", error: type = WorldTooLarge) -> None:
+    """Raise `error` before a computation whose work estimate is over the
+    guard, or whose answer, of up to `bits` bits, has more decimal digits
+    than Python turns into text (no limit before 3.10.7)."""
     if work > DEFAULT_WORK_GUARD:
-        raise WorldTooLarge(
-            f"{work} estimated counting steps exceed the {DEFAULT_WORK_GUARD}-step guard"
+        raise error(f"{_amount(work)} estimated {what} steps exceed the {DEFAULT_WORK_GUARD}-step guard")
+    digits = bits * 30103 // 100000 + 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and digits > limit:
+        raise error(
+            f"an answer of up to {_amount(digits)} digits exceeds the {limit}-digit limit on integer text"
         )
 
 
@@ -790,7 +797,8 @@ class _SubsetDP:
 def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None:
     """Raise WorldTooLarge before a size x size matrix over the entry guard is built."""
     if size * size > max_entries:
-        raise WorldTooLarge(f"{size}x{size} matrix exceeds the {max_entries}-entry guard")
+        text = _amount(size)
+        raise WorldTooLarge(f"{text}x{text} matrix exceeds the {max_entries}-entry guard")
 
 
 def _world_counts(
@@ -937,7 +945,10 @@ def rank(matrix: WorldMatrix) -> int:
     elimination of an idempotent block, Bareiss elimination of any other
     (see the module docstring)."""
     _require_rational(matrix, "rank")
-    return sum(map(partial(_block_rank, denom=matrix.denominator), matrix._blocks, matrix._idempotent))
+    flags, blocks = matrix._idempotent, matrix._blocks
+    # the last reader of the blocks: only their idempotence flags stay cached
+    del vars(matrix)["_blocks"]
+    return sum(map(partial(_block_rank, denom=matrix.denominator), blocks, flags))
 
 
 def _block_rank(rows: list[list[int]], idempotent: bool, denom: int) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, _compressed
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial, transitive_closure
+from .matrices import IntPolynomial, _unpack, transitive_closure
 
 # poset shapes (order rows) that each closed-form cache keeps
 CLOSED_FORM_CACHE_SIZE = 4096
@@ -343,9 +343,7 @@ def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
                 slot = grown.setdefault(mask | 1 << v, {})
                 slot[v] = slot.get(v, 0) + packed
         level = grown
-    total = sum(level[(1 << k) - 1].values())
-    field = (1 << width) - 1
-    return tuple(total >> (width * d) & field for d in range(max(k, 1)))
+    return _unpack(sum(level[(1 << k) - 1].values()), width, max(k - 1, 0))
 
 
 def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
@@ -402,16 +400,12 @@ def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     Counts the members by their order rows and adds the diagonal closed
     forms of each distinct poset once, times its count, so no
     off-diagonal entry (and no matrix) is ever materialized. Requires a
-    multiplicity-free world (no parallel edges) and distinct blocks in
-    every member.
+    multiplicity-free world (no parallel edges), whose members never
+    repeat a block: two equal blocks would share their peg pairs.
     """
     if any(v > 1 for v in world[0].peg_pair_counts().values()):
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
-    shapes: Counter = Counter()
-    for diagram in world:
-        poset = decomposition_poset(diagram)
-        _require_distinct_blocks(poset)
-        shapes[poset.up] += 1
+    shapes = Counter(decomposition_poset(diagram).up for diagram in world)
     colouring_total = IntPolynomial()
     mixing_total = Fraction(0)
     for up, count in shapes.items():

@@ -54,11 +54,9 @@ def core_matrix(rows: Sequence[Sequence[int]]) -> Rows:
     zero row or column, and loses no information: the dropped column
     and row of a strictly upper-triangular matrix are zero by shape.
     """
-    rows = validate_represent(rows)
     if not is_transitive(rows):
         raise NotTransitive("core matrix is only defined for transitive worlds")
-    m = len(rows)
-    return tuple(tuple(rows[i][j] for j in range(1, m)) for i in range(m - 1))
+    return tuple(tuple(row[1:]) for row in rows[:-1])
 
 
 def reattach(core: Sequence[Sequence[int]]) -> Rows:
@@ -69,21 +67,12 @@ def reattach(core: Sequence[Sequence[int]]) -> Rows:
     of transitive represent matrices.
     """
     core = json_int_rows(core, "core matrix")
-    k = len(core)
-    if k == 0 or any(len(row) != k for row in core):
+    if not core:
         raise BadRange("core must be a non-empty square matrix")
-    for i in range(k):
-        for j in range(k):
-            if core[i][j] < 0:
-                raise BadRange("core entries must be non-negative")
-            if i > j and core[i][j] != 0:
-                raise BadRange("core must be upper triangular")
-    for i in range(k):
-        if all(core[i][j] == 0 for j in range(k)):
-            raise BadRange(f"core row {i + 1} is zero")
-        if all(core[j][i] == 0 for j in range(k)):
-            raise BadRange(f"core column {i + 1} is zero")
-    return validate_represent([[0, *row] for row in core] + [[0] * (k + 1)])
+    rows = validate_represent([[0, *row] for row in core] + [[0] * (len(core) + 1)])
+    if not _spans(rows):
+        raise BadRange("core has a zero row or column")
+    return rows
 
 
 def transitive_matrices(edges: int) -> tuple[Rows, ...]:

@@ -396,62 +396,26 @@ def suite_counting(
         )
     )
 
-    failures = []
-    checked = 0
-    for pegs in range(2, max_pegs + 1):
-        for edges in range(max_edges + 1):
-            for pairs in range(comb(pegs, 2) + 1):
-                checked += 1
-                direct = enumeration.count_worlds(pegs, edges, pairs)
-                series = enumeration.count_worlds_series(pegs, edges, pairs)
-                if direct != series:
-                    failures.append(f"nww({pegs},{edges},{pairs}) {direct} != {series}")
-    results.append(
-        _aggregate(
-            "world counts by pegs/edges/pairs",
-            checked,
-            failures,
-            "direct enumeration matches series extraction",
-        )
-    )
-
-    failures = []
-    checked = 0
-    for pegs in range(2, max_pegs + 1):
-        for edges in range(1, max_edges + 1):
-            for pairs in range(1, comb(pegs, 2) + 1):
-                checked += 1
-                closed = enumeration.count_worlds_no_isolated(pegs, edges, pairs)
-                direct = enumeration.count_worlds_no_isolated_direct(pegs, edges, pairs)
-                if closed != direct:
-                    failures.append(f"nwwnip({pegs},{edges},{pairs}) {closed} != {direct}")
-    results.append(
-        _aggregate(
-            "no-isolated-peg counts",
-            checked,
-            failures,
-            "closed form matches direct enumeration",
-        )
-    )
-
-    failures = []
-    checked = 0
-    for pegs in range(1, max_pegs + 1):
-        for edges in range(max_edges + 1):
-            for pairs in range(comb(pegs, 2) + 1):
-                checked += 1
-                series = enumeration.count_proper_worlds(pegs, edges, pairs)
-                direct = enumeration.count_proper_worlds_direct(pegs, edges, pairs)
-                if series != direct:
-                    failures.append(f"npww({pegs},{edges},{pairs}) {series} != {direct}")
-    results.append(
-        _aggregate(
-            "proper world counts",
-            checked,
-            failures,
-            "logarithmic series matches direct connected enumeration",
-        )
-    )
+    # (name, tag, route, second route, least pegs, least edges and pairs, detail)
+    for name, tag, first, second, low_pegs, low, detail in (
+        ("world counts by pegs/edges/pairs", "nww", enumeration.count_worlds,
+         enumeration.count_worlds_series, 2, 0, "direct enumeration matches series extraction"),
+        ("no-isolated-peg counts", "nwwnip", enumeration.count_worlds_no_isolated,
+         enumeration.count_worlds_no_isolated_direct, 2, 1, "closed form matches direct enumeration"),
+        ("proper world counts", "npww", enumeration.count_proper_worlds,
+         enumeration.count_proper_worlds_direct, 1, 0,
+         "logarithmic series matches direct connected enumeration"),
+    ):
+        failures = []
+        checked = 0
+        for pegs in range(low_pegs, max_pegs + 1):
+            for edges in range(low, max_edges + 1):
+                for pairs in range(low, comb(pegs, 2) + 1):
+                    checked += 1
+                    a, b = first(pegs, edges, pairs), second(pegs, edges, pairs)
+                    if a != b:
+                        failures.append(f"{tag}({pegs},{edges},{pairs}) {a} != {b}")
+        results.append(_aggregate(name, checked, failures, detail))
 
     census = sum(
         enumeration.count_worlds_no_isolated(pegs, 3, pairs)

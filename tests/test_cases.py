@@ -48,7 +48,7 @@ from webworlds.cases import (
     rule_codes,
     sign_vectors,
 )
-from webworlds.errors import BadRange, LengthMismatch
+from webworlds.errors import BadRange, LengthMismatch, WorldTooLarge
 from webworlds.verify import _split_count, suite_case2, suite_case3
 
 
@@ -94,6 +94,11 @@ def test_minimal_colouring_pinned_example():
     target = (8, 5, 1, 4, 3, 7, 2, 6)
     assert minimal_colour_blocks(source, target) == ((8, 5, 1), (4, 3, 7), (2, 6))
     assert minimal_colour_count(source, target) == 3
+
+
+def test_minimal_colouring_needs_equal_sizes():
+    with pytest.raises(LengthMismatch, match="permutation sizes differ: 2 vs 3"):
+        minimal_colour_blocks((2, 1), (1, 2, 3))
 
 
 def test_minimal_colouring_reconstructs_the_target():
@@ -225,6 +230,30 @@ def test_fan_traces_closed_forms():
     world, poly, mix = fan_matrices(3)
     assert trace(poly) == poly_trace
     assert trace(mix) == mix_trace
+
+
+@pytest.mark.parametrize(
+    "traces, n, message",
+    [
+        (fan_traces, 10**6, "1000000000000 estimated counting steps"),
+        (fan_traces, 2000, "an answer of up to 6338 digits exceeds the 4300-digit limit"),
+        (chain_traces, 800, "161605255 estimated counting steps"),
+        (cycle_traces, 2000, "1378440250 estimated counting steps"),
+        (cycle_traces, 10**3000, r"over 2\^29904 estimated counting steps"),
+    ],
+    ids=["fan-work", "fan-digits", "chain-work", "cycle-work", "cycle-3001-digits"],
+)
+def test_closed_form_traces_guard_work_and_digits(traces, n, message):
+    with pytest.raises(WorldTooLarge, match=message):
+        traces(n)
+
+
+@pytest.mark.parametrize("matrices", [fan_matrices, chain_matrices, cycle_matrices])
+def test_family_matrices_refuse_huge_n_before_sizing_it(matrices):
+    with pytest.raises(WorldTooLarge, match=r"n = 64 gives over 2\^62 members"):
+        matrices(64)
+    with pytest.raises(WorldTooLarge, match="matrix exceeds the 4000000-entry guard"):
+        matrices(63)
 
 
 # ---------------------------------------------------------------------------

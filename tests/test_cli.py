@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from webworlds import trace, web_world, world_matrices
+from webworlds import enumeration, trace, web_world, world_matrices
 from webworlds.cli import main
 from webworlds.enumeration import seed_diagram
 
@@ -441,6 +441,93 @@ def test_matrix_guards_its_subset_pass(capsys, kind):
     assert err == f"error: {3**16} estimated counting steps exceed the 40000000-step guard\n"
 
 
+@pytest.mark.parametrize("kind", ["colouring", "mixing"])
+def test_matrix_checks_entries_before_building_the_world(capsys, monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("world built before the entry guard")
+
+    monkeypatch.setattr("webworlds.cli.web_world", refuse)
+    fan9 = json.dumps({"n": 10, "edges": [[i, 10, 1, i] for i in range(1, 10)]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "matrix", "--kind", kind, "--input", fan9)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: 362880x362880 matrix exceeds the 4000000-entry guard\n"
+
+
+HUGE = "1" * 3001
+# inputs whose answer is out of reach or too long to print, and their refusals
+OVERSIZED = {
+    "case1 --n 2000 --trace": "an answer of up to 6338 digits exceeds the 4300-digit limit",
+    "case2 --n 800 --trace": "161605255 estimated counting steps exceed",
+    "case3 --n 2000 --trace": "1378440250 estimated counting steps exceed",
+    "case1 --n 1000000 --trace": "1000000000000 estimated counting steps exceed",
+    f"enumerate --count nww --pegs {HUGE} --edges 1 --pairs 1": "up to 6001 digits exceeds",
+    f"case2 --n {HUGE} --matrix mixing": f"n = {HUGE} gives over 2^62 members",
+    f"transitive --edges {HUGE}": "estimated series steps exceed",
+    f"enumerate --max-pegs {HUGE} --max-edges 0": "estimated listing steps exceed",
+    "enumerate --max-pegs 200 --max-edges 1": "42844139 estimated listing steps exceed",
+    'validate --input {"n":1000000000,"edges":[]}': "peg count 1000000000 exceeds the 1000000-peg guard",
+    'trace --input {"n":1000000000,"edges":[[1,2,1,1]]}': "peg count 1000000000 exceeds",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED), ids=lambda c: c[:48])
+def test_oversized_answers_exit_three_at_once(capsys, command):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *command.split())
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and OVERSIZED[command] in err and "Traceback" not in err
+
+
+def test_worlds_too_large_to_print_exit_three(capsys):
+    # a fan of 20,000 edges has 20000! members, past the 4300 digits that
+    # Python turns into text
+    fan = json.dumps({"edges": [[i, 20001, 1, i] for i in range(1, 20001)]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "world", "--input", fan)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: world has over 2^256908 diagrams, guard is 1000000\n"
+
+
+def test_zero_count_cells_answer_at_once(capsys):
+    started = time.perf_counter()
+    cell = ["--pegs", "100000", "--edges", "5", "--pairs", "3"]
+    code, out, err = run(capsys, "enumerate", "--count", "nwwnip", *cell)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out, err) == (0, "100000,5,3,0\n", "")
+
+
+def test_case_traces_keep_their_output(capsys):
+    # `case1..3 --n 3..6 --trace` in both formats, one after another
+    text = ""
+    for case in ("case1", "case2", "case3"):
+        for n in range(3, 7):
+            for fmt in ("json", "csv"):
+                code, out, err = run(capsys, case, "--n", str(n), "--trace", "--format", fmt)
+                assert (code, err) == (0, "")
+                text += out
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "b139e9ef7a2afad8db2cd127b3d9121abdd766786f8df4f0a417a6d8d07edbd1"
+
+
+def test_counter_cells_of_the_benchmark_keep_their_values():
+    # the closed_forms workload's counter cells: sha256 of the sorted JSON
+    # list of [counter, pegs, edges, pairs, value]
+    counters = ("count_worlds_series", "count_worlds_no_isolated", "count_proper_worlds")
+    table = sorted(
+        [name, pegs, edges, pairs, getattr(enumeration, name)(pegs, edges, pairs)]
+        for name in counters
+        for pegs in range(2, 7)
+        for edges in range(1, 7)
+        for pairs in range(1, edges + 1)
+    )
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == "94de92400afb58e35db6e2aafe62e980ec9a015804ee9cb1f2b7b6853ec1d573"
+
+
 def test_unknown_flag_exits_two_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["matrix", "--kind", "wat", "--input", PATH4_JSON])
@@ -511,3 +598,45 @@ if given is not None:
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+# every integer flag, as commands with slots for up to three drawn values
+INTEGER_COMMANDS = [
+    *(f"{case} --n {{0}} --trace" for case in ("case1", "case2", "case3")),
+    *(f"{case} --n {{0}} --matrix mixing" for case in ("case1", "case2", "case3")),
+    *(f"enumerate --count {c} --pegs {{0}} --edges {{1}} --pairs {{2}}" for c in ("nww", "nwwnip", "proper")),
+    "enumerate --max-pegs {0} --max-edges {1}",
+    "enumerate --max-pegs {0} --max-edges {1} --exact-edges {2}",
+    "transitive --edges {0}",
+    "transitive --edges {0} --list",
+]
+
+if given is not None:
+    # small values, and huge ones of either sign from 10 digits to past the
+    # 4300 that argparse reads, as text: nothing from 10^9 up is answered slowly
+    huge_values = st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(("", "-")),
+            st.sampled_from("123456789"),
+            st.text("0123456789", min_size=9, max_size=4400),
+        ),
+    )
+    flag_values = st.one_of(st.integers(-3, 5).map(str), huge_values)
+
+    @pytest.mark.parametrize("command", INTEGER_COMMANDS)
+    @settings(max_examples=6, deadline=None)
+    @given(values=st.tuples(flag_values, flag_values, flag_values))
+    def test_integer_flags_exit_cleanly_fuzz(command, values):
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(command.format(*values).split())
+            except SystemExit as exc:  # argparse refuses what it cannot read
+                code = exc.code
+        assert time.perf_counter() - started < 5.0
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error: " in err.getvalue(), err.getvalue()

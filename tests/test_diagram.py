@@ -1,6 +1,7 @@
 """Diagram validation, world construction, and reconstruction."""
 
 import functools
+import time
 
 import pytest
 
@@ -22,10 +23,12 @@ from webworlds import (
 from webworlds import enumeration
 from webworlds.diagram import restack, surjection_tuples
 from webworlds.errors import (
+    ArityMismatch,
     BadRange,
     DuplicateSlot,
     EdgeNotInDiagram,
     HeightNotPermutation,
+    LengthMismatch,
     MalformedInput,
     NotSurjective,
     PegOrderViolation,
@@ -123,6 +126,26 @@ def test_subweb_rejects_foreign_edges(path4):
 def test_apply_identity_permutations_is_a_fixed_point(path4):
     family = [tuple(range(1, h + 1)) for h in path4.peg_heights]
     assert apply_permutations(path4, family) == path4
+
+
+def test_permutation_family_must_match_the_pegs(path4):
+    with pytest.raises(ArityMismatch, match="family covers 3 pegs, diagram has 4"):
+        apply_permutations(path4, [(1,), (1, 2), (1, 2)])
+    with pytest.raises(ArityMismatch, match="peg 2 is not a permutation of 1..2"):
+        apply_permutations(path4, [(1,), (1, 1), (1, 2), (1,)])
+
+
+def test_restack_needs_one_colour_per_edge(path4):
+    with pytest.raises(LengthMismatch, match="colouring has 2 entries for 3 edges"):
+        restack(path4.edges, path4.num_pegs, (1, 2))
+
+
+def test_peg_count_is_bounded_before_any_per_peg_list():
+    started = time.perf_counter()
+    with pytest.raises(WorldTooLarge, match="peg count 1000000000 exceeds the 1000000-peg guard"):
+        validate_diagram(((1, 2, 1, 1),), 10**9)
+    assert time.perf_counter() - started < 1.0
+    assert validate_diagram((), 10**6).num_pegs == 10**6
 
 
 def test_crossed_pair_world_has_the_uncrossed_twin():

@@ -182,6 +182,25 @@ def test_impossible_cells_count_zero_without_work():
     assert count_proper_worlds(3, 10**9, 4) == 0
     assert count_proper_worlds(5, 2, 3) == 0
     assert count_proper_worlds(1, 0, 0) == 1
+    # and for the no-isolated count, more pegs than the pairs can touch
+    assert count_worlds_no_isolated(100_000, 5, 3) == 0
+    assert count_worlds_no_isolated(2, 10**9, 2) == 0
+    assert count_worlds_no_isolated(4, 3, 7) == 0
+    assert count_worlds_no_isolated(7, 10**9, 3) == 0
+    assert count_worlds_no_isolated(6, 3, 3) == count_worlds_no_isolated_direct(6, 3, 3) == 15
+
+
+def test_counters_refuse_answers_past_the_digit_limit():
+    huge = 10**3000
+    with pytest.raises(BoundsTooLarge, match="digits exceeds the 4300-digit limit"):
+        count_worlds_series(huge, 1, 1)
+    with pytest.raises(BoundsTooLarge, match="digits exceeds"):
+        count_worlds_no_isolated(4, huge, 3)
+    with pytest.raises(BoundsTooLarge, match="counting steps"):
+        count_worlds_no_isolated(huge, huge, huge)
+    # a huge peg count alone is fine while the answer stays printable
+    assert count_worlds_series(10**20, 1, 1) == math.comb(10**20, 2)
+    assert count_worlds_no_isolated(3, 10**20, 2) == 3 * (10**20 - 1)
 
 
 def test_series_counters_guard_their_work():
@@ -198,3 +217,38 @@ def test_counting_guards():
         count_worlds_no_isolated(2, 0, 1)
     with pytest.raises(BadRange):
         count_proper_worlds(0, 1, 1)
+
+
+# with one counter off by one: the check that fails and its first failure
+OFF_BY_ONE = {
+    "count_worlds_series": ("world counts by pegs/edges/pairs", "18 of 18 failed, first: nww(2,0,0) 1 != 2"),
+    "count_worlds": ("world counts by pegs/edges/pairs", "18 of 18 failed, first: nww(2,0,0) 2 != 1"),
+    "count_worlds_no_isolated": ("no-isolated-peg counts", "8 of 8 failed, first: nwwnip(2,1,1) 2 != 1"),
+    "count_proper_worlds_direct": ("proper world counts", "21 of 21 failed, first: npww(1,0,0) 1 != 2"),
+}
+
+
+@pytest.mark.parametrize("counter", sorted(OFF_BY_ONE))
+def test_counting_suite_reports_an_off_by_one_counter(monkeypatch, counter):
+    from webworlds import enumeration
+    from webworlds.verify import suite_counting
+
+    right = getattr(enumeration, counter)
+    monkeypatch.setattr(enumeration, counter, lambda *cell: right(*cell) + 1)
+    failed = [(r.name, r.detail) for r in suite_counting(1, 3, 2) if not r.passed]
+    assert OFF_BY_ONE[counter] in failed
+
+
+def test_counting_suite_names_the_one_wrong_cell(monkeypatch):
+    from webworlds import enumeration
+    from webworlds.verify import suite_counting
+
+    right = enumeration.count_worlds_series
+    monkeypatch.setattr(
+        enumeration, "count_worlds_series", lambda *cell: right(*cell) + (cell == (3, 2, 1))
+    )
+    results = {r.name: r for r in suite_counting(1, 3, 2)}
+    check = results["world counts by pegs/edges/pairs"]
+    assert not check.passed
+    assert check.detail == "1 of 18 failed, first: nww(3,2,1) 3 != 4"
+    assert sum(not r.passed for r in results.values()) == 1

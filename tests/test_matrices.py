@@ -4,6 +4,7 @@ Oracles: the ordered Bell recurrence, the Fubini number sequence, plain
 fraction Gauss elimination for rank, and hand-checked tiny worlds.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from webworlds import (
     ordered_bell_polynomial,
     rank,
     row_sums,
+    seed_diagram,
     trace,
     validate_diagram,
     web_world,
@@ -159,6 +161,29 @@ def test_rank_and_idempotence_reject_polynomial_matrices(path4):
         is_idempotent(poly)
     with pytest.raises(BadRange, match="mixes polynomial and rational"):
         WorldMatrix.from_entries(((X, Fraction(1)), (Fraction(0), X)))
+
+
+def test_rank_is_the_last_reader_of_the_flip_blocks(monkeypatch):
+    built = []
+    blocks = WorldMatrix.__dict__["_blocks"]
+
+    def counted(matrix):
+        built.append(matrix)
+        return blocks.func(matrix)
+
+    counted_blocks = functools.cached_property(counted)
+    counted_blocks.__set_name__(WorldMatrix, "_blocks")
+    monkeypatch.setattr(WorldMatrix, "_blocks", counted_blocks)
+    # the triangle with one doubled edge: 36 members, both flip blocks non-empty
+    _poly, mix = world_matrices(web_world(seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))))
+    assert is_idempotent(mix) and "_blocks" in vars(mix)
+    assert all(vars(mix)["_blocks"])
+    found = rank(mix)
+    assert found == trace(mix)
+    # built once for both checks, then dropped; the idempotence flags stay
+    assert len(built) == 1 and "_blocks" not in vars(mix)
+    assert is_idempotent(mix) and len(built) == 1
+    assert rank(mix) == found and len(built) == 2 and "_blocks" not in vars(mix)
 
 
 def test_mixing_from_polynomial_rejects_constant_terms():

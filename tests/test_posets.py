@@ -33,6 +33,7 @@ from webworlds import (
     world_posets,
 )
 from webworlds.errors import BadRange, LabelNotOne, RepeatedBlocks
+from webworlds.verify import suite_posets
 
 from conftest import small_worlds
 
@@ -265,3 +266,14 @@ def test_repeated_block_shortcuts_agree_with_the_full_comparison():
                 assert poset.repeated_blocks == full, member
                 answers[full] += 1
     assert answers == Counter({False: 12125, True: 6231})
+
+
+def test_poset_suite_passes():
+    results = suite_posets()
+    assert [r.name for r in results] == [
+        "four-peg path world",
+        "three-block diagonal",
+        "diagonal descent formulas",
+        "order-preserving counts",
+    ]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
