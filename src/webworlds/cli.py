@@ -24,6 +24,7 @@ from . import cases, enumeration, transitive
 from .diagram import (
     DEFAULT_WORLD_GUARD,
     WebDiagram,
+    check_world_size,
     diagram_from_json,
     diagram_to_json,
     predicted_world_size,
@@ -117,7 +118,7 @@ def _cmd_world(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     diagram = _diagram_from_input(_load_input(args.input))
     # before the world is built: it may hold up to --max-size members
-    check_entry_guard(predicted_world_size(diagram), args.max_entries)
+    check_entry_guard(check_world_size(diagram, args.max_size), args.max_entries)
     poly, mix = world_matrices(web_world(diagram, args.max_size), args.max_entries)
     _emit_matrix(poly if args.kind == "colouring" else mix, args.format)
     return 0

@@ -334,6 +334,20 @@ def predicted_world_size(diagram: WebDiagram) -> int:
     return math.prod(map(math.factorial, diagram.peg_heights)) // cells
 
 
+def check_world_size(diagram: WebDiagram, max_size: int) -> int:
+    """The world size; WorldTooLarge if over `max_size`. In the size formula a
+    peg with b blocks (runs of parallel edges at their left peg, single right
+    ends) has a factor >= b! >= 2^(b - 1), checked before the exact product."""
+    pairs = diagram.peg_pair_counts()
+    bits = len(pairs) + diagram.edge_count - len({peg for pair in pairs for peg in pair})
+    if bits >= max_size.bit_length():
+        raise WorldTooLarge(f"world has at least 2^{bits} diagrams, guard is {max_size}")
+    size = predicted_world_size(diagram)
+    if size > max_size:
+        raise WorldTooLarge(f"world has {_amount(size)} diagrams, guard is {max_size}")
+    return size
+
+
 def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWorld:
     """Materialize the full orbit of `diagram` as sorted edge keys.
 
@@ -343,9 +357,7 @@ def web_world(diagram: WebDiagram, max_size: int = DEFAULT_WORLD_GUARD) -> WebWo
     right-peg slots as an ordered arrangement. Every member of the world
     is produced exactly once, so no deduplication pass is needed.
     """
-    expected = predicted_world_size(diagram)
-    if expected > max_size:
-        raise WorldTooLarge(f"world has {_amount(expected)} diagrams, guard is {max_size}")
+    expected = check_world_size(diagram, max_size)
     pairs = sorted(diagram.peg_pair_counts().items())
     heights = diagram.peg_heights
     per_peg_choices: list[list[dict]] = []

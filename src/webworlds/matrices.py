@@ -25,14 +25,14 @@ them into IntPolynomial and Fraction objects for output only.
   idempotent exactly when both blocks are, and rank R is the sum of
   their ranks. A matrix with no flip, or whose flip fails the O(n^2)
   check, takes f = identity: N+ = N and N- is empty.
-- If a block B is idempotent, then rank(B) + rank(I - B) = n_B over Q,
-  and no rank mod a prime exceeds the rank over Q. So rank_p(N_B) +
-  rank_p(L I - N_B) = n_B for p = 2^24 - 3 proves rank(B) = rank_p(N_B),
-  whether or not p divides L. Rows are packed into 64-bit fields that
-  are not reduced after an update, which stays below p + n p^2 < 2^64
-  while n <= 65536. If B is not idempotent, the certificate falls short
-  or a field could overflow, the block's rank comes from Bareiss
-  elimination instead.
+- If a block B = N_B / L is idempotent and p = 2^24 - 3 does not divide
+  L, then B mod p is idempotent over F_p, where rank_p(B) + rank_p(I - B)
+  = n_B. No rank mod p exceeds the rank over Q, so rank_p(B) <= rank(B)
+  and rank_p(I - B) <= n_B - rank(B) are equalities: rank(B) = rank_p(N_B).
+  Rows are packed into 64-bit fields that are not reduced after an
+  update, which stays below p + n p^2 < 2^64 while n <= 65536. If B is not
+  idempotent, p divides L or a field could overflow, Bareiss elimination
+  gives the block's rank instead.
 
 The trace sums the diagonal entries, so trace(R) = rank(R) compares two
 independent computations.
@@ -67,8 +67,8 @@ from .diagram import (
     _orbits,
     _symmetry_generators,
     _symmetry_orbits,
+    check_world_size,
     json_int,
-    predicted_world_size,
     web_world,
 )
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
@@ -157,9 +157,6 @@ class IntPolynomial:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __str__(self) -> str:
         # "-" or " - " before a negative term, " + " between the others
         text = ""
@@ -183,10 +180,6 @@ def polynomial_to_coeff_string(poly: IntPolynomial) -> str:
     if not poly.coeffs:
         return "0"
     return ";".join(str(c) for c in poly.coeffs)
-
-
-def polynomial_from_coeff_string(text: str) -> IntPolynomial:
-    return IntPolynomial([int(part) for part in text.split(";")])
 
 
 def ordered_bell_polynomial(m: int) -> IntPolynomial:
@@ -660,7 +653,7 @@ def world_traces(
         _check_work(3**edge_count)
         counts = _fixed_point_counts(diagram)
     else:
-        _check_work(predicted_world_size(diagram) * _kernel_work(diagram))
+        _check_work(check_world_size(diagram, max_size) * _kernel_work(diagram))
         world = web_world(diagram, max_size)
         cells = ((len(orbit), world[orbit[0][0]]) for orbit in _symmetry_orbits(world))
         counts = tuple(map(sum, zip(*([n * c for c in _colouring_counts(d, d)] for n, d in cells))))
@@ -941,9 +934,8 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 
 def rank(matrix: WorldMatrix) -> int:
-    """Exact rank, the sum over the flip blocks: certified modular
-    elimination of an idempotent block, Bareiss elimination of any other
-    (see the module docstring)."""
+    """Exact rank, the sum over the flip blocks of each block's rank mod a
+    prime or by Bareiss elimination (see the module docstring)."""
     _require_rational(matrix, "rank")
     flags, blocks = matrix._idempotent, matrix._blocks
     # the last reader of the blocks: only their idempotence flags stay cached
@@ -952,16 +944,9 @@ def rank(matrix: WorldMatrix) -> int:
 
 
 def _block_rank(rows: list[list[int]], idempotent: bool, denom: int) -> int:
-    """Rank of N: the certificate if N / denom is idempotent, else Bareiss."""
-    if idempotent:
-        found = _rank_mod_p(rows)
-        if found is not None:
-            complement = [list(map(operator.neg, row)) for row in rows]
-            for i, row in enumerate(complement):
-                row[i] += denom
-            if _rank_mod_p(complement) == len(rows) - found:
-                return found
-    return _bareiss_rank(rows)
+    """Rank of N: mod _PRIME if N / denom is idempotent and _PRIME does not divide denom, else Bareiss."""
+    found = _rank_mod_p(rows) if idempotent and denom % _PRIME else None
+    return _bareiss_rank(rows) if found is None else found
 
 
 def _format_cell(entry) -> str:

@@ -481,15 +481,21 @@ def test_oversized_answers_exit_three_at_once(capsys, command):
     assert err.startswith("error: ") and OVERSIZED[command] in err and "Traceback" not in err
 
 
-def test_worlds_too_large_to_print_exit_three(capsys):
+def test_worlds_too_large_to_print_exit_three(capsys, monkeypatch):
     # a fan of 20,000 edges has 20000! members, past the 4300 digits that
-    # Python turns into text
+    # Python turns into text; the hub's 20,000 right ends alone show
+    # 20000! >= 2^19999, so the guard needs no factorial
+    def refuse(n):
+        raise AssertionError("exact world size computed before the guard")
+
+    monkeypatch.setattr(math, "factorial", refuse)
     fan = json.dumps({"edges": [[i, 20001, 1, i] for i in range(1, 20001)]})
-    started = time.perf_counter()
-    code, out, err = run(capsys, "world", "--input", fan)
-    assert time.perf_counter() - started < 1.0
-    assert (code, out) == (3, "")
-    assert err == "error: world has over 2^256908 diagrams, guard is 1000000\n"
+    for command in ["world", "matrix --kind mixing"]:
+        started = time.perf_counter()
+        code, out, err = run(capsys, *command.split(), "--input", fan)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, ""), command
+        assert err == "error: world has at least 2^19999 diagrams, guard is 1000000\n"
 
 
 def test_zero_count_cells_answer_at_once(capsys):

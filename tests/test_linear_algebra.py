@@ -175,33 +175,61 @@ def test_non_idempotent_matrices_fall_back_to_bareiss(bareiss_calls):
     assert bareiss_calls == [2, 2, 3]
 
 
+@pytest.mark.parametrize("prime", [5, 7, 11])
+def test_small_primes_rank_idempotent_blocks_without_bareiss(world_pairs, monkeypatch, bareiss_calls, prime):
+    # none of these primes divides L = lcm(1..e) for e <= 4 edges
+    monkeypatch.setattr(matrices, "_PRIME", prime)
+    checked = 0
+    for name, (poly, mix) in world_pairs:
+        if len(poly.rows[0][0]) > 5:
+            continue
+        assert mix.denominator % prime, name
+        for block, idempotent in zip(mix._blocks, mix._idempotent):
+            assert idempotent, name
+            found = matrices._block_rank(block, idempotent, mix.denominator)
+            assert found == fraction_rank(fraction_block(block, mix.denominator)), name
+            checked += 1
+    assert bareiss_calls == [] and checked > 200
+
+
 def test_certificate_holds_when_the_prime_divides_the_denominator(bareiss_calls):
     p = matrices._PRIME
-    # N = [[p, 1], [0, 0]] over L = p: both N and L I - N have rank 1 mod p
+    # N = [[p, 1], [0, 0]] over L = p: p | L, so Bareiss gives the rank
     matrix = WorldMatrix.from_entries(((Fraction(1), Fraction(1, p)), (Fraction(0), Fraction(0))))
     assert matrix.denominator == p
     assert is_idempotent(matrix)
     assert rank(matrix) == 1
-    assert bareiss_calls == []
+    # the unsplit matrix brings its empty N- block along
+    assert bareiss_calls == [2, 0]
 
 
 def test_short_certificate_falls_back_to_bareiss(bareiss_calls):
     p = matrices._PRIME
-    # idempotent of rank 2, but N mod p and L I - N mod p have rank 1 each
+    # idempotent of rank 2 over L = p, but N mod p has rank 1
     one, zero, tiny = Fraction(1), Fraction(0), Fraction(1, p)
-    matrix = WorldMatrix.from_entries(((one, zero, zero), (zero, one, zero), (tiny, zero, zero)))
-    assert is_idempotent(matrix)
+    rows = ((one, zero, zero), (zero, one, zero), (tiny, zero, zero))
+    matrix = WorldMatrix.from_entries(rows)
+    assert matrix.denominator == p and is_idempotent(matrix)
     assert matrices._rank_mod_p(matrix.rows) == 1
-    assert rank(matrix) == 2
-    assert bareiss_calls == [3]
+    assert rank(matrix) == fraction_rank(rows) == 2
+    assert bareiss_calls == [3, 0]
 
 
-def test_forced_short_certificate_still_gives_the_rank(monkeypatch, bareiss_calls):
-    monkeypatch.setattr(matrices, "_rank_mod_p", lambda rows: 0)
-    _poly, mix = world_matrices(cases.fan_world(4))
-    assert rank(mix) == fraction_rank(mix.entries) == 6
-    # one elimination per flip block: fan 4's 24 members are 12 flip pairs
-    assert bareiss_calls == [12, 12]
+def test_a_prime_dividing_the_denominator_falls_back_to_bareiss(monkeypatch, bareiss_calls):
+    # 3 divides L = 6 on fan 3, whose N+ block has rank 2 but rank 1 mod 3
+    monkeypatch.setattr(matrices, "_PRIME", 3)
+    _poly, mix = world_matrices(cases.fan_world(3))
+    assert [matrices._rank_mod_p(block) for block in mix._blocks] == [1, 0]
+    assert rank(mix) == fraction_rank(mix.entries) == 2
+    assert bareiss_calls == [3, 3]
+
+
+def test_an_empty_block_needs_no_bareiss(bareiss_calls):
+    matrix = WorldMatrix.from_entries(world_matrices(cases.fan_world(3))[1].entries)
+    assert matrix._blocks[1] == []
+    assert rank(matrix) == fraction_rank(matrix.entries) == 2
+    assert matrices._block_rank([], True, matrix.denominator) == 0
+    assert bareiss_calls == []
 
 
 def test_possible_field_overflow_falls_back_to_bareiss(monkeypatch, bareiss_calls):

@@ -32,7 +32,6 @@ from webworlds.matrices import (
     _SubsetDP,
     colouring_entry,
     mixing_entry,
-    polynomial_from_coeff_string,
     polynomial_to_coeff_string,
     reconstruction_count,
 )
@@ -64,12 +63,20 @@ def test_polynomial_coefficients_must_be_integers(coeffs):
         IntPolynomial(coeffs)
 
 
+def derivative(poly):
+    return IntPolynomial([k * c for k, c in enumerate(poly.coeffs)][1:])
+
+
+def polynomial_from_coeff_string(text):
+    return IntPolynomial([int(part) for part in text.split(";")])
+
+
 def test_ordered_bell_satisfies_the_derivative_recurrence():
     # b_{m+1}(x) = x * d/dx ((x+1) * b_m(x)), from appending the new
     # element to a colour class or inserting it as a class of its own.
     for m in range(9):
         current = ordered_bell_polynomial(m)
-        expected_next = X * ((X + ONE) * current).derivative()
+        expected_next = X * derivative((X + ONE) * current)
         assert ordered_bell_polynomial(m + 1) == expected_next
         assert current.evaluate(1) == FUBINI[m]
 

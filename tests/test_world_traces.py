@@ -275,7 +275,10 @@ def test_entries_guard_their_work():
 
 def test_max_size_guards_only_the_kernel_route():
     nine = validate_diagram(NINE_EDGE_EDGES, 7)
-    with pytest.raises(WorldTooLarge, match="world has 9216 diagrams, guard is 100"):
+    with pytest.raises(WorldTooLarge, match="world has 9216 diagrams, guard is 9215"):
+        world_traces(nine, max_size=9215)
+    # 17 blocks on 7 pegs: a factor of at least 2^(b - 1) per peg, 2^10 in all
+    with pytest.raises(WorldTooLarge, match=r"world has at least 2\^10 diagrams, guard is 100"):
         world_traces(nine, max_size=100)
     assert world_traces(_complete(4), max_size=1)[1] == 544
 
