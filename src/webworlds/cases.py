@@ -164,7 +164,7 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
             q = [position[v] for v in tgt]
             row.append(table[1 + sum(map(operator.gt, q, q[1:]))])
         rows.append(row)
-    poly = WorldMatrix([[p for p, _ in row] for row in rows], polynomial=True)
+    poly = WorldMatrix([[p for p, _ in row] for row in rows])
     return world, poly, WorldMatrix([[r for _, r in row] for row in rows], denom)
 
 

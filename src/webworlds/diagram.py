@@ -72,6 +72,10 @@ class WebDiagram:
         """Multiplicity of edges on each (left_peg, right_peg) pair."""
         return Counter((e.left_peg, e.right_peg) for e in self.edges)
 
+    def labels_one(self) -> bool:
+        """Whether no peg pair carries two edges: every web-graph edge label is 1."""
+        return len(self.peg_pair_counts()) == len(self.edges)
+
 
 def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
     if num_pegs < 0:
@@ -99,12 +103,13 @@ def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
             )
 
 
-def validate_diagram(raw_edges: Iterable[Sequence[int]], num_pegs: int | None = None) -> WebDiagram:
-    """Build a WebDiagram from raw 4-tuples, inferring the peg count if absent.
+def validate_diagram(raw_edges: Sequence[Sequence[int]], num_pegs: int | None = None) -> WebDiagram:
+    """Build a WebDiagram from a list or tuple of raw 4-tuples, inferring the peg count if absent.
 
-    Every value must be an int; bool and float raise `MalformedInput`.
+    Every value must be an int; bool and float raise `MalformedInput`, as
+    does `raw_edges` that is not a list or tuple of rows.
     """
-    edges = tuple(Edge(*row) for row in json_int_rows(tuple(raw_edges), "edges", width=4))
+    edges = tuple(Edge(*row) for row in json_int_rows(raw_edges, "edges", width=4))
     if num_pegs is None:
         num_pegs = max((e.right_peg for e in edges), default=0)
     return WebDiagram(edges, json_int(num_pegs, "peg count"))
@@ -538,10 +543,7 @@ def json_int_rows(value, what: str, width: int | None = None) -> tuple[tuple[int
 
 
 def diagram_from_json(obj: dict) -> WebDiagram:
+    """The diagram of {"n": pegs, "edges": rows}; `validate_diagram` checks each value once."""
     if not isinstance(obj, dict) or "edges" not in obj:
         raise MalformedInput(f'a diagram must be an object with "edges", got {obj!r}')
-    n = obj.get("n")
-    return validate_diagram(
-        json_int_rows(obj["edges"], "edges", width=4),
-        None if n is None else json_int(n, "n"),
-    )
+    return validate_diagram(obj["edges"], obj.get("n"))

@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Callable, Iterator, Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, predicted_world_size, validate_diagram
+from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, predicted_world_size
 from .errors import BadRange, BoundsTooLarge
 from .matrices import DEFAULT_WORK_GUARD, _check_work
 
@@ -72,7 +72,7 @@ def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
                 edges.append(Edge(i + 1, j + 1, next_height[i], next_height[j]))
                 next_height[i] += 1
                 next_height[j] += 1
-    return validate_diagram(edges, n)
+    return WebDiagram(tuple(edges), n)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -6,11 +6,11 @@ counts the surjective k-colourings of the row diagram that reconstruct
 to the column diagram; the mixing matrix R weights those counts by
 (-1)^(k-1)/k and lives over exact rationals.
 
-A `WorldMatrix` stores only integers: M as rows of count tuples, R as
-integer numerator rows N over one common denominator L (L = lcm(1..e)
-for a world with e edges). `from_counts` is the one M -> R transform.
-Row sums, traces, idempotence and rank read these rows; `entries` turns
-them into IntPolynomial and Fraction objects for output only.
+A `WorldMatrix` stores only integers, and its cells give its kind: M as rows
+of count tuples, R as integer numerator rows N over one common denominator
+L = lcm(1..e) for e edges. `from_counts` is the one M -> R transform. Row
+sums, traces, idempotence and rank read these rows; `entries` turns them
+into IntPolynomial and Fraction objects for output only.
 
 - R^2 = R exactly when N N = L N. Row k of N is packed into one integer
   P_k = sum_j N[k][j] 2^(w j), so row i of N N is sum_k N[i][k] P_k. Every
@@ -41,10 +41,10 @@ independent computations.
 which reads one row per symmetry orbit off its last layer; the other
 rows are that row's columns permuted. `world_traces` gets both traces
 with no matrix: a fixed-point DP over edge subsets when no peg pair
-carries parallel edges, and otherwise the diagonal cell of one member per
-symmetry orbit from the single-target kernel `_colouring_counts`, which
-also serves the single-entry functions. `world_matrices` stays the
-reference that both are checked against.
+carries parallel edges (`WebDiagram.labels_one`), and otherwise the
+diagonal cell of one member per symmetry orbit from the single-target
+kernel `_colouring_counts`, which also serves the single-entry functions.
+`world_matrices` stays the reference that both are checked against.
 """
 
 from __future__ import annotations
@@ -204,16 +204,15 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
 class WorldMatrix:
     """A square matrix indexed by a world's canonical diagram order.
 
-    Every cell is held as exact integers. A polynomial matrix holds per
-    cell the tuple of x^k coefficients, all of one length, and its
-    denominator is 1; a rational matrix holds integer numerators over
-    `denominator`. `flip`, a permutation of the members, splits the
-    structure checks into blocks (see the module docstring).
+    Every cell is held as exact integers, and the cells give the kind
+    (`polynomial`): per cell, a polynomial matrix holds the tuple of x^k
+    coefficients, all of one length, over denominator 1, and a rational
+    matrix an integer numerator over a positive `denominator`. `flip`, a
+    permutation of the members, splits the structure checks into blocks.
     """
 
     rows: tuple[tuple, ...]
     denominator: int = 1
-    polynomial: bool = False
     flip: Sequence[int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -221,6 +220,12 @@ class WorldMatrix:
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise BadRange("matrix must be square and non-empty")
+        if json_int(self.denominator, "denominator") < 1 or self.polynomial and self.denominator != 1:
+            raise BadRange("the denominator must be positive, and 1 for a polynomial matrix")
+
+    @property
+    def polynomial(self) -> bool:
+        return isinstance(self.rows[0][0], tuple)
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence]) -> WorldMatrix:
@@ -233,10 +238,7 @@ class WorldMatrix:
             raise BadRange("matrix mixes polynomial and rational entries")
         if kinds == {True}:
             width = max(len(e.coeffs) for row in entries for e in row)
-            return cls(
-                [[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in entries],
-                polynomial=True,
-            )
+            return cls([[e.coeffs + (0,) * (width - len(e.coeffs)) for e in row] for row in entries])
         fracs = [
             [e if isinstance(e, Fraction) else Fraction(json_int(e, "matrix entry")) for e in row]
             for row in entries
@@ -338,7 +340,7 @@ def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:
     _require_same_world(d1, d2)
     if d1.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
-    _check_work(_kernel_work(d1))
+    _check_kernel_work(d1)
     return IntPolynomial(_colouring_counts(d1, d2))
 
 
@@ -366,7 +368,7 @@ def from_counts(
     [0, 1] term by term, as one numerator over L = lcm(1..e). Each
     orbit's first row is weighed cell by cell, and every later row reads
     an earlier one through the orbit step's permutation, as M's rows were
-    filled; without `orbits` every row is weighed. Both matrices get `flip`.
+    filled; without `orbits` every row is weighed. R alone gets `flip`.
     """
     edge_count = len(counts[0][0]) - 1
     denom = math.lcm(*range(1, edge_count + 1))
@@ -379,7 +381,7 @@ def from_counts(
         numerators.update((cell, sum(map(operator.mul, weights, cell))) for cell in new)
         mixing[rep] = tuple(map(numerators.__getitem__, counts[rep]))
     _fill_orbits(mixing, orbits or [])
-    return WorldMatrix(counts, polynomial=True, flip=flip), WorldMatrix(mixing, denom, flip=flip)
+    return WorldMatrix(counts), WorldMatrix(mixing, denom, flip=flip)
 
 
 def _unpack(vec: int, bits: int, edge_count: int) -> tuple[int, ...]:
@@ -427,11 +429,6 @@ def _check_work(work: int, bits: int = 0, what: str = "counting", error: type = 
         )
 
 
-def _group_order(diagram: WebDiagram) -> int:
-    """prod m! over peg-pair multiplicities m: the number of relabellings."""
-    return _parallel_runs(tuple(e[:2] for e in diagram.edges))[2]
-
-
 def _kernel_work(diagram: WebDiagram) -> int:
     """Upper bound on the kernel's steps for one cell of the diagram's world.
 
@@ -451,7 +448,14 @@ def _kernel_work(diagram: WebDiagram) -> int:
         homed |= here
         pairs *= math.comb(here.bit_count() + 2, 2)
     pairs *= 3 ** (edge_count - homed.bit_count())
-    return _group_order(diagram) * (edge_count * edge_count + pairs)
+    return _parallel_runs(tuple(e[:2] for e in diagram.edges))[2] * (edge_count * edge_count + pairs)
+
+
+def _check_kernel_work(diagram: WebDiagram, cells: int = 1) -> None:
+    """`_check_work` on `cells` x `_kernel_work`, after its lower bound from prod m!
+    >= 2^(sum (m - 1)), so no factorial is multiplied out past the guard."""
+    floor = cells << (diagram.edge_count - len(diagram.peg_pair_counts()))
+    _check_work(floor if floor > DEFAULT_WORK_GUARD else cells * _kernel_work(diagram))
 
 
 @lru_cache(maxsize=64)
@@ -639,21 +643,21 @@ def world_traces(
 ) -> tuple[IntPolynomial, Fraction]:
     """trace M(x) and trace R of the diagram's world, with no matrix.
 
-    Without parallel edges the fixed-point DP needs no members and
-    `max_size` does not apply; its work estimate is 3^e. Otherwise the
-    world is built, within `max_size`, and the kernel's diagonal cell of
-    each orbit is summed times its size; the estimate is members x
-    `_kernel_work`, which stays an upper bound.
+    `WebDiagram.labels_one` picks the route. Without parallel edges the
+    fixed-point DP needs no members and `max_size` does not apply; its
+    work estimate is 3^e. Otherwise the world size is checked first, the
+    world is built, and the kernel's diagonal cell of each orbit is summed
+    times its size; the estimate is members x `_kernel_work`, an upper bound.
     Either estimate must stay within DEFAULT_WORK_GUARD.
     """
     edge_count = diagram.edge_count
     if edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
-    if _group_order(diagram) == 1:
+    if diagram.labels_one():
         _check_work(3**edge_count)
         counts = _fixed_point_counts(diagram)
     else:
-        _check_work(check_world_size(diagram, max_size) * _kernel_work(diagram))
+        _check_kernel_work(diagram, check_world_size(diagram, max_size))
         world = web_world(diagram, max_size)
         cells = ((len(orbit), world[orbit[0][0]]) for orbit in _symmetry_orbits(world))
         counts = tuple(map(sum, zip(*([n * c for c in _colouring_counts(d, d)] for n, d in cells))))
@@ -949,26 +953,16 @@ def _block_rank(rows: list[list[int]], idempotent: bool, denom: int) -> int:
     return _bareiss_rank(rows) if found is None else found
 
 
-def _format_cell(entry) -> str:
-    if isinstance(entry, IntPolynomial):
-        return polynomial_to_coeff_string(entry)
-    return str(entry)
-
-
 def matrix_to_csv(matrix: WorldMatrix) -> str:
     """One matrix row per line; rationals as "p/q", polynomials as "c0;c1;..."."""
-    return "\n".join(map(",".join, _formed_rows(matrix, _format_cell)))
-
-
-def _json_cell(entry):
-    if isinstance(entry, IntPolynomial):
-        return list(entry.coeffs)
-    return str(entry)
+    form = polynomial_to_coeff_string if matrix.polynomial else str
+    return "\n".join(map(",".join, _formed_rows(matrix, form)))
 
 
 def matrix_to_json(matrix: WorldMatrix) -> dict:
+    form = (lambda poly: list(poly.coeffs)) if matrix.polynomial else str
     return {
         "size": matrix.size,
         "kind": "polynomial" if matrix.polynomial else "rational",
-        "entries": list(map(list, _formed_rows(matrix, _json_cell))),
+        "entries": list(map(list, _formed_rows(matrix, form))),
     }

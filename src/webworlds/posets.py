@@ -403,7 +403,7 @@ def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     multiplicity-free world (no parallel edges), whose members never
     repeat a block: two equal blocks would share their peg pairs.
     """
-    if any(v > 1 for v in world[0].peg_pair_counts().values()):
+    if not world[0].labels_one():
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
     shapes = Counter(decomposition_poset(diagram).up for diagram in world)
     colouring_total = IntPolynomial()

@@ -147,7 +147,7 @@ def suite_structure(
             trace_fail.append(f"{rows!r} trace={t} rank={r}")
         elif (t >= 1) != enumeration.is_proper(world[0]):
             proper_fail.append(f"{rows!r} trace={t}")
-        if max(world[0].peg_pair_counts().values()) == 1:
+        if world[0].labels_one():
             fixed_point += 1
             if world_traces(world[0]) != (trace(poly), t):
                 fixed_point_fail.append(repr(rows))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from webworlds import enumeration, trace, web_world, world_matrices
+from webworlds import enumeration, matrices, trace, web_world, world_matrices
 from webworlds.cli import main
 from webworlds.enumeration import seed_diagram
 
@@ -216,6 +216,9 @@ def test_malformed_input_exits_two(capsys):
     [
         '{"edges": [[1,2,1]]}',
         '{"edges": "xy"}',
+        '{"edges": 5}',
+        '{"edges": null}',
+        '{"edges": {}}',
         '{"n": "a", "edges": []}',
         '{"represent": 5}',
         '{"seed_diagram": 3}',
@@ -496,6 +499,19 @@ def test_worlds_too_large_to_print_exit_three(capsys, monkeypatch):
         assert time.perf_counter() - started < 1.0
         assert (code, out) == (3, ""), command
         assert err == "error: world has at least 2^19999 diagrams, guard is 1000000\n"
+
+
+def test_trace_of_a_huge_bundle_exits_three_before_any_factorial(capsys, monkeypatch):
+    # 100,000 parallel edges: the label-one test picks the kernel route and
+    # the world guard refuses it before prod m! is multiplied out
+    def refuse(pairs):
+        raise AssertionError("parallel runs computed before the guard")
+
+    monkeypatch.setattr(matrices, "_parallel_runs", refuse)
+    bundle = json.dumps({"n": 2, "edges": [[1, 2, h, h] for h in range(1, 100_001)]})
+    code, out, err = run(capsys, "trace", "--input", bundle)
+    assert (code, out) == (3, "")
+    assert err == "error: world has at least 2^99999 diagrams, guard is 1000000\n"
 
 
 def test_zero_count_cells_answer_at_once(capsys):

@@ -6,6 +6,7 @@ other rows by permuting columns; the oracle in conftest reconstructs
 every surjective colouring instead.
 """
 
+import ast
 import itertools
 import math
 import os
@@ -324,6 +325,17 @@ def test_structure_suite_checks_counts_against_enumeration(monkeypatch):
     results = {r.name: r for r in verify.suite_structure(3, 3)}
     assert not results["colouring counts match enumeration"].passed
     assert all(r.passed for name, r in results.items() if name != "colouring counts match enumeration")
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the library may be one
+    source = Path(webworlds.__file__).resolve().parent
+    files = sorted(source.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts on lines {lines}"
 
 
 def test_structure_suite_passes_without_asserts():

@@ -20,6 +20,7 @@ from webworlds import (
     validate_diagram,
     web_world,
 )
+from webworlds import diagram as diagram_module
 from webworlds import enumeration
 from webworlds.diagram import restack, surjection_tuples
 from webworlds.errors import (
@@ -298,6 +299,35 @@ def test_colouring_requires_surjectivity_and_range():
 def test_validate_diagram_requires_integers(edges, num_pegs):
     with pytest.raises(MalformedInput):
         validate_diagram(edges, num_pegs)
+
+
+@pytest.mark.parametrize("raw_edges", [5, None, {}, iter([(1, 2, 1, 1)])])
+def test_validate_diagram_requires_a_list_of_rows(raw_edges):
+    with pytest.raises(MalformedInput, match="edges must be a list of rows"):
+        validate_diagram(raw_edges)
+
+
+def test_labels_one_is_multiplicity_one_on_every_peg_pair():
+    assert validate_diagram(()).labels_one()
+    assert not validate_diagram(((1, 2, 1, 1), (1, 2, 2, 2))).labels_one()
+    for name, world in small_worlds():
+        counts = world[0].peg_pair_counts().values()
+        assert world[0].labels_one() == all(m == 1 for m in counts), name
+
+
+def test_diagram_from_json_checks_each_value_once(monkeypatch, nine_edge):
+    calls = []
+    check = diagram_module.json_int
+
+    def counted(value, what):
+        calls.append(value)
+        return check(value, what)
+
+    monkeypatch.setattr(diagram_module, "json_int", counted)
+    payload = diagram_to_json(nine_edge)
+    assert diagram_from_json(payload) == nine_edge
+    # four values per edge and the peg count
+    assert len(calls) == 4 * nine_edge.edge_count + 1
 
 
 @pytest.mark.parametrize(

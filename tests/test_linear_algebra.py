@@ -131,6 +131,11 @@ def test_structure_checks_build_no_entries():
             assert "entries" not in matrix.__dict__, name
 
 
+def test_matrices_read_their_kind_from_their_cells(world_pairs, case_pairs):
+    for name, (poly, mix) in world_pairs + case_pairs:
+        assert poly.polynomial and not mix.polynomial, name
+
+
 def test_from_entries_round_trips(world_pairs, case_pairs):
     for name, pair in world_pairs + case_pairs:
         for matrix in pair:

@@ -4,6 +4,7 @@ Oracles: the ordered Bell recurrence, the Fubini number sequence, plain
 fraction Gauss elimination for rank, and hand-checked tiny worlds.
 """
 
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -260,6 +261,21 @@ def test_matrix_must_be_square():
         WorldMatrix.from_entries(((Fraction(1), Fraction(2)),))
     with pytest.raises(BadRange):
         WorldMatrix(((1, 2),))
+
+
+def test_matrix_kind_comes_from_the_cells():
+    # integer cells are numerators: a rational matrix over denominator 1
+    numerators = WorldMatrix([[1]])
+    assert not numerators.polynomial
+    assert trace(numerators) == Fraction(1)
+    assert [field.name for field in dataclasses.fields(WorldMatrix)] == ["rows", "denominator", "flip"]
+    # coefficient tuples are a polynomial matrix, which has no denominator
+    assert trace(WorldMatrix([[(0, 1)]])) == X
+    with pytest.raises(BadRange, match="1 for a polynomial matrix"):
+        WorldMatrix([[(0, 1)]], denominator=3)
+    for denominator in (0, -2):
+        with pytest.raises(BadRange, match="denominator must be positive"):
+            WorldMatrix([[1]], denominator)
 
 
 def test_csv_and_json_exports(path4):

@@ -27,7 +27,13 @@ from webworlds import (
 from webworlds import diagram as diagram_module
 from webworlds import matrices, verify
 from webworlds.errors import BadRange, WorldTooLarge
-from webworlds.matrices import _colouring_counts, colouring_entry, world_traces
+from webworlds.matrices import (
+    _colouring_counts,
+    colouring_entry,
+    mixing_entry,
+    reconstruction_count,
+    world_traces,
+)
 
 from conftest import NINE_EDGE_EDGES, small_worlds
 
@@ -271,6 +277,23 @@ def test_entries_guard_their_work():
     isolated = validate_diagram([(2 * i - 1, 2 * i, 1, 1) for i in range(1, 21)], 40)
     with pytest.raises(WorldTooLarge, match="-step guard"):
         colouring_entry(isolated, isolated)
+
+
+def test_huge_bundle_is_refused_before_any_factorial(monkeypatch):
+    # 100,000 parallel edges: prod m! = 100000! >= 2^99999 refuses every
+    # route from a lower bound, so the parallel runs are never computed
+    bundle = validate_diagram([(1, 2, h, h) for h in range(1, 100_001)], 2)
+
+    def refuse(pairs):
+        raise AssertionError("parallel runs computed before the guard")
+
+    monkeypatch.setattr(matrices, "_parallel_runs", refuse)
+    with pytest.raises(WorldTooLarge, match=r"at least 2\^99999 diagrams"):
+        world_traces(bundle)
+    entries = [colouring_entry, mixing_entry, lambda d1, d2: reconstruction_count(d1, d2, 1)]
+    for entry in entries:
+        with pytest.raises(WorldTooLarge, match=r"over 2\^99999 estimated counting steps"):
+            entry(bundle, bundle)
 
 
 def test_max_size_guards_only_the_kernel_route():
