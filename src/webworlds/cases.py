@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, restack, web_world
+from .diagram import Edge, WebDiagram, WebWorld, json_int, restack, web_world
 from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
 from .matrices import DEFAULT_ENTRY_GUARD, _check_work
@@ -131,18 +131,14 @@ def minimal_colour_count(source: Sequence[int], target: Sequence[int]) -> int:
     return len(minimal_colour_blocks(source, target))
 
 
-def _fan_entry(n: int, m: int) -> tuple[IntPolynomial, Fraction]:
-    """Both matrix entries of a fan pair with minimal colour count m."""
-    return X**m * _ONE_PLUS_X ** (n - m), Fraction((-1) ** (m - 1), n * comb(n - 1, m - 1))
-
-
 def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     """World of fans on n + 1 pegs plus its two matrices in closed form.
 
     Rows and columns follow the world's canonical diagram order.  An
-    entry depends only on the pair's minimal colour count m, so every
-    cell pair comes from a table indexed by m: the coefficients of M's
-    entry and R's entry as a numerator over lcm(1..n).
+    entry depends only on the pair's minimal colour count m, one more
+    than the descents of q, the target's letters read through their
+    source positions: a descent table over the n! values of q holds M's
+    coefficients and R's numerator over lcm(1..n).
     """
     if n < 1:
         raise BadRange("a fan needs at least one edge")
@@ -150,22 +146,22 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     world = fan_world(n)
     perms = [fan_permutation(d) for d in world]
     denom = lcm(*range(1, n + 1))
-    table = [None]
-    for m in range(1, n + 1):
-        colouring, mixing = _fan_entry(n, m)
-        # R's denominator n C(n - 1, m - 1) = m C(n, m) divides lcm(1..n)
-        table.append((colouring.coeffs, mixing.numerator * (denom // mixing.denominator)))
-    rows = []
+    # M's entry x^m (1 + x)^(n - m); R's (-1)^(m - 1)/(m C(n, m)), whose denominator divides lcm(1..n)
+    entries = [
+        ((X**m * _ONE_PLUS_X ** (n - m)).coeffs, (-1) ** (m - 1) * (denom // (m * comb(n, m))))
+        for m in range(1, n + 1)
+    ]
+    # a leading 0 at position 0 keeps q a tuple and adds no descent
+    qs = map((0,).__add__, permutations(range(1, n + 1)))
+    table = {q: entries[sum(map(operator.gt, q, q[1:]))] for q in qs}
+    readers = [operator.itemgetter(0, *tgt) for tgt in perms]
+    poly_rows, mix_rows = [], []
     for src in perms:
-        position = {v: i for i, v in enumerate(src)}
-        # m is one more than the descents of target read through source
-        row = []
-        for tgt in perms:
-            q = [position[v] for v in tgt]
-            row.append(table[1 + sum(map(operator.gt, q, q[1:]))])
-        rows.append(row)
-    poly = WorldMatrix([[p for p, _ in row] for row in rows])
-    return world, poly, WorldMatrix([[r for _, r in row] for row in rows], denom)
+        position = dict(zip((0, *src), range(n + 1)))
+        poly_row, mix_row = zip(*[table[read(position)] for read in readers])
+        poly_rows.append(poly_row)
+        mix_rows.append(mix_row)
+    return world, WorldMatrix(poly_rows), WorldMatrix(mix_rows, denom)
 
 
 def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:
@@ -187,7 +183,7 @@ def validate_signs(signs: Sequence[int]) -> tuple[int, ...]:
     """Check every entry is +1 or -1 and return the tuple."""
     signs = tuple(signs)
     for s in signs:
-        if s not in (1, -1):
+        if json_int(s, "a sign") not in (1, -1):
             raise BadRange(f"sign vector entries must be +1 or -1, got {s!r}")
     return signs
 
@@ -199,12 +195,8 @@ def _peg_heights(signs: tuple[int, ...], offset: int) -> tuple[dict[int, int], d
     the incoming one below; -1 swaps them.  `offset` is the peg number
     of the first signed peg.
     """
-    x: dict[int, int] = {}
-    y: dict[int, int] = {}
-    for j, s in enumerate(signs, offset):
-        x[j] = 2 if s == 1 else 1
-        y[j] = 3 - x[j]
-    return x, y
+    x = {j: (3 + s) // 2 for j, s in enumerate(signs, offset)}
+    return x, {j: 3 - h for j, h in x.items()}
 
 
 def chain_diagram(signs: Sequence[int]) -> WebDiagram:
@@ -255,8 +247,8 @@ def cycle_diagram(signs: Sequence[int]) -> WebDiagram:
     the all-(+1) diagram.  For exactly two pegs each diagram is hit by
     two sign vectors, so counts must be read at the sign level there.
     """
-    signs = validate_signs(signs)
-    return WebDiagram(cycle_edge_list(signs), len(signs))
+    ring = cycle_edge_list(signs)
+    return WebDiagram(ring, len(ring))
 
 
 def cycle_world(n: int) -> WebWorld:
@@ -264,13 +256,11 @@ def cycle_world(n: int) -> WebWorld:
     return web_world(cycle_diagram((1,) * n))
 
 
-def cycle_result_signs(
-    signs: Sequence[int], assignment: Sequence[int]
-) -> tuple[int, ...]:
+def cycle_result_signs(signs: Sequence[int], assignment: Sequence[int]) -> tuple[int, ...]:
     """Sign vector of the restack of a cycle under a positional colouring."""
-    signs = validate_signs(signs)
-    n = len(signs)
-    restacked = restack(cycle_edge_list(signs), n, assignment)
+    ring = cycle_edge_list(signs)
+    n = len(ring)
+    restacked = restack(ring, n, assignment)
     out = [1 if restacked[i - 1].left_height == 2 else -1 for i in range(1, n)]
     out.append(1 if restacked[n - 1].right_height == 2 else -1)
     return tuple(out)
@@ -294,9 +284,7 @@ def rule_codes(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
     source = validate_signs(source)
     target = validate_signs(target)
     if len(source) != len(target):
-        raise LengthMismatch(
-            f"sign vector sizes differ: {len(source)} vs {len(target)}"
-        )
+        raise LengthMismatch(f"sign vector sizes differ: {len(source)} vs {len(target)}")
     return tuple((5 + 2 * t - s) // 2 for s, t in zip(source, target))
 
 
@@ -313,45 +301,58 @@ def _push(vector: list[int], rule: int) -> list[int]:
     return run if rule == 2 else run[1:] + [0]
 
 
-def surjective_rule_counts(
-    length: int, rules: Sequence[int], cyclic: bool
-) -> tuple[int, ...]:
-    """Surjective words meeting one rule code per position, for colours 1..length.
+def _surjective_walk(length: int, levels: Sequence[Sequence[int]], cyclic: bool) -> list[tuple[int, ...]]:
+    """Surjective counts, for colours 0..length, of each rule tuple of product(*levels) in turn.
 
     f(i) counts all words over 1..i by a transfer matrix: along a path a
     vector over the last letter is pushed through each rule; around a
     cycle f(i) is the trace of the product of the rules' 0/1 comparison
-    matrices.  The rules only compare letters, so a word over 1..i is a
-    surjective word on the set of letters it uses, relabelled in order,
-    and binomial inversion of f gives the surjective counts.
+    matrices, with one unit start vector per letter.  The walk is depth
+    first over rule prefixes, so it pushes each prefix's start vectors
+    once per extension.  The rules only compare letters, so a word over
+    1..i is a surjective word on the letters it uses, relabelled in
+    order, and binomial inversion of f gives the surjective counts.
     """
+    sizes = range(1, length + 1)
+    # (alphabet size, letter of the unit start) around a cycle; along a path the ends are summed
+    starts = [(i, s) for i in sizes for s in (range(i) if cyclic else [None])]
+    inversion = [[(-1) ** (c - i) * comb(c, i) for i in range(1, c + 1)] for c in range(length + 1)]
+    out = []
+
+    def descend(vectors: list[list[int]], depth: int) -> None:
+        if depth < len(levels):
+            for rule in levels[depth]:
+                descend([_push(v, rule) for v in vectors], depth + 1)
+            return
+        f = [0] * length
+        for (i, s), v in zip(starts, vectors):
+            f[i - 1] += sum(v) if s is None else v[s]
+        out.append(tuple(sum(map(operator.mul, w, f)) for w in inversion))
+
+    descend([[1 if s is None else int(a == s) for a in range(i)] for i, s in starts], 0)
+    return out
+
+
+def surjective_rule_counts(length: int, rules: Sequence[int], cyclic: bool) -> tuple[int, ...]:
+    """Surjective words meeting one rule code per position, for colours 1..length.
+
+    The rule walk with one code allowed at each position.
+    """
+    length = json_int(length, "the word length")
     stop = length if cyclic else length - 1
+    rules = tuple(json_int(r, "a rule code") for r in rules)
     if len(rules) != stop or not set(rules) <= {1, 2, 3, 4}:
         raise BadRange(f"need one rule code 1..4 for each of positions 1..{stop}")
-    f = [0]
-    for i in range(1, length + 1):
-        starts = [[int(a == s) for a in range(i)] for s in range(i)] if cyclic else [[1] * i]
-        total = 0
-        for s, vector in enumerate(starts):
-            for rule in rules:
-                vector = _push(vector, rule)
-            total += vector[s] if cyclic else sum(vector)
-        f.append(total)
-    return tuple(
-        sum((-1) ** (c - i) * comb(c, i) * f[i] for i in range(1, c + 1))
-        for c in range(1, length + 1)
-    )
+    return _surjective_walk(length, [(r,) for r in rules], cyclic)[0][1:]
 
 
 def _rule_count(length: int, colours: int, rules: Sequence[int], cyclic: bool) -> int:
-    if not 1 <= colours <= length:
+    if not 1 <= json_int(colours, "a colour count") <= length:
         raise BadRange(f"colour count {colours} outside 1..{length}")
     return surjective_rule_counts(length, rules, cyclic)[colours - 1]
 
 
-def chain_reconstruction_count(
-    source: Sequence[int], target: Sequence[int], colours: int
-) -> int:
+def chain_reconstruction_count(source: Sequence[int], target: Sequence[int], colours: int) -> int:
     """Surjective colourings of the source chain restacking to the target.
 
     The colouring is read as a word along the chain's n + 1 edges and
@@ -361,18 +362,16 @@ def chain_reconstruction_count(
     return _rule_count(len(rules) + 1, colours, rules, cyclic=False)
 
 
-def cycle_reconstruction_count(
-    source: Sequence[int], target: Sequence[int], colours: int
-) -> int:
+def cycle_reconstruction_count(source: Sequence[int], target: Sequence[int], colours: int) -> int:
     """Surjective colourings of the source cycle restacking to the target.
 
     The word runs once around the ring, so the comparison at the last
     position wraps back to the first edge.
     """
-    source = validate_signs(source)
-    if len(source) < 2:
+    rules = rule_codes(source, target)
+    if len(rules) < 2:
         raise BadRange("a cycle needs at least two pegs")
-    return _rule_count(len(source), colours, rule_codes(source, target), cyclic=True)
+    return _rule_count(len(rules), colours, rules, cyclic=True)
 
 
 def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
@@ -382,19 +381,24 @@ def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((1, -1), repeat=n))
 
 
-def _sign_family_matrices(
-    n: int, cyclic: bool
-) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
+# sign vectors, then the colouring and mixing matrices on them
+SignMatrices = tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]
+
+
+def _sign_family_matrices(n: int, cyclic: bool) -> SignMatrices:
     _check_members(n, lambda k: 2**k)
     length = n if cyclic else n + 1
-    # surjective_rule_counts, per cell and i: i letters pushed through `length` rules per start
+    # counting each cell alone, 4^n cells x `length` pushes of i letters per start and alphabet size i,
+    # bounds the walk, which pushes each start once per rule prefix: (4^(n + 1) - 4)/3 <= 4^n length
     _check_work(4**n * sum((i if cyclic else 1) * length * i for i in range(1, length + 1)))
     vectors = sign_vectors(n)
-    counts = [
-        [(0,) + surjective_rule_counts(length, rule_codes(src, tgt), cyclic) for tgt in vectors]
-        for src in vectors
-    ]
-    return (vectors, *from_counts(counts))
+    # each position takes the (source, target) sign pairs p = (1, 1), (1, -1), (-1, 1), (-1, -1), so
+    # the base-4 digits 2 s + t of a leaf's index interleave the bits s of its row and t of its column
+    walk = _surjective_walk(length, [rule_codes((1, 1, -1, -1), (1, -1, 1, -1))] * n, cyclic)
+    spread = [0]
+    for _ in range(n):
+        spread = [4 * s + t for s in spread for t in (0, 1)]
+    return (vectors, *from_counts([[walk[2 * row + col] for col in spread] for row in spread]))
 
 
 def _check_members(n: int, members) -> None:
@@ -405,9 +409,7 @@ def _check_members(n: int, members) -> None:
     check_entry_guard(members(n))
 
 
-def chain_matrices(
-    n: int,
-) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
+def chain_matrices(n: int) -> SignMatrices:
     """Sign vectors plus colouring and mixing matrices for the chain family.
 
     Rows and columns are indexed by sign_vectors(n); for chains this
@@ -416,9 +418,7 @@ def chain_matrices(
     return _sign_family_matrices(n, cyclic=False)
 
 
-def cycle_matrices(
-    n: int,
-) -> tuple[tuple[tuple[int, ...], ...], WorldMatrix, WorldMatrix]:
+def cycle_matrices(n: int) -> SignMatrices:
     """Sign vectors plus colouring and mixing matrices for the cycle family.
 
     Rows and columns are indexed by sign_vectors(n).  On two pegs the

@@ -573,15 +573,11 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
             for k in range(1, n + 1):
                 for word in surjection_tuples(n, k):
                     brute[src][cases.cycle_result_signs(src, word), k] += 1
-        entries_ok = True
-        for a, src in enumerate(vectors):
-            for b, tgt in enumerate(vectors):
-                got = poly.entries[a][b]
-                expected = IntPolynomial(
-                    [0] + [brute[src][tgt, k] for k in range(1, n + 1)]
-                )
-                if got != expected:
-                    entries_ok = False
+        entries_ok = all(
+            poly.entries[a][b] == IntPolynomial([0] + [brute[src][tgt, k] for k in range(1, n + 1)])
+            for a, src in enumerate(vectors)
+            for b, tgt in enumerate(vectors)
+        )
         splits_ok = all(
             cases.cycle_reconstruction_count(src, tgt, k)
             == _split_count(n, k, cases.rule_codes(src, tgt), cyclic=True)

@@ -47,8 +47,10 @@ from webworlds.cases import (
     minimal_colour_count,
     rule_codes,
     sign_vectors,
+    surjective_rule_counts,
+    validate_signs,
 )
-from webworlds.errors import BadRange, LengthMismatch, WorldTooLarge
+from webworlds.errors import BadRange, LengthMismatch, MalformedInput, WorldTooLarge
 from webworlds.verify import _split_count, suite_case2, suite_case3
 
 
@@ -254,6 +256,83 @@ def test_family_matrices_refuse_huge_n_before_sizing_it(matrices):
         matrices(64)
     with pytest.raises(WorldTooLarge, match="matrix exceeds the 4000000-entry guard"):
         matrices(63)
+
+
+def test_sign_and_rule_values_are_not_coerced():
+    calls = [
+        lambda: validate_signs((1.0,)),
+        lambda: chain_diagram((1.0,)),
+        lambda: chain_diagram((True,)),
+        lambda: rule_codes((1.0, 1), (1, -1)),
+        lambda: surjective_rule_counts(2, (True,), cyclic=False),
+        lambda: surjective_rule_counts(2, (1.0,), cyclic=False),
+        lambda: surjective_rule_counts(True, (), cyclic=False),
+        lambda: surjective_rule_counts(2.0, (1,), cyclic=False),
+        lambda: chain_reconstruction_count((1,), (1,), 2.0),
+        lambda: chain_reconstruction_count((1,), (1,), True),
+        lambda: cycle_reconstruction_count((1, 1), (1, 1), 2.0),
+        lambda: cycle_reconstruction_count((1, 1), (1, 1), True),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedInput, match="must be an integer"):
+            call()
+    # integers out of range stay range errors
+    for call in (
+        lambda: validate_signs((2,)),
+        lambda: surjective_rule_counts(2, (5,), cyclic=False),
+        lambda: chain_reconstruction_count((1,), (1,), 3),
+        lambda: cycle_reconstruction_count((1, 1), (1, 1), 0),
+    ):
+        with pytest.raises(BadRange):
+            call()
+
+
+@pytest.mark.parametrize(
+    "matrices, n, work",
+    [(chain_matrices, 9, 144179200), (cycle_matrices, 8, 106954752)],
+    ids=["chain", "cycle"],
+)
+def test_family_work_guard_refuses_before_any_push(monkeypatch, matrices, n, work):
+    def no_push(vector, rule):
+        raise AssertionError("pushed a vector past the work guard")
+
+    monkeypatch.setattr(cases, "_push", no_push)
+    with pytest.raises(WorldTooLarge, match=f"{work} estimated counting steps exceed"):
+        matrices(n)
+
+
+def test_sign_matrices_match_word_enumeration():
+    families = [(chain_matrices, n, False) for n in range(4)]
+    families += [(cycle_matrices, n, True) for n in range(2, 5)]
+    for matrices, n, cyclic in families:
+        vectors, poly, _ = matrices(n)
+        length = n if cyclic else n + 1
+        for src, row in zip(vectors, poly.rows):
+            for tgt, cell in zip(vectors, row):
+                codes = rule_codes(src, tgt)
+                expected = [rule_word_count(length, c, codes, cyclic) for c in range(1, length + 1)]
+                assert cell == (0, *expected), (n, cyclic, src, tgt)
+
+
+@pytest.mark.parametrize(
+    "matrices, cyclic, bound", [(chain_matrices, False, 1700), (cycle_matrices, True, 3400)]
+)
+def test_sign_matrices_push_each_rule_prefix_once(monkeypatch, matrices, cyclic, bound):
+    n = 4
+    length = n if cyclic else n + 1
+    starts = sum(i if cyclic else 1 for i in range(1, length + 1))
+    assert starts * (4 ** (n + 1) - 4) // 3 == bound
+    pushes = 0
+    true_push = cases._push
+
+    def counted(vector, rule):
+        nonlocal pushes
+        pushes += 1
+        return true_push(vector, rule)
+
+    monkeypatch.setattr(cases, "_push", counted)
+    matrices(n)
+    assert 0 < pushes <= bound
 
 
 # ---------------------------------------------------------------------------
