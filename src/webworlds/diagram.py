@@ -227,7 +227,12 @@ class Colouring:
 
 @lru_cache(maxsize=None)
 def surjection_tuples(length: int, colours: int) -> tuple[tuple[int, ...], ...]:
-    """All surjections {1..length} -> {1..colours} as assignment tuples.
+    """`_surjections` as one tuple, kept for the oracles that list them again."""
+    return tuple(_surjections(length, colours))
+
+
+def _surjections(length: int, colours: int) -> Iterator[tuple[int, ...]]:
+    """Stream the surjections {1..length} -> {1..colours} as assignment tuples.
 
     Enumerated as set partitions (restricted growth strings) crossed with
     the orderings of their blocks, so the total work is colours! * S(length,
@@ -235,11 +240,9 @@ def surjection_tuples(length: int, colours: int) -> tuple[tuple[int, ...], ...]:
     """
     if length < 1 or colours < 1 or colours > length:
         raise BadRange(f"need 1 <= colours <= length, got colours={colours} length={length}")
-    out: list[tuple[int, ...]] = []
     for rgs in _restricted_growth_strings(length, colours):
         for perm in itertools.permutations(range(1, colours + 1)):
-            out.append(tuple(perm[v] for v in rgs))
-    return tuple(out)
+            yield tuple(perm[v] for v in rgs)
 
 
 def _restricted_growth_strings(length: int, blocks: int) -> Iterator[tuple[int, ...]]:
@@ -263,7 +266,7 @@ def _restricted_growth_strings(length: int, blocks: int) -> Iterator[tuple[int, 
 
 def surjective_colourings(edge_count: int, colours: int) -> Iterator[Colouring]:
     """Stream every surjective colouring of `edge_count` edges exactly once."""
-    for assignment in surjection_tuples(edge_count, colours):
+    for assignment in _surjections(edge_count, colours):
         yield Colouring(assignment, colours)
 
 

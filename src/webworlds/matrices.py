@@ -8,7 +8,8 @@ to the column diagram; the mixing matrix R weights those counts by
 
 A `WorldMatrix` stores only integers, and its cells give its kind: M as rows
 of count tuples, R as integer numerator rows N over one common denominator
-L = lcm(1..e) for e edges. `from_counts` is the one M -> R transform. Row
+L = lcm(1..e) for e edges. `_mixing_weights` is the one M -> R transform,
+shared by `world_matrices`, `from_counts` and `mixing_from_polynomial`. Row
 sums, traces, idempotence and rank read these rows; `entries` turns them
 into IntPolynomial and Fraction objects for output only.
 
@@ -38,8 +39,9 @@ The trace sums the diagonal entries, so trace(R) = rank(R) compares two
 independent computations.
 
 `world_matrices` counts M by one subset pass per world, `_SubsetDP`,
-which reads one row per symmetry orbit off its last layer; the other
-rows are that row's columns permuted. `world_traces` gets both traces
+which reads one row per symmetry orbit off its last layer into both M and
+R; one walk over the orbits fills the other rows of both matrices, each
+that row's columns permuted. `world_traces` gets both traces
 with no matrix: a fixed-point DP over edge subsets when no peg pair
 carries parallel edges (`WebDiagram.labels_one`), and otherwise the
 diagonal cell of one member per symmetry orbit from the single-target
@@ -349,39 +351,32 @@ def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
 
 
 def mixing_from_polynomial(poly: IntPolynomial) -> Fraction:
-    """The mixing entry of one colouring entry, by `from_counts`."""
+    """The mixing entry of one colouring entry, by `_mixing_weights`."""
     if poly.coefficient(0):
         raise BadRange("polynomial has a constant term; not a colouring entry")
-    return from_counts([[poly.coeffs or (0,)]])[1].entries[0][0]
+    denom, weigh = _mixing_weights(poly.degree)
+    return Fraction(weigh(poly.coeffs), denom)
 
 
-def from_counts(
-    counts: Sequence[Sequence[tuple[int, ...]]],
-    orbits: list[list[tuple[int, int, list[int]]]] | None = None,
-    flip: Sequence[int] | None = None,
-) -> tuple[WorldMatrix, WorldMatrix]:
+def _mixing_weights(edge_count: int):
+    """L = lcm(1..e) and the one M -> R transform of a cell over L: the
+    cell's count c_k of k-colourings weighs (-1)^(k-1) L/k, which integrates
+    -M(-x)/x over [0, 1] term by term."""
+    denom = math.lcm(*range(1, edge_count + 1))
+    weights = [0] + [(-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)]
+    return denom, lambda cell: sum(map(operator.mul, weights, cell))
+
+
+def from_counts(counts: Sequence[Sequence[tuple[int, ...]]]) -> tuple[WorldMatrix, WorldMatrix]:
     """Colouring and mixing matrices from per-cell colouring counts.
 
     counts[i][j][k], for k = 0..e, counts the surjective k-colourings of
     row diagram i that reconstruct to column diagram j; it is M's cell.
-    R's cell sends x^k to (-1)^(k-1)/k, which integrates -M(-x)/x over
-    [0, 1] term by term, as one numerator over L = lcm(1..e). Each
-    orbit's first row is weighed cell by cell, and every later row reads
-    an earlier one through the orbit step's permutation, as M's rows were
-    filled; without `orbits` every row is weighed. R alone gets `flip`.
+    R's cell is its weight by `_mixing_weights`, each distinct cell weighed once.
     """
-    edge_count = len(counts[0][0]) - 1
-    denom = math.lcm(*range(1, edge_count + 1))
-    weights = [0] + [(-1) ** (k - 1) * (denom // k) for k in range(1, edge_count + 1)]
-    # a world has few distinct count vectors, so each is weighed once
-    numerators: dict[tuple[int, ...], int] = {}
-    mixing: list = [None] * len(counts)
-    for (rep, _rep, _perm), *_steps in orbits or [[(i, i, [])] for i in range(len(counts))]:
-        new = set(counts[rep]).difference(numerators)
-        numerators.update((cell, sum(map(operator.mul, weights, cell))) for cell in new)
-        mixing[rep] = tuple(map(numerators.__getitem__, counts[rep]))
-    _fill_orbits(mixing, orbits or [])
-    return WorldMatrix(counts), WorldMatrix(mixing, denom, flip=flip)
+    denom, weigh = _mixing_weights(len(counts[0][0]) - 1)
+    numerators = {cell: weigh(cell) for cell in set(itertools.chain.from_iterable(counts))}
+    return WorldMatrix(counts), WorldMatrix([map(numerators.__getitem__, row) for row in counts], denom)
 
 
 def _unpack(vec: int, bits: int, edge_count: int) -> tuple[int, ...]:
@@ -798,37 +793,16 @@ def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None
         raise WorldTooLarge(f"{text}x{text} matrix exceeds the {max_entries}-entry guard")
 
 
-def _world_counts(
-    world: WebWorld, orbits: list[list[tuple[int, int, list[int]]]]
-) -> list[Sequence[tuple[int, ...]]]:
-    """Per row and column, the colouring counts by number of colours.
-
-    One subset pass serves the world, read once per orbit of the symmetry
-    group, and every other row of the orbit reads an earlier row at the
-    columns a generator permutes: M(x, k) = M(g x, g k). Equal count
-    vectors share one tuple.
-    """
-    reps = [(rep, world[rep]) for (rep, _rep, _perm), *_steps in orbits]
-    dp = _SubsetDP(world, [diagram for _rep, diagram in reps])
-    counts: list[Sequence[tuple[int, ...]] | None] = [None] * len(world)
-    unpacked: dict[int, tuple[int, ...]] = {}
-    for rep, diagram in reps:
-        row = dp.row(diagram)
-        unpacked.update((vec, dp.unpack(vec)) for vec in set(row).difference(unpacked))
-        counts[rep] = list(map(unpacked.__getitem__, row))
-    _fill_orbits(counts, orbits)
-    return counts
-
-
-def _fill_orbits(rows: list, orbits: list[list[tuple[int, int, list[int]]]]) -> None:
-    """Fill each orbit's later rows: step (x, y, perm) reads row y at the columns perm."""
+def _fill_orbits(orbits: list[list[tuple[int, int, list[int]]]], counts: list, mixing: list) -> None:
+    """Fill each orbit's later rows of M and R: step (x, y, perm) reads row y at the columns perm."""
     pickers: dict[int, object] = {}  # one reader per generator
     for _first, *steps in orbits:
         for row, source, perm in steps:
             pick = pickers.get(id(perm))
             if pick is None:
                 pick = pickers[id(perm)] = _picker(perm)
-            rows[row] = pick(rows[source])
+            counts[row] = pick(counts[source])
+            mixing[row] = pick(mixing[source])
 
 
 def world_matrices(
@@ -836,8 +810,11 @@ def world_matrices(
 ) -> tuple[WorldMatrix, WorldMatrix]:
     """Colouring and mixing matrices from one pass of colouring counts.
 
-    The pass makes at least 3^e - 2^e transitions, so 3^e must stay
-    within DEFAULT_WORK_GUARD, as on the fixed-point route of `world_traces`.
+    The pass is read once per symmetry orbit into both matrices, and one
+    walk over the orbits fills each other row of both from an earlier row
+    at the columns a generator permutes: M(x, k) = M(g x, g k). The pass
+    makes at least 3^e - 2^e transitions, so 3^e must stay within
+    DEFAULT_WORK_GUARD, as on the fixed-point route of `world_traces`.
     """
     check_entry_guard(len(world), max_entries)
     if world.edge_count == 0:
@@ -845,8 +822,21 @@ def world_matrices(
     _check_work(3**world.edge_count)
     generators = _symmetry_generators(world)
     orbits = _orbits(generators, len(world))
+    reps = [(rep, world[rep]) for (rep, _rep, _perm), *_steps in orbits]
+    dp = _SubsetDP(world, [diagram for _rep, diagram in reps])
+    denom, weigh = _mixing_weights(world.edge_count)
+    # per distinct packed vector, M's count tuple and R's numerator
+    cells: dict[int, tuple[tuple[int, ...], int]] = {}
+    counts, mixing = [None] * len(world), [None] * len(world)
+    for rep, diagram in reps:
+        row = dp.row(diagram)
+        for vec in set(row).difference(cells):
+            cell = dp.unpack(vec)
+            cells[vec] = cell, weigh(cell)
+        counts[rep], mixing[rep] = zip(*map(cells.__getitem__, row))
+    _fill_orbits(orbits, counts, mixing)
     # the flip is the first generator
-    return from_counts(_world_counts(world, orbits), orbits, generators[0])
+    return WorldMatrix(counts), WorldMatrix(mixing, denom, flip=generators[0])
 
 
 def _require_rational(matrix: WorldMatrix, what: str) -> None:

@@ -7,12 +7,12 @@ shared peg. Blocks inherit that below-relation; closing it reflexively
 and transitively gives the decomposition poset, whose linear-extension
 descents drive the closed forms for diagonal matrix entries.
 
-The closed forms depend on the order rows alone, so each is computed
-once per poset shape and kept in a bounded module-level cache. A poset
-built from a diagram keeps one edge bitmask per block and builds its
-`Block` objects only when they are read; the repeated-block test answers
-from the peg pairs alone when no two edges share one, or when two
-one-edge blocks do.
+The closed forms depend on the order rows alone, so both are computed
+together once per poset shape and kept in one bounded module-level
+cache. A poset built from a diagram keeps one edge bitmask per block and
+builds its `Block` objects only when they are read; the repeated-block
+test answers from the peg pairs alone when no two edges share one, or
+when two one-edge blocks do.
 """
 
 from __future__ import annotations
@@ -291,10 +291,13 @@ def order_preserving_count(poset: DecompositionPoset, m: int) -> int:
 
     A linear extension with d descents accounts for C(p + m - 1 - d, p)
     maps (Stanley's (P, w)-partitions), so one term per descent count.
+    The empty poset has one map, the empty one.
     """
     if m < 0:
         raise BadRange("chain size must be non-negative")
     p = poset.size
+    if not p:
+        return 1
     return sum(
         count * math.comb(p + m - 1 - d, p)
         for d, count in enumerate(poset.descent_histogram)
@@ -302,18 +305,17 @@ def order_preserving_count(poset: DecompositionPoset, m: int) -> int:
 
 
 def surjective_order_preserving_count(poset: DecompositionPoset, m: int) -> int:
-    """Order-preserving maps onto a chain of m values, hitting every value."""
+    """Order-preserving maps onto a chain of m values, hitting every value: under
+    the natural labelling, the colouring closed form's x^m coefficient (Stanley 1972)."""
     if m < 0:
         raise BadRange("chain size must be non-negative")
-    return sum(
-        math.comb(m, k) * (-1) ** (m - k) * order_preserving_count(poset, k)
-        for k in range(m + 1)
-    )
+    return _closed_forms(poset.up)[0].coefficient(m) if poset.size else int(m == 0)
 
 
-def _require_distinct_blocks(poset: DecompositionPoset) -> None:
+def _diagonal_forms(poset: DecompositionPoset) -> tuple[IntPolynomial, Fraction]:
     if poset.repeated_blocks:
         raise RepeatedBlocks("two blocks are identical; diagonal closed forms do not apply")
+    return _closed_forms(poset.up)
 
 
 @lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
@@ -348,45 +350,30 @@ def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
 
 def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
     """Closed form for a diagonal colouring entry from the diagram's poset."""
-    _require_distinct_blocks(poset)
-    return _colouring_polynomial(poset.up)
-
-
-@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
-def _colouring_polynomial(up: tuple[int, ...]) -> IntPolynomial:
-    """Sums x^(1+d) (1+x)^(p-1-d) over linear extensions with d descents,
-    expanded coefficient by coefficient."""
-    p = len(up)
-    if p < 1:
-        raise BadRange("poset must have at least one block")
-    coeffs = [0] * (p + 1)
-    for d, count in enumerate(_histogram(up)):
-        for j in range(d + 1, p + 1):
-            coeffs[j] += count * math.comb(p - 1 - d, j - 1 - d)
-    return IntPolynomial(coeffs)
+    return _diagonal_forms(poset)[0]
 
 
 def diagonal_mixing_value(poset: DecompositionPoset) -> Fraction:
     """Closed form for a diagonal mixing entry from the diagram's poset."""
-    _require_distinct_blocks(poset)
-    return _mixing_value(poset.up)
+    return _diagonal_forms(poset)[1]
 
 
 @lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
-def _mixing_value(up: tuple[int, ...]) -> Fraction:
-    """Sums (-1)^d / (p C(p - 1, d)) over linear extensions with d descents,
-    over one denominator."""
+def _closed_forms(up: tuple[int, ...]) -> tuple[IntPolynomial, Fraction]:
+    """Both diagonal closed forms of the order rows `up`, summed over linear
+    extensions with d descents: x^(1+d) (1+x)^(p-1-d), expanded coefficient
+    by coefficient, and (-1)^d / (p C(p - 1, d)) over one denominator."""
     p = len(up)
     if p < 1:
         raise BadRange("poset must have at least one block")
+    coeffs = [0] * (p + 1)
     denom = p * math.lcm(*(math.comb(p - 1, d) for d in range(p)))
-    return Fraction(
-        sum(
-            (-1) ** d * count * (denom // (p * math.comb(p - 1, d)))
-            for d, count in enumerate(_histogram(up))
-        ),
-        denom,
-    )
+    mixing = 0
+    for d, count in enumerate(_histogram(up)):
+        for j in range(d + 1, p + 1):
+            coeffs[j] += count * math.comb(p - 1 - d, j - 1 - d)
+        mixing += (-1) ** d * count * (denom // (p * math.comb(p - 1, d)))
+    return IntPolynomial(coeffs), Fraction(mixing, denom)
 
 
 def world_posets(world: WebWorld) -> tuple[DecompositionPoset, ...]:
@@ -406,11 +393,11 @@ def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     if not world[0].labels_one():
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
     shapes = Counter(decomposition_poset(diagram).up for diagram in world)
-    colouring_total = IntPolynomial()
-    mixing_total = Fraction(0)
+    colouring_total, mixing_total = IntPolynomial(), Fraction(0)
     for up, count in shapes.items():
-        colouring_total = colouring_total + _colouring_polynomial(up) * count
-        mixing_total += _mixing_value(up) * count
+        colouring, mixing = _closed_forms(up)
+        colouring_total += colouring * count
+        mixing_total += mixing * count
     return colouring_total, mixing_total
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -33,7 +34,9 @@ from .diagram import (
 from .errors import LabelNotOne, RepeatedBlocks
 from .matrices import (
     IntPolynomial,
+    _check_work,
     _colouring_counts,
+    _fubini,
     is_idempotent,
     ordered_bell_polynomial,
     rank,
@@ -442,19 +445,31 @@ _EXACT = {1: (1,), 2: (1, 0), 3: (0, -1), 4: (-1,)}
 
 
 def _split_count(length: int, colours: int, codes: Sequence[int], cyclic: bool) -> int:
-    """Surjective words meeting one rule code per position, by exact splits.
-
-    Every surjective word is classified by its exact comparison at each
-    position; the count sums the exact patterns that the weak codes 2
-    (>=) and 3 (<=) expand into. This needs no transfer matrix.
-    """
-
-    def split(word: tuple[int, ...]) -> tuple[int, ...]:
-        pairs = zip(word, word[1:] + word[:1] if cyclic else word[1:])
-        return tuple((a > b) - (a < b) for a, b in pairs)
-
-    patterns = Counter(map(split, surjection_tuples(length, colours)))
+    """Surjective words meeting one rule code per position, by exact splits:
+    the sum of the exact patterns that the weak codes 2 (>=) and 3 (<=)
+    expand into. This needs no transfer matrix."""
+    patterns = _split_patterns(length, colours, cyclic)
     return sum(patterns[p] for p in product(*(_EXACT[c] for c in codes)))
+
+
+@lru_cache(maxsize=64)
+def _split_patterns(length: int, colours: int, cyclic: bool) -> Counter:
+    """The surjective words counted once by their exact comparison at each
+    position, a cyclic word's last letter against its first."""
+    words = surjection_tuples(length, colours)
+    steps = (zip(w, w[1:] + w[:1] if cyclic else w[1:]) for w in words)
+    return Counter(tuple((a > b) - (a < b) for a, b in pairs) for pairs in steps)
+
+
+def _check_oracle(n: int, cyclic: bool) -> None:
+    """`_check_work` on a chain or cycle suite's word oracles before they list
+    a word: up to 2^n exact patterns in each of 4^n cells, and `length` steps
+    for each of the Fubini(length) words, listed once and, for a cycle, once
+    more per each of the 2^n sources. Outside 0 <= n < 64 the family refuses n."""
+    if 0 <= n < 64:
+        length = n if cyclic else n + 1
+        _check_work(length << 3 * n)
+        _check_work(length * _fubini(length) * (1 + (2**n if cyclic else 0)))
 
 
 def suite_case1(ns: Sequence[int] = (2, 3, 4)) -> list[CheckResult]:
@@ -506,6 +521,7 @@ def suite_case2(ns: Sequence[int] = (1, 2, 3)) -> list[CheckResult]:
     """Chain worlds: comparison-rule counts against brute matrices."""
     results: list[CheckResult] = []
     for n in ns:
+        _check_oracle(n, cyclic=False)
         vectors, poly, mix = cases.chain_matrices(n)
         world = cases.chain_world(n)
         brute_poly, brute_mix = world_matrices(world)
@@ -567,6 +583,7 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
     """Cycle worlds: cyclic rule counts against identity-tracked restacks."""
     results: list[CheckResult] = []
     for n in ns:
+        _check_oracle(n, cyclic=True)
         vectors, poly, mix = cases.cycle_matrices(n)
         brute: dict[tuple, Counter] = {src: Counter() for src in vectors}
         for src in vectors:

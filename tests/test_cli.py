@@ -91,6 +91,23 @@ def test_case3_verify(capsys):
     assert "FAIL" not in out
 
 
+def test_case2_verify_at_six_passes_every_check(capsys):
+    code, out, err = run(capsys, "case2", "--n", "6", "--verify")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS [case2]") for line in lines)
+
+
+def test_case2_verify_at_eight_is_refused_before_any_word(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word was listed past the oracle guard")
+
+    monkeypatch.setattr("webworlds.verify.surjection_tuples", refuse)
+    code, out, err = run(capsys, "case2", "--n", "8", "--verify")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "guard" in err
+
+
 def test_transitive_list_and_count(capsys):
     code, out, _ = run(capsys, "transitive", "--edges", "3", "--list")
     assert code == 0

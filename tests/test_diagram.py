@@ -347,6 +347,15 @@ def test_surjection_counts():
         surjection_tuples(2, 3)
 
 
+def test_surjective_colourings_stream_without_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the colourings were listed, not streamed")
+
+    monkeypatch.setattr(diagram_module, "surjection_tuples", refuse)
+    first = next(surjective_colourings(12, 6))
+    assert first == Colouring((1,) * 7 + (2, 3, 4, 5, 6), 6)
+
+
 def test_diagram_json_round_trip(nine_edge):
     payload = diagram_to_json(nine_edge)
     assert payload["n"] == 7

@@ -27,7 +27,7 @@ from webworlds import (
 )
 from webworlds import enumeration, matrices
 from webworlds.diagram import predicted_world_size
-from webworlds.matrices import ordered_bell_polynomial
+from webworlds.matrices import from_counts, ordered_bell_polynomial
 
 from conftest import fraction_rank, small_worlds
 
@@ -129,6 +129,14 @@ def test_structure_checks_build_no_entries():
                 is_idempotent(matrix)
                 rank(matrix)
             assert "entries" not in matrix.__dict__, name
+
+
+def test_world_matrices_equal_from_counts_of_their_rows(world_pairs):
+    # the orbit walk fills R's rows as weighing every cell of M would
+    for name, (poly, mix) in world_pairs:
+        again_poly, again_mix = from_counts(poly.rows)
+        assert again_poly.rows == poly.rows and again_mix.rows == mix.rows, name
+        assert again_mix.denominator == mix.denominator, name
 
 
 def test_matrices_read_their_kind_from_their_cells(world_pairs, case_pairs):

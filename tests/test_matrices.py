@@ -6,6 +6,7 @@ fraction Gauss elimination for rank, and hand-checked tiny worlds.
 
 import dataclasses
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,15 @@ from webworlds import (
     web_world,
     world_matrices,
 )
+from webworlds import cases, matrices
+from webworlds.diagram import _orbits, _symmetry_generators
 from webworlds.errors import BadRange, DifferentWorlds, MalformedInput
 from webworlds.matrices import (
     ONE,
     X,
     _SubsetDP,
     colouring_entry,
+    from_counts,
     mixing_entry,
     polynomial_to_coeff_string,
     reconstruction_count,
@@ -197,6 +201,41 @@ def test_rank_is_the_last_reader_of_the_flip_blocks(monkeypatch):
 def test_mixing_from_polynomial_rejects_constant_terms():
     with pytest.raises(BadRange):
         mixing_from_polynomial(ONE)
+
+
+def test_mixing_from_polynomial_matches_from_counts_with_no_matrix(monkeypatch):
+    rng = random.Random(20131003)
+    for edges in range(1, 8):
+        counts = [
+            [(0, *(rng.choice((0, rng.randrange(1, 10**6))) for _ in range(edges))) for _ in range(3)]
+            for _ in range(3)
+        ]
+        mixing = from_counts(counts)[1].entries
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "WorldMatrix", None)
+            assert [[mixing_from_polynomial(IntPolynomial(c)) for c in row] for row in counts] == [
+                list(row) for row in mixing
+            ]
+
+
+def test_world_matrices_walk_the_orbits_once(monkeypatch):
+    readers = []
+    picker = matrices._picker
+    monkeypatch.setattr(matrices, "_picker", lambda indices: readers.append(indices) or picker(indices))
+    # a doubled edge on a triangle, and the fan on four pegs: every generator moves a member
+    for world in (
+        web_world(seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))),
+        cases.fan_world(4),
+    ):
+        generators = _symmetry_generators(world)
+        steps = [perm for orbit in _orbits(generators, len(world)) for _x, _y, perm in orbit[1:]]
+        used = [g for g in generators if any(perm is g for perm in steps)]
+        assert used and len(used) == len(generators)
+        for _call in range(2):
+            readers.clear()
+            world_matrices(world)
+            # one reader per generator serves the rows of both M and R
+            assert sorted(map(list, readers)) == sorted(map(list, used))
 
 
 @pytest.mark.parametrize(

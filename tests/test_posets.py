@@ -43,6 +43,7 @@ ANTICHAIN3 = DecompositionPoset.from_relations(3, ())
 VEE_POSET = DecompositionPoset.from_relations(3, ((1, 2), (1, 3)))
 WEDGE_POSET = DecompositionPoset.from_relations(3, ((1, 3), (2, 3)))
 DIAMOND = DecompositionPoset.from_relations(4, ((1, 2), (1, 3), (2, 4), (3, 4)))
+EMPTY = DecompositionPoset.from_relations(0, ())
 
 
 def brute_order_preserving(poset, m):
@@ -110,13 +111,29 @@ def test_descents_counts_label_drops():
 
 
 @pytest.mark.parametrize(
-    "poset", [CHAIN2, ANTICHAIN2, ANTICHAIN3, VEE_POSET, WEDGE_POSET, DIAMOND]
+    "poset", [CHAIN2, ANTICHAIN2, ANTICHAIN3, VEE_POSET, WEDGE_POSET, DIAMOND, EMPTY]
 )
-@pytest.mark.parametrize("colours", [1, 2, 3, 4])
+@pytest.mark.parametrize("colours", [1, 2, 3, 4, 0])
 def test_order_preserving_counts_match_brute_force(poset, colours):
     assert order_preserving_count(poset, colours) == brute_order_preserving(
         poset, colours
     )
+
+
+@pytest.mark.parametrize(
+    "poset", [CHAIN2, ANTICHAIN2, ANTICHAIN3, VEE_POSET, WEDGE_POSET, DIAMOND, EMPTY]
+)
+def test_surjective_counts_match_brute_force(poset):
+    # the colouring polynomial's coefficients, against maps that hit every value
+    pairs = poset.strict_pairs()
+    for m in range(6):
+        brute = sum(
+            1
+            for values in itertools.product(range(1, m + 1), repeat=poset.size)
+            if set(values) == set(range(1, m + 1))
+            and all(values[a - 1] <= values[b - 1] for a, b in pairs)
+        )
+        assert surjective_order_preserving_count(poset, m) == brute, m
 
 
 def test_pinned_order_preserving_values():
