@@ -35,7 +35,7 @@ _ONE_PLUS_X = ONE + X
 
 def stirling2(n: int, k: int) -> int:
     """Number of ways to partition an n-set into k non-empty blocks."""
-    if n < 0 or k < 0:
+    if json_int(n, "a Stirling argument") < 0 or json_int(k, "a Stirling argument") < 0:
         raise BadRange(f"stirling2 needs non-negative arguments, got ({n}, {k})")
     total = sum((-1) ** (k - i) * comb(k, i) * i**n for i in range(k + 1))
     return total // factorial(k)
@@ -47,7 +47,7 @@ def eulerian(n: int, k: int) -> int:
     A permutation needs k colours when it has k - 1 descents, so these
     are the Eulerian numbers indexed from k = 1.
     """
-    if n < 1 or k < 0 or k > n:
+    if json_int(n, "an Eulerian argument") < 1 or json_int(k, "an Eulerian argument") < 0 or k > n:
         raise BadRange(f"eulerian needs 1 <= k <= n, got ({n}, {k})")
     return sum((-1) ** j * comb(n + 1, j) * (k - j) ** n for j in range(k + 1))
 
@@ -140,7 +140,7 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     source positions: a descent table over the n! values of q holds M's
     coefficients and R's numerator over lcm(1..n).
     """
-    if n < 1:
+    if json_int(n, "the fan size") < 1:
         raise BadRange("a fan needs at least one edge")
     _check_members(n, factorial)
     world = fan_world(n)
@@ -166,7 +166,7 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
 
 def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the fan world's two matrix traces."""
-    if n < 1:
+    if json_int(n, "the fan size") < 1:
         raise BadRange("a fan needs at least one edge")
     # (1 + x)^(n - 1) takes n^2 multiply-adds; each coefficient n! C(n - 1, k) < n! 2^n
     _check_work(n * n)
@@ -415,7 +415,7 @@ def chain_matrices(n: int) -> SignMatrices:
     Rows and columns are indexed by sign_vectors(n); for chains this
     indexing is a bijective relabelling of the world's diagrams.
     """
-    return _sign_family_matrices(n, cyclic=False)
+    return _sign_family_matrices(json_int(n, "the sign count"), cyclic=False)
 
 
 def cycle_matrices(n: int) -> SignMatrices:
@@ -426,14 +426,14 @@ def cycle_matrices(n: int) -> SignMatrices:
     rather than the diagram level; from three pegs up the two levels
     agree.
     """
-    if n < 2:
+    if json_int(n, "the sign count") < 2:
         raise BadRange("a cycle needs at least two pegs")
     return _sign_family_matrices(n, cyclic=True)
 
 
 def chain_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the chain family's matrix traces."""
-    if n < 0:
+    if json_int(n, "the sign count") < 0:
         raise BadRange("sign count must be non-negative")
     # two Stirling sums per k, each of at most n + 3 powers i^(n + 2), in 64-bit
     # words; within the guard no coefficient passes the digit limit
@@ -447,7 +447,7 @@ def chain_traces(n: int) -> tuple[IntPolynomial, Fraction]:
 
 def cycle_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     """Closed forms for the cycle family's sign-level matrix traces."""
-    if n < 2:
+    if json_int(n, "the sign count") < 2:
         raise BadRange("a cycle needs at least two pegs")
     # one Stirling sum per k, of at most n + 2 powers i^(n + 1), in 64-bit words
     _check_work((n + 2) ** 2 * (n + 1) * (n + 1).bit_length() // 64)

@@ -331,10 +331,9 @@ def _require_same_world(d1: WebDiagram, d2: WebDiagram) -> None:
 
 def reconstruction_count(d1: WebDiagram, d2: WebDiagram, colours: int) -> int:
     """Number of surjective `colours`-colourings of d1 that reconstruct to d2."""
-    entry = colouring_entry(d1, d2)
-    if not 1 <= colours <= d1.edge_count:
+    if not 1 <= json_int(colours, "a colour count") <= d1.edge_count:
         raise BadRange(f"colours must lie in 1..{d1.edge_count}")
-    return entry.coefficient(colours)
+    return colouring_entry(d1, d2).coefficient(colours)
 
 
 def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:

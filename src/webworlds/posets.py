@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, _compressed
+from .diagram import Edge, WebDiagram, WebWorld, _compressed, json_int
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
 from .matrices import IntPolynomial, _unpack, transitive_closure
 
@@ -293,7 +293,7 @@ def order_preserving_count(poset: DecompositionPoset, m: int) -> int:
     maps (Stanley's (P, w)-partitions), so one term per descent count.
     The empty poset has one map, the empty one.
     """
-    if m < 0:
+    if json_int(m, "the chain size") < 0:
         raise BadRange("chain size must be non-negative")
     p = poset.size
     if not p:
@@ -307,7 +307,7 @@ def order_preserving_count(poset: DecompositionPoset, m: int) -> int:
 def surjective_order_preserving_count(poset: DecompositionPoset, m: int) -> int:
     """Order-preserving maps onto a chain of m values, hitting every value: under
     the natural labelling, the colouring closed form's x^m coefficient (Stanley 1972)."""
-    if m < 0:
+    if json_int(m, "the chain size") < 0:
         raise BadRange("chain size must be non-negative")
     return _closed_forms(poset.up)[0].coefficient(m) if poset.size else int(m == 0)
 

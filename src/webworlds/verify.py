@@ -7,8 +7,12 @@ matrices come from one subset pass per world over ordered set partitions
 enumeration" compares them with the brute-force route, which visits
 every surjective colouring of every member and restacks it. The other
 checks set those matrices against a closed formula, series coefficient
-or bijective count. The CLI's verify subcommand prints one line per
-record and fails if any record fails.
+or bijective count. A check over many instances records each one once
+in a `_Tally`, which reports the instance count on a pass and, on a
+failure, how many failed and the first to fail. The chain and cycle
+exact-split checks run one rule walk per sign pair for all colour
+counts. The CLI's verify subcommand prints one line per record and
+fails if any record fails.
 """
 
 from __future__ import annotations
@@ -60,10 +64,26 @@ class CheckResult:
     detail: str
 
 
-def _aggregate(name: str, checked: int, failures: list[str], ok_detail: str) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, f"{len(failures)} of {checked} failed, first: {failures[0]}")
-    return CheckResult(name, True, f"{ok_detail} ({checked} instances)")
+class _Tally:
+    """One multi-instance check: each instance is recorded once by `check`."""
+
+    def __init__(self, name: str, detail: str) -> None:
+        self.name, self.detail = name, detail
+        self.instances = 0
+        self.failures: list[str] = []
+
+    def check(self, ok: bool, label: str) -> bool:
+        """Count one instance, keeping `label` if it failed; return `ok`."""
+        self.instances += 1
+        if not ok:
+            self.failures.append(label)
+        return ok
+
+    def result(self) -> CheckResult:
+        if self.failures:
+            detail = f"{len(self.failures)} of {self.instances} failed, first: {self.failures[0]}"
+            return CheckResult(self.name, False, detail)
+        return CheckResult(self.name, True, f"{self.detail} ({self.instances} instances)")
 
 
 # ---------------------------------------------------------------------------
@@ -120,97 +140,51 @@ def suite_structure(
     every world without parallel edges, and each diagonal entry by the
     single-target kernel.
     """
-    mix_rows_fail: list[str] = []
-    poly_rows_fail: list[str] = []
-    idem_fail: list[str] = []
-    trace_fail: list[str] = []
-    proper_fail: list[str] = []
-    enumerated_fail: list[str] = []
-    fixed_point_fail: list[str] = []
-    kernel_fail: list[str] = []
-    checked = 0
-    enumerated = 0
-    fixed_point = 0
+    scope = f"all worlds with <= {max_edges} edges, <= {max_pegs} pegs"
+    mix_rows = _Tally("mixing row sums", f"row sums of R equal [edge count == 1] on {scope}")
+    poly_rows = _Tally(
+        "colouring row sums", f"row sums of M equal the ordered Bell polynomial on {scope}"
+    )
+    idempotent = _Tally("idempotence", f"R squared equals R on {scope}")
+    trace_rank = _Tally("trace equals rank", f"trace(R) = rank(R), a non-negative integer, on {scope}")
+    connected = _Tally(
+        "positive trace iff connected", f"trace(R) >= 1 exactly on proper worlds within {scope}"
+    )
+    enumerated = _Tally(
+        "colouring counts match enumeration",
+        "every entry of M equals direct colouring enumeration on all worlds "
+        f"with <= {min(ENUMERATION_EDGES, max_edges)} edges, <= {max_pegs} pegs",
+    )
+    fixed_point = _Tally(
+        "fixed-point traces match matrix traces",
+        "the fixed-point DP gives trace(M) and trace(R) on the worlds without "
+        f"parallel edges within {scope}",
+    )
+    kernel = _Tally(
+        "kernel diagonals match matrices",
+        f"the single-target kernel gives every diagonal entry of M on {scope}",
+    )
     for rows in _sweep_matrices(max_pegs, max_edges):
-        checked += 1
         world = web_world(enumeration.seed_diagram(rows))
         poly, mix = world_matrices(world)
         m = world.edge_count
+        label = repr(rows)
         bell = ordered_bell_polynomial(m)
         expected = Fraction(1 if m == 1 else 0)
-        if any(s != expected for s in row_sums(mix)):
-            mix_rows_fail.append(repr(rows))
-        if any(s != bell for s in row_sums(poly)):
-            poly_rows_fail.append(repr(rows))
-        if not is_idempotent(mix):
-            idem_fail.append(repr(rows))
-        t = trace(mix)
-        r = rank(mix)
-        if t != r or t.denominator != 1 or t < 0:
-            trace_fail.append(f"{rows!r} trace={t} rank={r}")
-        elif (t >= 1) != enumeration.is_proper(world[0]):
-            proper_fail.append(f"{rows!r} trace={t}")
-        if world[0].labels_one():
-            fixed_point += 1
-            if world_traces(world[0]) != (trace(poly), t):
-                fixed_point_fail.append(repr(rows))
-        if any(_colouring_counts(d, d) != poly.rows[i][i] for i, d in enumerate(world)):
-            kernel_fail.append(repr(rows))
+        mix_rows.check(all(s == expected for s in row_sums(mix)), label)
+        poly_rows.check(all(s == bell for s in row_sums(poly)), label)
+        idempotent.check(is_idempotent(mix), label)
+        t, r = trace(mix), rank(mix)
+        exact = trace_rank.check(t == r and t.denominator == 1 and t >= 0, f"{label} trace={t} rank={r}")
+        connected.check(not exact or (t >= 1) == enumeration.is_proper(world[0]), f"{label} trace={t}")
         if m <= ENUMERATION_EDGES:
-            enumerated += 1
-            brute = _enumerated_counts(world)
-            if poly.rows != tuple(tuple(map(tuple, row)) for row in brute):
-                enumerated_fail.append(repr(rows))
-    scope = f"all worlds with <= {max_edges} edges, <= {max_pegs} pegs"
-    return [
-        _aggregate(
-            "mixing row sums",
-            checked,
-            mix_rows_fail,
-            f"row sums of R equal [edge count == 1] on {scope}",
-        ),
-        _aggregate(
-            "colouring row sums",
-            checked,
-            poly_rows_fail,
-            f"row sums of M equal the ordered Bell polynomial on {scope}",
-        ),
-        _aggregate(
-            "idempotence", checked, idem_fail, f"R squared equals R on {scope}"
-        ),
-        _aggregate(
-            "trace equals rank",
-            checked,
-            trace_fail,
-            f"trace(R) = rank(R), a non-negative integer, on {scope}",
-        ),
-        _aggregate(
-            "positive trace iff connected",
-            checked,
-            proper_fail,
-            f"trace(R) >= 1 exactly on proper worlds within {scope}",
-        ),
-        _aggregate(
-            "colouring counts match enumeration",
-            enumerated,
-            enumerated_fail,
-            "every entry of M equals direct colouring enumeration on all worlds "
-            f"with <= {min(ENUMERATION_EDGES, max_edges)} edges, <= {max_pegs} pegs",
-        ),
-        _aggregate(
-            "fixed-point traces match matrix traces",
-            fixed_point,
-            fixed_point_fail,
-            "the fixed-point DP gives trace(M) and trace(R) on the worlds without "
-            f"parallel edges within {scope}",
-        ),
-        _aggregate(
-            "kernel diagonals match matrices",
-            checked,
-            kernel_fail,
-            f"the single-target kernel gives every diagonal entry of M on {scope}",
-        ),
-    ]
+            brute = tuple(tuple(map(tuple, row)) for row in _enumerated_counts(world))
+            enumerated.check(poly.rows == brute, label)
+        if world[0].labels_one():
+            fixed_point.check(world_traces(world[0]) == (trace(poly), t), label)
+        kernel.check(all(_colouring_counts(d, d) == poly.rows[i][i] for i, d in enumerate(world)), label)
+    tallies = (mix_rows, poly_rows, idempotent, trace_rank, connected, enumerated, fixed_point, kernel)
+    return [tally.result() for tally in tallies]
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +250,13 @@ def suite_posets(max_pegs: int = 5, max_edges: int = 4) -> list[CheckResult]:
         )
     )
 
-    checked = 0
-    eligible = 0
-    failures: list[str] = []
-    for rows in _sweep_matrices(max_pegs, max_edges):
+    sweep = list(_sweep_matrices(max_pegs, max_edges))
+    descent = _Tally(
+        "diagonal descent formulas", f"formula diagonals match brute force across {len(sweep)} worlds"
+    )
+    for rows in sweep:
         world = web_world(enumeration.seed_diagram(rows))
         poly, mix = world_matrices(world)
-        checked += 1
         for i, diagram in enumerate(world):
             try:
                 poset = posets.decomposition_poset(diagram)
@@ -290,37 +264,21 @@ def suite_posets(max_pegs: int = 5, max_edges: int = 4) -> list[CheckResult]:
                 expected_mix = posets.diagonal_mixing_value(poset)
             except (LabelNotOne, RepeatedBlocks):
                 continue
-            eligible += 1
-            if poly.entries[i][i] != expected_poly or mix.entries[i][i] != expected_mix:
-                failures.append(f"{rows!r} member {i}")
-    results.append(
-        _aggregate(
-            "diagonal descent formulas",
-            eligible,
-            failures,
-            f"formula diagonals match brute force across {checked} worlds",
-        )
-    )
+            ok = poly.entries[i][i] == expected_poly and mix.entries[i][i] == expected_mix
+            descent.check(ok, f"{rows!r} member {i}")
+    results.append(descent.result())
 
-    failures = []
-    instances = 0
+    order = _Tally(
+        "order-preserving counts", "descent-sum and inclusion-exclusion counts match direct enumeration"
+    )
     for poset in _SMALL_POSETS:
         for colours in range(1, 5):
-            instances += 1
-            direct_weak = _direct_order_preserving(poset, colours, surjective=False)
-            direct_surj = _direct_order_preserving(poset, colours, surjective=True)
-            if posets.order_preserving_count(poset, colours) != direct_weak:
-                failures.append(f"weak {poset.strict_pairs()} m={colours}")
-            if posets.surjective_order_preserving_count(poset, colours) != direct_surj:
-                failures.append(f"surjective {poset.strict_pairs()} m={colours}")
-    results.append(
-        _aggregate(
-            "order-preserving counts",
-            instances,
-            failures,
-            "descent-sum and inclusion-exclusion counts match direct enumeration",
-        )
-    )
+            weak = posets.order_preserving_count(poset, colours)
+            surjective = posets.surjective_order_preserving_count(poset, colours)
+            weak_ok = weak == _direct_order_preserving(poset, colours, surjective=False)
+            ok = weak_ok and surjective == _direct_order_preserving(poset, colours, surjective=True)
+            order.check(ok, f"{'surjective' if weak_ok else 'weak'} {poset.strict_pairs()} m={colours}")
+    results.append(order.result())
     return results
 
 
@@ -376,28 +334,19 @@ def suite_counting(
     """World-size formula, world counts and the three-edge census."""
     results: list[CheckResult] = []
 
-    failures: list[str] = []
-    checked = 0
-    for rows in enumeration.enumerate_worlds(
-        2 * orbit_edges, orbit_edges, no_isolated=True
-    ):
-        if not any(any(r) for r in rows):
-            continue
-        checked += 1
+    sizes = _Tally(
+        "world size formula",
+        "factorial formula = orbit closure = generated size for all worlds "
+        f"with <= {orbit_edges} edges",
+    )
+    for rows in _sweep_matrices(2 * orbit_edges, orbit_edges):
         seed = enumeration.seed_diagram(rows)
         formula = enumeration.world_size(rows)
         orbit = len(_orbit_keys(seed))
         generated = len(web_world(seed))
-        if not formula == orbit == generated:
-            failures.append(f"{rows!r} formula={formula} orbit={orbit} generated={generated}")
-    results.append(
-        _aggregate(
-            "world size formula",
-            checked,
-            failures,
-            f"factorial formula = orbit closure = generated size for all worlds with <= {orbit_edges} edges",
-        )
-    )
+        label = f"{rows!r} formula={formula} orbit={orbit} generated={generated}"
+        sizes.check(formula == orbit == generated, label)
+    results.append(sizes.result())
 
     # (name, tag, route, second route, least pegs, least edges and pairs, detail)
     for name, tag, first, second, low_pegs, low, detail in (
@@ -409,16 +358,13 @@ def suite_counting(
          enumeration.count_proper_worlds_direct, 1, 0,
          "logarithmic series matches direct connected enumeration"),
     ):
-        failures = []
-        checked = 0
+        counts = _Tally(name, detail)
         for pegs in range(low_pegs, max_pegs + 1):
             for edges in range(low, max_edges + 1):
                 for pairs in range(low, comb(pegs, 2) + 1):
-                    checked += 1
                     a, b = first(pegs, edges, pairs), second(pegs, edges, pairs)
-                    if a != b:
-                        failures.append(f"{tag}({pegs},{edges},{pairs}) {a} != {b}")
-        results.append(_aggregate(name, checked, failures, detail))
+                    counts.check(a == b, f"{tag}({pegs},{edges},{pairs}) {a} != {b}")
+        results.append(counts.result())
 
     census = sum(
         enumeration.count_worlds_no_isolated(pegs, 3, pairs)
@@ -459,6 +405,16 @@ def _split_patterns(length: int, colours: int, cyclic: bool) -> Counter:
     words = surjection_tuples(length, colours)
     steps = (zip(w, w[1:] + w[:1] if cyclic else w[1:]) for w in words)
     return Counter(tuple((a > b) - (a < b) for a, b in pairs) for pairs in steps)
+
+
+def _splits_agree(vectors: Sequence[tuple[int, ...]], length: int, cyclic: bool) -> bool:
+    """Whether the rule walk's counts equal the exact-split counts on every sign
+    pair: one walk per pair gives the counts for every colour count at once."""
+    return all(
+        cases.surjective_rule_counts(length, codes, cyclic)
+        == tuple(_split_count(length, k, codes, cyclic) for k in range(1, length + 1))
+        for codes in (cases.rule_codes(src, tgt) for src in vectors for tgt in vectors)
+    )
 
 
 def _check_oracle(n: int, cyclic: bool) -> None:
@@ -532,13 +488,7 @@ def suite_case2(ns: Sequence[int] = (1, 2, 3)) -> list[CheckResult]:
             for a in range(len(vectors))
             for b in range(len(vectors))
         )
-        splits_ok = all(
-            cases.chain_reconstruction_count(src, tgt, k)
-            == _split_count(n + 1, k, cases.rule_codes(src, tgt), cyclic=False)
-            for src in vectors
-            for tgt in vectors
-            for k in range(1, n + 2)
-        )
+        splits_ok = _splits_agree(vectors, n + 1, cyclic=False)
         closed_pt, closed_ft = cases.chain_traces(n)
         traces_ok = trace(brute_poly) == closed_pt and trace(brute_mix) == closed_ft == 1
         results.append(
@@ -595,13 +545,7 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
             for a, src in enumerate(vectors)
             for b, tgt in enumerate(vectors)
         )
-        splits_ok = all(
-            cases.cycle_reconstruction_count(src, tgt, k)
-            == _split_count(n, k, cases.rule_codes(src, tgt), cyclic=True)
-            for src in vectors
-            for tgt in vectors
-            for k in range(1, n + 1)
-        )
+        splits_ok = _splits_agree(vectors, n, cyclic=True)
         closed_pt, closed_ft = cases.cycle_traces(n)
         traces_ok = trace(poly) == closed_pt and trace(mix) == closed_ft == n + 1
         results.append(
@@ -626,31 +570,17 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
                 f"trace(M) = {closed_pt}",
             )
         )
-    failures: list[str] = []
-    checked = 0
+    adjacent = _Tally(
+        "adjacent-distinct counts",
+        f"alternating-sum formulas match enumeration for word lengths <= {keys_max}",
+    )
     for n in range(1, keys_max + 1):
         for k in range(1, n + 1):
-            checked += 1
-            words = [
-                w
-                for w in surjection_tuples(n, k)
-                if all(a != b for a, b in zip(w, w[1:]))
-            ]
-            direct = (
-                len(words),
-                sum(1 for w in words if w[0] != w[-1]),
-                sum(1 for w in words if w[0] == w[-1]),
-            )
-            if cases.adjacent_distinct_counts(n, k) != direct:
-                failures.append(f"n={n} k={k}")
-    results.append(
-        _aggregate(
-            "adjacent-distinct counts",
-            checked,
-            failures,
-            f"alternating-sum formulas match enumeration for word lengths <= {keys_max}",
-        )
-    )
+            words = [w for w in surjection_tuples(n, k) if all(a != b for a, b in zip(w, w[1:]))]
+            differ = sum(1 for w in words if w[0] != w[-1])
+            direct = (len(words), differ, len(words) - differ)
+            adjacent.check(cases.adjacent_distinct_counts(n, k) == direct, f"n={n} k={k}")
+    results.append(adjacent.result())
     return results
 
 
@@ -691,21 +621,14 @@ def suite_transitive() -> list[CheckResult]:
             "the five listed represent matrices and no others",
         )
     )
-    failures: list[str] = []
-    checked = 0
+    round_trip = _Tally(
+        "core matrix round trip",
+        "reattach inverts core_matrix on every transitive world with <= 4 edges",
+    )
     for t in (1, 2, 3, 4):
         for rows in transitive.transitive_matrices(t):
-            checked += 1
-            if transitive.reattach(transitive.core_matrix(rows)) != rows:
-                failures.append(repr(rows))
-    results.append(
-        _aggregate(
-            "core matrix round trip",
-            checked,
-            failures,
-            "reattach inverts core_matrix on every transitive world with <= 4 edges",
-        )
-    )
+            round_trip.check(transitive.reattach(transitive.core_matrix(rows)) == rows, repr(rows))
+    results.append(round_trip.result())
     family_ok = all(
         transitive.is_transitive(enumeration.represent(cases.chain_world(n)))
         for n in range(0, 6)

@@ -2,12 +2,13 @@
 
 The oracles here deliberately avoid the library's own shortcuts: the
 colouring-count oracle reconstructs every surjective colouring of
-every member, the rule-word oracle tests every surjective word against
+every member, the rule-word oracles test every surjective word against
 comparison rules, and the rank oracle runs plain fraction Gauss
 elimination. The orbit oracle lives in `webworlds.verify`.
 Tests compare library output against these slower twins.
 """
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -105,6 +106,30 @@ def rule_word_count(length, colours, codes, cyclic):
         for word in surjection_tuples(length, colours)
         if all(RULE_OPS[c](word[i], word[(i + 1) % length]) for i, c in enumerate(codes))
     )
+
+
+def rule_word_counts(length, cyclic):
+    """Surjective words meeting one rule code per position, for every code
+    tuple: {codes: counts for colours 1..length}.
+
+    Lists each word over 1..length once and keeps the surjective ones, a
+    word over exactly 1..k for k colours. At each position it finds the
+    two codes whose rule holds, and credits the word to every code tuple
+    in their product.
+    """
+    positions = length if cyclic else length - 1
+    counts = {codes: [0] * length for codes in itertools.product(range(1, 5), repeat=positions)}
+    for word in itertools.product(range(1, length + 1), repeat=length):
+        colours = max(word)
+        if len(set(word)) != colours:
+            continue
+        held = [
+            [c for c in range(1, 5) if RULE_OPS[c](word[i], word[(i + 1) % length])]
+            for i in range(positions)
+        ]
+        for codes in itertools.product(*held):
+            counts[codes][colours - 1] += 1
+    return {codes: tuple(row) for codes, row in counts.items()}
 
 
 def fraction_rank(rows):

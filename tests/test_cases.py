@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import rule_word_count
+from conftest import PATH4_EDGES, rule_word_count
 
 from webworlds import (
     Colouring,
@@ -23,12 +23,15 @@ from webworlds import (
     cycle_diagram,
     cycle_matrices,
     cycle_traces,
+    decomposition_poset,
     eulerian,
     fan_diagram,
     fan_matrices,
     fan_traces,
+    order_preserving_count,
     reconstruct,
     stirling2,
+    surjective_order_preserving_count,
     trace,
     validate_diagram,
     web_world,
@@ -51,6 +54,7 @@ from webworlds.cases import (
     validate_signs,
 )
 from webworlds.errors import BadRange, LengthMismatch, MalformedInput, WorldTooLarge
+from webworlds.matrices import reconstruction_count
 from webworlds.verify import _split_count, suite_case2, suite_case3
 
 
@@ -285,6 +289,37 @@ def test_sign_and_rule_values_are_not_coerced():
     ):
         with pytest.raises(BadRange):
             call()
+
+
+def _path4():
+    return validate_diagram(PATH4_EDGES, 4)
+
+
+# each count argument that is read as an integer, by the call that reads it
+COUNT_ARGUMENTS = {
+    "reconstruction_count": lambda v: reconstruction_count(_path4(), _path4(), v),
+    "order_preserving_count": lambda v: order_preserving_count(decomposition_poset(_path4()), v),
+    "surjective_order_preserving_count": lambda v: surjective_order_preserving_count(
+        decomposition_poset(_path4()), v
+    ),
+    "stirling2_n": lambda v: stirling2(v, 1),
+    "stirling2_k": lambda v: stirling2(2, v),
+    "eulerian_n": lambda v: eulerian(v, 1),
+    "eulerian_k": lambda v: eulerian(2, v),
+    "fan_matrices": fan_matrices,
+    "chain_matrices": chain_matrices,
+    "cycle_matrices": cycle_matrices,
+    "fan_traces": fan_traces,
+    "chain_traces": chain_traces,
+    "cycle_traces": cycle_traces,
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("call", sorted(COUNT_ARGUMENTS))
+def test_count_arguments_refuse_bool_and_float(call, value):
+    with pytest.raises(MalformedInput, match="must be an integer"):
+        COUNT_ARGUMENTS[call](value)
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,17 @@ def test_reconstruction_count_basics(path4):
         reconstruction_count(members[0], validate_diagram(((1, 2, 1, 1),)), 1)
 
 
+def test_reconstruction_count_checks_colours_before_the_kernel(path4, monkeypatch):
+    members = list(web_world(path4))
+
+    def no_kernel(d1, d2):
+        raise AssertionError("ran the kernel before checking the colour count")
+
+    monkeypatch.setattr(matrices, "_colouring_counts", no_kernel)
+    with pytest.raises(BadRange):
+        reconstruction_count(members[0], members[1], 0)
+
+
 def test_nine_edge_entries_need_no_world(nine_edge, monkeypatch):
     # reference: the target's cell in nine_edge's row of the subset DP
     world = web_world(nine_edge)
