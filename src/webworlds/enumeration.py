@@ -3,8 +3,10 @@
 A web world is determined by its represent matrix: the strictly
 upper-triangular count of parallel edges on each peg pair. This module
 enumerates such matrices, evaluates the orbit-size product formula, and
-counts world families three ways (direct enumeration, closed forms, and
-truncated generating series) so the routes can be cross-checked.
+counts worlds by pegs, edges and occupied peg pairs. With w = y*z/(1-z)
+each count is a series in w alone, and [z^e y^q] w^q = C(e-1, q-1): the
+edges only split over the q pairs. `count_worlds` lists matrices instead;
+the other counts' brute-force oracles live in webworlds.verify.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .errors import BadRange, BoundsTooLarge
 from .matrices import DEFAULT_WORK_GUARD, _check_work
 
 Rows = tuple[tuple[int, ...], ...]
-# A truncated series in two variables: series[i][j] is the coefficient of
-# (edge variable)^i (pair variable)^j for i <= edges and j <= pairs.
-Series = list[list[int]]
 
 DEFAULT_MATRIX_GUARD = 2_000_000
 
@@ -76,11 +75,10 @@ def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The `parts`-tuples of non-negative integers summing to `total`, in
+    """The `parts`-tuples (parts >= 1) of non-negative integers summing to `total`, in
     lexicographic order: the gaps around parts - 1 bars among total + parts - 1 slots."""
-    if parts < 2:
-        if parts or not total:
-            yield (total,) * parts
+    if parts == 1:  # combinations would list range(slots) first
+        yield (total,)
         return
     slots = total + parts - 1
     for bars in itertools.combinations(range(slots), parts - 1):
@@ -165,30 +163,29 @@ def count_worlds(pegs: int, edges: int, pairs: int) -> int:
 
 
 def _with_pairs(pegs: int, edges: int, pairs: int) -> Iterator[Rows]:
-    """Represent matrices on `pegs` pegs with `edges` edges on `pairs` pairs."""
-    for values in _weak_compositions(edges, math.comb(pegs, 2)):
+    """Represent matrices on `pegs` pegs with `edges` edges on `pairs` pairs,
+    from all C(cells + edges - 1, edges) compositions at `cells` steps each.
+    Capping that binomial's lower index at 64 keeps it cheap and exact
+    wherever it could pass the guard, as C(128, 64) > 10^37."""
+    cells = math.comb(pegs, 2)
+    compositions = math.comb(cells + edges - 1, min(edges, cells - 1, 64))
+    _check_work(compositions * cells, what="listing", error=BoundsTooLarge)
+    for values in _weak_compositions(edges, cells):
         if sum(1 for v in values if v) == pairs:
             yield _matrix_from_cells(pegs, values)
 
 
 def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
-    """The same count extracted from the generating series
-    (1 + y*z/(1-z))^C(pegs,2) as the z^edges y^pairs coefficient."""
+    """The same count read off the generating series (1 + w)^C(pegs,2),
+    with w = y*z/(1-z), as the z^edges y^pairs coefficient: choose the
+    occupied pairs, C(C(pegs,2), pairs), then split the edges over them."""
     if pegs < 2 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 2 and non-negative edges/pairs")
     cells = math.comb(pegs, 2)
     if pairs > edges or pairs > cells:
         return 0
-    _check_series_work(2 * cells.bit_length(), edges, pairs, _count_bits(cells, edges, pairs))
-    base = _pair_series(edges, pairs)
-    power = _series_one(edges, pairs)
-    while cells:
-        if cells & 1:
-            power = _series_product(power, base)
-        cells >>= 1
-        if cells:
-            base = _series_product(base, base)
-    return power[edges][pairs]
+    _check_work(0, _count_bits(cells, edges, pairs), error=BoundsTooLarge)
+    return math.comb(cells, pairs) * _splits(edges, pairs)
 
 
 def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
@@ -206,96 +203,62 @@ def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
         return 0
     # pegs + 1 terms, each a binomial over `pairs` factors
     _check_work((pegs + 1) * pairs, _count_bits(cells, edges, pairs), error=BoundsTooLarge)
-    return math.comb(edges - 1, pairs - 1) * sum(
+    return _splits(edges, pairs) * sum(
         (-1) ** (pegs - k) * math.comb(pegs, k) * math.comb(math.comb(k, 2), pairs)
         for k in range(pegs + 1)
     )
-
-
-def count_worlds_no_isolated_direct(pegs: int, edges: int, pairs: int) -> int:
-    if pegs < 2 or edges < 1 or pairs < 1:
-        raise BadRange("need pegs >= 2, edges >= 1, pairs >= 1")
-    return sum(0 not in peg_loads(rows) for rows in _with_pairs(pegs, edges, pairs))
 
 
 def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
     """Proper (connected, no isolated peg) worlds on `pegs` labeled pegs,
     via the logarithm of the exponential generating series.
 
-    a_n = (1 + q*x/(1-x))^C(n,2) counts all worlds on n pegs and c_n the
-    connected ones; log sum a_n t^n/n! = sum c_n t^n/n! is the
-    exponential-formula recurrence
-    c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k}.
+    a_n = (1 + w)^C(n,2) counts all worlds on n pegs and c_n the connected
+    ones; log sum a_n t^n/n! = sum c_n t^n/n! is the exponential-formula
+    recurrence c_n = a_n - sum_{k=1}^{n-1} C(n-1, k-1) c_k a_{n-k}, run on
+    series in w truncated at w^pairs. Its answer is at most the count of
+    all worlds, whose digit guard it shares.
     """
     if pegs < 1 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 1 and non-negative edges/pairs")
-    if pairs > edges or pairs > math.comb(pegs, 2):
+    cells = math.comb(pegs, 2)
+    if pairs > edges or pairs > cells or pegs > pairs + 1:  # connected needs pegs - 1 pairs
         return 0
-    _check_series_work((pegs - 1) * (pegs + 4) // 2, edges, pairs)
-    base = _pair_series(edges, pairs)
-    step = _series_one(edges, pairs)
-    worlds = [step]  # worlds[n - 1] = a_n, with step = base^(n - 1)
-    for _ in range(1, pegs):
-        step = _series_product(step, base)
-        worlds.append(_series_product(worlds[-1], step))
-    connected: list[Series] = []
+    _check_series_work(cells, pairs, _count_bits(cells, edges, pairs))
+    worlds = [[math.comb(math.comb(n, 2), j) for j in range(pairs + 1)] for n in range(1, pegs + 1)]
+    connected: list[list[int]] = []
     for n in range(1, pegs + 1):
-        c_n = [row[:] for row in worlds[n - 1]]
+        c_n = worlds[n - 1][:]
         for k in range(1, n):
             weight = math.comb(n - 1, k - 1)
-            product = _series_product(connected[k - 1], worlds[n - k - 1])
-            for row, terms in zip(c_n, product):
-                for j, value in enumerate(terms):
-                    row[j] -= weight * value
+            for j, value in enumerate(_series_product(connected[k - 1], worlds[n - k - 1])):
+                c_n[j] -= weight * value
         connected.append(c_n)
-    return connected[-1][edges][pairs]
+    return connected[-1][pairs] * _splits(edges, pairs)
 
 
-def count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
-    """Brute-force oracle for the proper-world count."""
-    if pegs < 1 or edges < 0 or pairs < 0:
-        raise BadRange("need pegs >= 1 and non-negative edges/pairs")
-    if pegs == 1:
-        return 1 if edges == 0 and pairs == 0 else 0
-    return sum(
-        0 not in peg_loads(rows) and _is_connected(rows)
-        for rows in _with_pairs(pegs, edges, pairs)
-    )
+def _splits(edges: int, pairs: int) -> int:
+    """[z^edges y^pairs] w^pairs: the ways to split `edges` edges over
+    `pairs` occupied pairs, each taking at least one (pairs <= edges)."""
+    return math.comb(edges - 1, pairs - 1) if pairs else int(edges == 0)
 
 
-def _series_one(edges: int, pairs: int) -> Series:
-    one = [[0] * (pairs + 1) for _ in range(edges + 1)]
-    one[0][0] = 1
-    return one
-
-
-def _pair_series(edges: int, pairs: int) -> Series:
-    """1 + y*z/(1-z): a peg pair carries no edge, or k >= 1 parallel edges."""
-    base = _series_one(edges, pairs)
-    if pairs:
-        for row in base[1:]:
-            row[1] = 1
-    return base
-
-
-def _series_product(a: Series, b: Series) -> Series:
-    """The product of a and b, truncated to their common shape."""
-    edges, pairs = len(a) - 1, len(a[0]) - 1
-    out = [[0] * (pairs + 1) for _ in range(edges + 1)]
-    for i, row_a in enumerate(a):
-        for j, coeff in enumerate(row_a):
-            if coeff:
-                for row_b, row in zip(b, out[i:]):
-                    for k in range(pairs + 1 - j):
-                        row[j + k] += coeff * row_b[k]
+def _series_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two power series, truncated to the length of a."""
+    out = [0] * len(a)
+    for i, coeff in enumerate(a):
+        if coeff:
+            for k, value in enumerate(b[: len(a) - i]):
+                out[i + k] += coeff * value
     return out
 
 
-def _check_series_work(products: int, edges: int, pairs: int, bits: int = 0) -> None:
-    """Raise BoundsTooLarge before a counter whose products would take more
-    than DEFAULT_WORK_GUARD multiply-adds, or whose `bits`-bit answer could
-    pass the digit limit (see matrices._check_work)."""
-    work = products * (edges + 1) * (edges + 2) * (pairs + 1) * (pairs + 2) // 4
+def _check_series_work(products: int, terms: int, bits: int = 0) -> None:
+    """Raise BoundsTooLarge before a counter whose `products` series
+    products, each truncated after `terms` and so (terms+1)(terms+2)/2
+    multiply-adds, would pass DEFAULT_WORK_GUARD, or whose `bits`-bit
+    answer could pass the digit limit (see matrices._check_work)."""
+    work = products * (terms + 1) * (terms + 2) // 2
     _check_work(work, bits, what="series", error=BoundsTooLarge)
 
 

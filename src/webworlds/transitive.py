@@ -110,12 +110,12 @@ def count_transitive(edges: int) -> int:
     """
     if edges < 1:
         raise BadRange("a transitive world needs at least one edge")
-    _check_series_work(edges, edges, 0)
-    # series in x alone, as one-column arrays: product[k][0] is its x^k term
-    product = [[1]] + [[0] for _ in range(edges)]
+    _check_series_work(edges, edges)
+    # product[k] is the x^k term of prod_{i=1..n} (1 - (1 - x)^i)
+    product = [1] + [0] * edges
     total = 0
     for i in range(1, edges + 1):
-        factor = [[0]] + [[(-1) ** (k + 1) * math.comb(i, k)] for k in range(1, edges + 1)]
+        factor = [0] + [(-1) ** (k + 1) * math.comb(i, k) for k in range(1, edges + 1)]
         product = _series_product(product, factor)
-        total += product[edges][0]
+        total += product[edges]
     return total

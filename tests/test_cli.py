@@ -138,14 +138,34 @@ def test_enumerate_count_of_an_impossible_cell_is_zero(capsys):
 
 
 def test_enumerate_count_over_the_work_guard_exits_three(capsys):
+    # the edges only enter as C(e - 1, q - 1), so this cell is cheap
+    code, out, _ = run(
+        capsys,
+        "enumerate", "--count", "nww", "--pegs", "2", "--edges", "100000", "--pairs", "1",
+    )
+    assert code == 0
+    assert out == "2,100000,1,1\n"
     started = time.perf_counter()
     code, out, err = run(
         capsys,
-        "enumerate", "--count", "nww", "--pegs", "2", "--edges", "100000", "--pairs", "1",
+        "enumerate", "--count", "proper", "--pegs", "400", "--edges", "400", "--pairs", "400",
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "40000000-step guard" in err
+    assert time.perf_counter() - started < 5
+
+
+def test_enumerate_proper_count_past_the_digit_limit_exits_three(capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "enumerate", "--count", "proper", "--pegs", "3", "--edges", "9" * 4299, "--pairs", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "digit limit" in err
+    assert "Traceback" not in err
     assert time.perf_counter() - started < 5
 
 

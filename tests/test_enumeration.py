@@ -1,6 +1,7 @@
 """Represent matrices, world counting, and the generating-series routes."""
 
 import math
+import time
 
 import pytest
 
@@ -17,12 +18,19 @@ from webworlds import (
     web_world,
     world_size,
 )
-from webworlds.enumeration import (
-    count_proper_worlds_direct,
-    count_worlds_no_isolated_direct,
-    validate_represent,
-)
+from webworlds.enumeration import validate_represent
 from webworlds.errors import BadRange, BoundsTooLarge
+from webworlds.verify import (
+    _count_proper_worlds_direct as count_proper_worlds_direct,
+    _count_worlds_no_isolated_direct as count_worlds_no_isolated_direct,
+)
+
+# connected simple graphs on 40 labeled vertices with 60 edges; the former
+# two-variable series route gives the same with its work guard lifted
+PROPER_40_60_60 = int(
+    "5419337334980913067518377386119368826306610508188695"
+    "31983016558901106924619983928262656000"
+)
 
 NINE_EDGE_REPRESENT = (
     (0, 1, 0, 0, 0, 0, 1),
@@ -204,10 +212,48 @@ def test_counters_refuse_answers_past_the_digit_limit():
 
 
 def test_series_counters_guard_their_work():
+    # the edges only enter as C(e - 1, q - 1), so these are cheap
+    assert count_worlds_series(2, 100_000, 1) == 1
+    assert count_proper_worlds(40, 60, 60) == PROPER_40_60_60
     with pytest.raises(BoundsTooLarge, match="series steps"):
-        count_worlds_series(2, 100_000, 1)
-    with pytest.raises(BoundsTooLarge, match="series steps"):
-        count_proper_worlds(40, 60, 60)
+        count_proper_worlds(400, 400, 400)
+
+
+def test_proper_counter_refuses_answers_past_the_digit_limit():
+    with pytest.raises(BoundsTooLarge, match="digits exceeds"):
+        count_proper_worlds(3, int("9" * 4299), 3)
+
+
+def test_proper_cells_with_more_pegs_than_a_tree_spans_count_zero_at_once():
+    # connected on n pegs needs n - 1 pairs, so these run no recurrence
+    started = time.perf_counter()
+    assert count_proper_worlds(2000, 0, 0) == 0
+    assert count_proper_worlds(2000, 1998, 1998) == 0
+    assert count_proper_worlds(4, 2, 2) == count_proper_worlds_direct(4, 2, 2) == 0
+    assert time.perf_counter() - started < 1
+
+
+def test_direct_listing_guards_its_work():
+    started = time.perf_counter()
+    with pytest.raises(BoundsTooLarge, match="listing steps"):
+        count_worlds(5, 100, 3)
+    with pytest.raises(BoundsTooLarge, match="listing steps"):
+        count_worlds_no_isolated_direct(5, 100, 3)
+    with pytest.raises(BoundsTooLarge, match="listing steps"):
+        count_worlds(10**6, 10**6, 1)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize(
+    "counter", [count_worlds_series, count_worlds_no_isolated, count_proper_worlds]
+)
+def test_counts_factor_through_the_edge_splits(counter):
+    # with w = y*z/(1-z), [z^e y^q] w^q = C(e - 1, q - 1): the edges only split
+    for pegs in range(2, 7):
+        for pairs in range(1, math.comb(pegs, 2) + 1):
+            base = counter(pegs, pairs, pairs)
+            for edges in (pairs, pairs + 1, 10**3, 10**6):
+                assert counter(pegs, edges, pairs) == math.comb(edges - 1, pairs - 1) * base
 
 
 def test_counting_guards():
@@ -230,12 +276,13 @@ OFF_BY_ONE = {
 
 @pytest.mark.parametrize("counter", sorted(OFF_BY_ONE))
 def test_counting_suite_reports_an_off_by_one_counter(monkeypatch, counter):
-    from webworlds import enumeration
-    from webworlds.verify import suite_counting
+    from webworlds import enumeration, verify
 
-    right = getattr(enumeration, counter)
-    monkeypatch.setattr(enumeration, counter, lambda *cell: right(*cell) + 1)
-    failed = [(r.name, r.detail) for r in suite_counting(1, 3, 2) if not r.passed]
+    # the brute-force oracles are private to verify
+    module, name = (verify, "_" + counter) if counter.endswith("_direct") else (enumeration, counter)
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *cell: right(*cell) + 1)
+    failed = [(r.name, r.detail) for r in verify.suite_counting(1, 3, 2) if not r.passed]
     assert OFF_BY_ONE[counter] in failed
 
 
