@@ -36,7 +36,7 @@ from .matrices import (
     WorldMatrix,
     check_entry_guard,
     matrix_to_csv,
-    matrix_to_json,
+    matrix_to_json_text,
     polynomial_to_coeff_string,
     world_matrices,
     world_traces,
@@ -78,10 +78,7 @@ def _diagram_from_input(obj: dict) -> WebDiagram:
 
 
 def _emit_matrix(matrix: WorldMatrix, fmt: str) -> None:
-    if fmt == "csv":
-        print(matrix_to_csv(matrix))
-    else:
-        print(json.dumps(matrix_to_json(matrix)))
+    print(matrix_to_csv(matrix) if fmt == "csv" else matrix_to_json_text(matrix))
 
 
 def _emit_traces(header: dict, poly_trace, mix_trace, fmt: str) -> None:
@@ -323,8 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of `main`, built on its first call: parsing leaves it as it
+# was, so every later call reuses it, and importing the module builds nothing
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; call it as often as needed."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (WorldTooLarge, BoundsTooLarge) as exc:

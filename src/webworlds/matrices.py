@@ -52,6 +52,7 @@ kernel `_colouring_counts`, which also serves the single-entry functions.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import sys
@@ -948,10 +949,27 @@ def matrix_to_csv(matrix: WorldMatrix) -> str:
     return "\n".join(map(",".join, _formed_rows(matrix, form)))
 
 
+def _json_cell(matrix: WorldMatrix):
+    """The form of one cell in JSON: coefficient list or "p/q" string."""
+    return (lambda poly: list(poly.coeffs)) if matrix.polynomial else str
+
+
 def matrix_to_json(matrix: WorldMatrix) -> dict:
-    form = (lambda poly: list(poly.coeffs)) if matrix.polynomial else str
     return {
         "size": matrix.size,
         "kind": "polynomial" if matrix.polynomial else "rational",
-        "entries": list(map(list, _formed_rows(matrix, form))),
+        "entries": list(map(list, _formed_rows(matrix, _json_cell(matrix)))),
     }
+
+
+def matrix_to_json_text(matrix: WorldMatrix) -> str:
+    """The text of json.dumps(matrix_to_json(matrix)), byte for byte.
+
+    Each distinct cell is dumped once and the rows are joined as text, so
+    no n x n list is built and walked again.
+    """
+    form = _json_cell(matrix)
+    rows = _formed_rows(matrix, lambda entry: json.dumps(form(entry)))
+    kind = "polynomial" if matrix.polynomial else "rational"
+    body = "], [".join(map(", ".join, rows))
+    return f'{{"size": {matrix.size}, "kind": "{kind}", "entries": [[{body}]]}}'

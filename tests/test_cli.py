@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from webworlds import enumeration, matrices, trace, web_world, world_matrices
+from webworlds import cli, enumeration, matrices, trace, web_world, world_matrices
 from webworlds.cli import main
 from webworlds.enumeration import seed_diagram
 
@@ -585,6 +585,39 @@ def test_counter_cells_of_the_benchmark_keep_their_values():
     )
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
     assert digest == "94de92400afb58e35db6e2aafe62e980ec9a015804ee9cb1f2b7b6853ec1d573"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run(capsys, "trace", "--input", PATH4_JSON)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["matrix", "--kind", "wat", "--input", PATH4_JSON])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["matrix", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: webworlds matrix")
+    assert run(capsys, "world", "--input", PATH4_JSON, "--max-size", "2")[0] == 3
+    assert run(capsys, "enumerate", "--count", "nww", "--pegs", "3")[0] == 2
+    assert run(capsys, "case2", "--n", "2", "--verify")[0] == 0
+    assert run(capsys, "matrix", "--kind", "mixing", "--format", "csv", "--input", PATH4_JSON)[0] == 0
+    # nothing of the calls before leaks into this one
+    argv = ["trace", "--input", PATH4_JSON]
+    reused = run(capsys, *argv)
+    assert len(builds) == 1
+    fresh_args = build_parser().parse_args(argv)
+    assert vars(cli._parser.parse_args(argv)) == vars(fresh_args)
+    assert fresh_args.handler(fresh_args) == 0
+    assert reused == (0, capsys.readouterr().out, "")
+    assert reused[1] == '{"size": 4, "colouring": [0, 4, 10, 6], "mixing": "1"}\n'
 
 
 def test_unknown_flag_exits_two_via_argparse(capsys):

@@ -6,6 +6,7 @@ fraction Gauss elimination for rank, and hand-checked tiny worlds.
 
 import dataclasses
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -36,12 +37,13 @@ from webworlds.matrices import (
     _SubsetDP,
     colouring_entry,
     from_counts,
+    matrix_to_json_text,
     mixing_entry,
     polynomial_to_coeff_string,
     reconstruction_count,
 )
 
-from conftest import fraction_rank
+from conftest import fraction_rank, small_worlds
 
 # Values at x=1 of the ordered Bell polynomials.
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -341,6 +343,25 @@ def test_csv_and_json_exports(path4):
     mix_json = matrix_to_json(mix)
     assert mix_json["kind"] == "rational"
     assert mix_json["entries"][0][0] == "1/3"
+
+
+def test_json_text_is_the_dumped_json_export():
+    # every world with <= 4 pegs and <= 4 edges, parallel edges included,
+    # then the fan, chain and cycle matrices at n <= 4
+    named, parallel = [], 0
+    for name, world in small_worlds():
+        named += zip((name, name), world_matrices(world))
+        parallel += not world[0].labels_one()
+    for family in ("fan", "chain", "cycle"):
+        for n in range(2 if family == "cycle" else 1, 5):
+            _, poly, mix = getattr(cases, f"{family}_matrices")(n)
+            named += [(f"{family}_matrices({n})", poly), (f"{family}_matrices({n})", mix)]
+    for name, matrix in named:
+        assert matrix_to_json_text(matrix) == json.dumps(matrix_to_json(matrix)), name
+    polynomial = [m for _, m in named if m.polynomial]
+    assert len(polynomial) * 2 == len(named)
+    assert any(not e for m in polynomial for row in m.entries for e in row)  # "[]" cells
+    assert parallel
 
 
 def test_coefficient_string_round_trip():
