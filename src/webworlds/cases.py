@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, permutations, product
 from math import comb, factorial, lcm
 from typing import Sequence
@@ -28,7 +29,7 @@ from typing import Sequence
 from .diagram import Edge, WebDiagram, WebWorld, json_int, restack, web_world
 from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
-from .matrices import DEFAULT_ENTRY_GUARD, _check_work
+from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _unpack
 
 _ONE_PLUS_X = ONE + X
 
@@ -301,42 +302,87 @@ def _push(vector: list[int], rule: int) -> list[int]:
     return run if rule == 2 else run[1:] + [0]
 
 
+# the exact comparisons (> 1, = 2, < 4) that each push code allows; code 0, = alone, leaves a vector as it is
+_ALLOWS = (2, 1, 3, 6, 4)
+
+
+@lru_cache(maxsize=None)
+def _rule_classes(level: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The exact-comparison classes that the rules of `level` tell apart, as
+    push codes, and for each rule the indices of the classes it is the union of.
+    Comparisons allowed by the same rules share a class; a lone rule is one class."""
+    groups: dict[tuple[bool, ...], int] = {}
+    for bit in (1, 2, 4):
+        allowed_by = tuple(_ALLOWS[rule] & bit > 0 for rule in level)
+        if any(allowed_by):
+            groups[allowed_by] = groups.get(allowed_by, 0) | bit
+    classes = tuple(groups.values())
+    members = tuple(tuple(k for k, bits in enumerate(classes) if _ALLOWS[rule] & bits) for rule in level)
+    return tuple(map(_ALLOWS.index, classes)), members
+
+
+@lru_cache(maxsize=16)
+def _packed_inversion(length: int) -> tuple[int, list[int]]:
+    """A field width over length^length, which bounds every count, and per f(i) the weight that
+    packs its share of the binomial inversion into the fields 0..length; packed counts add field by field."""
+    bits = length * length.bit_length()
+    sizes = range(1, length + 1)
+    return bits, [sum((-1) ** (c - i) * comb(c, i) << bits * c for c in range(i, length + 1)) for i in sizes]
+
+
 def _surjective_walk(length: int, levels: Sequence[Sequence[int]], cyclic: bool) -> list[tuple[int, ...]]:
     """Surjective counts, for colours 0..length, of each rule tuple of product(*levels) in turn.
 
     f(i) counts all words over 1..i by a transfer matrix: along a path a
-    vector over the last letter is pushed through each rule; around a
-    cycle f(i) is the trace of the product of the rules' 0/1 comparison
-    matrices, with one unit start vector per letter.  The walk is depth
-    first over rule prefixes, so it pushes each prefix's start vectors
-    once per extension.  The rules only compare letters, so a word over
-    1..i is a surjective word on the letters it uses, relabelled in
-    order, and binomial inversion of f gives the surjective counts.
+    vector over the last letter is pushed through each comparison; around
+    a cycle f(i) is the trace of the product of the comparisons' 0/1
+    matrices, with one unit start vector per letter.  Each rule is a union
+    of exact comparisons (>, =, <), so the walk is depth first over the
+    patterns of the classes that each position's rules tell apart
+    (`_rule_classes`): it pushes each prefix's start vectors once per
+    extension but =, which changes no vector, so 3^n - 1 times per start
+    over three classes at n positions.  The rules only compare letters, so
+    a word over 1..i is a surjective word on the letters it uses,
+    relabelled in order, and binomial inversion of f at each leaf gives
+    the surjective counts, packed into one integer.  A sum step then turns
+    each position's classes into its rules, in at most n 4^n additions.
     """
     sizes = range(1, length + 1)
     # (alphabet size, letter of the unit start) around a cycle; along a path the ends are summed
     starts = [(i, s) for i in sizes for s in (range(i) if cyclic else [None])]
-    inversion = [[(-1) ** (c - i) * comb(c, i) for i in range(1, c + 1)] for c in range(length + 1)]
-    out = []
+    bits, weights = _packed_inversion(length)
+    splits = [_rule_classes(tuple(level)) for level in levels]
+    leaves = []
 
     def descend(vectors: list[list[int]], depth: int) -> None:
         if depth < len(levels):
-            for rule in levels[depth]:
-                descend([_push(v, rule) for v in vectors], depth + 1)
+            for code in splits[depth][0]:
+                descend([_push(v, code) for v in vectors] if code else vectors, depth + 1)
             return
         f = [0] * length
         for (i, s), v in zip(starts, vectors):
             f[i - 1] += sum(v) if s is None else v[s]
-        out.append(tuple(sum(map(operator.mul, w, f)) for w in inversion))
+        leaves.append(sum(map(operator.mul, weights, f)))
 
     descend([[1 if s is None else int(a == s) for a in range(i)] for i, s in starts], 0)
-    return out
+    # sum the class patterns into rule tuples, last position first: its classes are the last axis, read
+    # by stride, and its rules go in front, so after each position the axes are back in product order
+    for classes, members in reversed(splits):
+        if members == ((0,),):
+            continue
+        parts = [leaves[k :: len(classes)] for k in range(len(classes))]
+        leaves = []
+        for rule_classes in members:
+            leaves += reduce(partial(map, operator.add), map(parts.__getitem__, rule_classes))
+    cells = {packed: _unpack(packed, bits, length) for packed in set(leaves)}
+    return list(map(cells.__getitem__, leaves))
 
 
 def surjective_rule_counts(length: int, rules: Sequence[int], cyclic: bool) -> tuple[int, ...]:
     """Surjective words meeting one rule code per position, for colours 1..length.
 
-    The rule walk with one code allowed at each position.
+    The rule walk with one code allowed at each position: its one class is
+    the rule itself, so there is nothing to sum.
     """
     length = json_int(length, "the word length")
     stop = length if cyclic else length - 1
@@ -389,7 +435,8 @@ def _sign_family_matrices(n: int, cyclic: bool) -> SignMatrices:
     _check_members(n, lambda k: 2**k)
     length = n if cyclic else n + 1
     # counting each cell alone, 4^n cells x `length` pushes of i letters per start and alphabet size i,
-    # bounds the walk, which pushes each start once per rule prefix: (4^(n + 1) - 4)/3 <= 4^n length
+    # is 4^n length S for S = sum of starts x i. It bounds the walk: under 3^n S letters pushed, and at
+    # most n 4^n additions to sum classes into rules, where n <= (length - 1) S
     _check_work(4**n * sum((i if cyclic else 1) * length * i for i in range(1, length + 1)))
     vectors = sign_vectors(n)
     # each position takes the (source, target) sign pairs p = (1, 1), (1, -1), (-1, 1), (-1, -1), so

@@ -349,14 +349,49 @@ def test_sign_matrices_match_word_enumeration():
                 assert cell == (0, *expected), (n, cyclic, src, tgt)
 
 
+def test_sign_matrices_sum_classes_like_the_one_class_walk():
+    # the family walk sums exact-comparison patterns into rule tuples; a lone
+    # rule tuple is walked with one class per position and no sum
+    families = [(chain_matrices, n, False) for n in range(6)]
+    families += [(cycle_matrices, n, True) for n in range(2, 6)]
+    for matrices, n, cyclic in families:
+        vectors, poly, _ = matrices(n)
+        length = n if cyclic else n + 1
+        for src, row in zip(vectors, poly.rows):
+            for tgt, cell in zip(vectors, row):
+                expected = surjective_rule_counts(length, rule_codes(src, tgt), cyclic)
+                assert cell == (0, *expected), (n, cyclic, src, tgt)
+
+
+# the exact comparisons each rule code allows, and each push code of a class (0 is = alone)
+RULE_ALLOWS = {1: {">"}, 2: {">", "="}, 3: {"=", "<"}, 4: {"<"}}
+PUSH_ALLOWS = {0: {"="}, **RULE_ALLOWS}
+
+
+def test_rule_classes_split_each_rule_into_exact_comparisons():
+    checked = 0
+    for size in range(1, 5):
+        for level in itertools.permutations(RULE_ALLOWS, size):
+            codes, members = cases._rule_classes(level)
+            classes = [PUSH_ALLOWS[code] for code in codes]
+            assert sum(map(len, classes)) == len(set().union(*classes)), level
+            assert len(members) == len(level)
+            for rule, indices in zip(level, members):
+                assert set().union(*(classes[k] for k in indices)) == RULE_ALLOWS[rule], (level, rule)
+            checked += 1
+    assert checked == 64
+    for rule in RULE_ALLOWS:
+        assert cases._rule_classes((rule,)) == ((rule,), ((0,),))
+
+
 @pytest.mark.parametrize(
-    "matrices, cyclic, bound", [(chain_matrices, False, 1700), (cycle_matrices, True, 3400)]
+    "matrices, cyclic, bound", [(chain_matrices, False, 600), (cycle_matrices, True, 1200)]
 )
-def test_sign_matrices_push_each_rule_prefix_once(monkeypatch, matrices, cyclic, bound):
+def test_sign_matrices_push_each_exact_prefix_once(monkeypatch, matrices, cyclic, bound):
     n = 4
     length = n if cyclic else n + 1
     starts = sum(i if cyclic else 1 for i in range(1, length + 1))
-    assert starts * (4 ** (n + 1) - 4) // 3 == bound
+    assert starts * (3 ** (n + 1) - 3) // 2 == bound
     pushes = 0
     true_push = cases._push
 
