@@ -378,17 +378,24 @@ def _surjective_walk(length: int, levels: Sequence[Sequence[int]], cyclic: bool)
     return list(map(cells.__getitem__, leaves))
 
 
+def _walk_work(length: int, cyclic: bool) -> int:
+    """Letters pushed for one rule tuple alone: `length` pushes of i letters per start of alphabet size i."""
+    return sum((i if cyclic else 1) * length * i for i in range(1, length + 1))
+
+
 def surjective_rule_counts(length: int, rules: Sequence[int], cyclic: bool) -> tuple[int, ...]:
     """Surjective words meeting one rule code per position, for colours 1..length.
 
     The rule walk with one code allowed at each position: its one class is
-    the rule itself, so there is nothing to sum.
+    the rule itself, so there is nothing to sum. Its work is checked as one
+    cell of `_sign_family_matrices`' estimate.
     """
     length = json_int(length, "the word length")
     stop = length if cyclic else length - 1
     rules = tuple(json_int(r, "a rule code") for r in rules)
     if len(rules) != stop or not set(rules) <= {1, 2, 3, 4}:
         raise BadRange(f"need one rule code 1..4 for each of positions 1..{stop}")
+    _check_work(_walk_work(length, cyclic))
     return _surjective_walk(length, [(r,) for r in rules], cyclic)[0][1:]
 
 
@@ -437,7 +444,7 @@ def _sign_family_matrices(n: int, cyclic: bool) -> SignMatrices:
     # counting each cell alone, 4^n cells x `length` pushes of i letters per start and alphabet size i,
     # is 4^n length S for S = sum of starts x i. It bounds the walk: under 3^n S letters pushed, and at
     # most n 4^n additions to sum classes into rules, where n <= (length - 1) S
-    _check_work(4**n * sum((i if cyclic else 1) * length * i for i in range(1, length + 1)))
+    _check_work(4**n * _walk_work(length, cyclic))
     vectors = sign_vectors(n)
     # each position takes the (source, target) sign pairs p = (1, 1), (1, -1), (-1, 1), (-1, -1), so
     # the base-4 digits 2 s + t of a leaf's index interleave the bits s of its row and t of its column

@@ -9,10 +9,11 @@ descents drive the closed forms for diagonal matrix entries.
 
 The closed forms depend on the order rows alone, so both are computed
 together once per poset shape and kept in one bounded module-level
-cache. A poset built from a diagram keeps one edge bitmask per block and
-builds its `Block` objects only when they are read; the repeated-block
-test answers from the peg pairs alone when no two edges share one, or
-when two one-edge blocks do.
+cache. World traces build one poset per orbit of G = <Aut(web graph),
+flip>, weighted by the orbit's size. A poset built from a diagram keeps
+one edge bitmask per block and builds its `Block` objects only when they
+are read; the repeated-block test answers from the peg pairs alone when
+no two edges share one, or when two one-edge blocks do.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, _compressed, json_int
+from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, json_int
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
 from .matrices import IntPolynomial, _unpack, transitive_closure
 
@@ -384,15 +385,20 @@ def world_posets(world: WebWorld) -> tuple[DecompositionPoset, ...]:
 def traces_via_posets(world: WebWorld) -> tuple[IntPolynomial, Fraction]:
     """World traces of the colouring and mixing matrices, via posets only.
 
-    Counts the members by their order rows and adds the diagonal closed
-    forms of each distinct poset once, times its count, so no
+    A diagonal cell is constant on each orbit of G = <Aut(web graph),
+    flip>, so one member per orbit gives its poset, weighted by the
+    orbit's size, and each distinct poset's diagonal closed forms are
+    added once, times its total weight: 36 posets for the 128 members of
+    chain_world(7), 18 for the 256 of cycle_world(8). No
     off-diagonal entry (and no matrix) is ever materialized. Requires a
     multiplicity-free world (no parallel edges), whose members never
     repeat a block: two equal blocks would share their peg pairs.
     """
     if not world[0].labels_one():
         raise LabelNotOne("world has parallel edges; poset trace formulas do not apply")
-    shapes = Counter(decomposition_poset(diagram).up for diagram in world)
+    shapes = Counter()
+    for orbit in _symmetry_orbits(world):
+        shapes[decomposition_poset(world[orbit[0][0]]).up] += len(orbit)
     colouring_total, mixing_total = IntPolynomial(), Fraction(0)
     for up, count in shapes.items():
         colouring, mixing = _closed_forms(up)

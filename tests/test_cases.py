@@ -336,6 +336,22 @@ def test_family_work_guard_refuses_before_any_push(monkeypatch, matrices, n, wor
         matrices(n)
 
 
+@pytest.mark.parametrize(
+    "length, cyclic, work", [(105, True, 41097525), (431, False, 40124376)], ids=["cycle", "path"]
+)
+def test_rule_counts_work_guard_refuses_before_any_push(monkeypatch, length, cyclic, work):
+    def no_push(vector, rule):
+        raise AssertionError("pushed a vector past the work guard")
+
+    monkeypatch.setattr(cases, "_push", no_push)
+    rules = (1,) * (length if cyclic else length - 1)
+    with pytest.raises(WorldTooLarge, match=f"{work} estimated counting steps exceed"):
+        surjective_rule_counts(length, rules, cyclic)
+    # one letter shorter is within the guard and reaches the walk
+    monkeypatch.setattr(cases, "_surjective_walk", lambda *args: [(0, 1)])
+    assert surjective_rule_counts(length - 1, rules[1:], cyclic) == (1,)
+
+
 def test_sign_matrices_match_word_enumeration():
     families = [(chain_matrices, n, False) for n in range(4)]
     families += [(cycle_matrices, n, True) for n in range(2, 5)]

@@ -15,6 +15,7 @@ import pytest
 from webworlds import (
     DecompositionPoset,
     IntPolynomial,
+    cases,
     decompose,
     decomposition_poset,
     descents,
@@ -32,7 +33,9 @@ from webworlds import (
     world_matrices,
     world_posets,
 )
+from webworlds.diagram import _symmetry_orbits
 from webworlds.errors import BadRange, LabelNotOne, RepeatedBlocks
+from webworlds.posets import _closed_forms
 from webworlds.verify import suite_posets
 
 from conftest import small_worlds
@@ -188,6 +191,32 @@ def test_repeated_blocks_are_rejected_by_diagonal_formulas():
         diagonal_colouring_polynomial(poset)
     with pytest.raises(RepeatedBlocks):
         diagonal_mixing_value(poset)
+
+
+def test_poset_traces_rest_on_orbits():
+    # the route takes one member per orbit of <Aut(web graph), flip>: every member of an
+    # orbit has the same diagonal closed forms, and the traces equal the per-member sums
+    worlds = [
+        web_world(enumeration.seed_diagram(rows))
+        for rows in enumeration.enumerate_worlds(4, 4, no_isolated=True)
+        if any(map(any, rows))
+    ]
+    worlds += [cases.chain_world(n) for n in range(2, 7)]
+    worlds += [cases.cycle_world(n) for n in range(2, 8)]
+    worlds += [cases.fan_world(n) for n in range(2, 6)]
+    checked = Counter()
+    for world in worlds:
+        checked[world[0].labels_one()] += 1
+        if not world[0].labels_one():
+            with pytest.raises(LabelNotOne):
+                traces_via_posets(world)
+            continue
+        forms = [_closed_forms(decomposition_poset(member).up) for member in world]
+        for orbit in _symmetry_orbits(world):
+            assert len({forms[x] for x, _y, _perm in orbit}) == 1, world[orbit[0][0]]
+        colouring = sum((poly for poly, _mix in forms), IntPolynomial())
+        assert traces_via_posets(world) == (colouring, sum(mix for _poly, mix in forms)), world[0]
+    assert checked == Counter({True: 53, False: 85})
 
 
 def test_parallel_edges_block_the_poset_trace_route():
