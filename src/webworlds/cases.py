@@ -355,10 +355,15 @@ def _surjective_walk(length: int, levels: Sequence[Sequence[int]], cyclic: bool)
     leaves = []
 
     def descend(vectors: list[list[int]], depth: int) -> None:
-        if depth < len(levels):
-            for code in splits[depth][0]:
-                descend([_push(v, code) for v in vectors] if code else vectors, depth + 1)
-            return
+        # a level of one class rebinds `vectors`, so only a branch point keeps its start vectors alive
+        for depth in range(depth, len(levels)):
+            codes = splits[depth][0]
+            if len(codes) > 1:
+                for code in codes:
+                    descend([_push(v, code) for v in vectors] if code else vectors, depth + 1)
+                return
+            if codes[0]:
+                vectors = [_push(v, codes[0]) for v in vectors]
         f = [0] * length
         for (i, s), v in zip(starts, vectors):
             f[i - 1] += sum(v) if s is None else v[s]
@@ -397,34 +402,6 @@ def surjective_rule_counts(length: int, rules: Sequence[int], cyclic: bool) -> t
         raise BadRange(f"need one rule code 1..4 for each of positions 1..{stop}")
     _check_work(_walk_work(length, cyclic))
     return _surjective_walk(length, [(r,) for r in rules], cyclic)[0][1:]
-
-
-def _rule_count(length: int, colours: int, rules: Sequence[int], cyclic: bool) -> int:
-    if not 1 <= json_int(colours, "a colour count") <= length:
-        raise BadRange(f"colour count {colours} outside 1..{length}")
-    return surjective_rule_counts(length, rules, cyclic)[colours - 1]
-
-
-def chain_reconstruction_count(source: Sequence[int], target: Sequence[int], colours: int) -> int:
-    """Surjective colourings of the source chain restacking to the target.
-
-    The colouring is read as a word along the chain's n + 1 edges and
-    counted against the comparison rules of the sign pair.
-    """
-    rules = rule_codes(source, target)
-    return _rule_count(len(rules) + 1, colours, rules, cyclic=False)
-
-
-def cycle_reconstruction_count(source: Sequence[int], target: Sequence[int], colours: int) -> int:
-    """Surjective colourings of the source cycle restacking to the target.
-
-    The word runs once around the ring, so the comparison at the last
-    position wraps back to the first edge.
-    """
-    rules = rule_codes(source, target)
-    if len(rules) < 2:
-        raise BadRange("a cycle needs at least two pegs")
-    return _rule_count(len(rules), colours, rules, cyclic=True)
 
 
 def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:

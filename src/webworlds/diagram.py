@@ -12,7 +12,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -223,12 +222,6 @@ class Colouring:
             raise BadRange("colour value outside 1..colours")
         if used != set(range(1, self.colours + 1)):
             raise NotSurjective(f"assignment {self.assignment} does not use all of 1..{self.colours}")
-
-
-@lru_cache(maxsize=None)
-def surjection_tuples(length: int, colours: int) -> tuple[tuple[int, ...], ...]:
-    """`_surjections` as one tuple, kept for the oracles that list them again."""
-    return tuple(_surjections(length, colours))
 
 
 def _surjections(length: int, colours: int) -> Iterator[tuple[int, ...]]:

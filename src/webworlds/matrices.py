@@ -259,7 +259,17 @@ class WorldMatrix:
         return tuple(map(tuple, _formed_rows(self)))
 
     @cached_property
-    def _blocks(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _block_checks(self) -> tuple[tuple[bool, int], ...]:
+        """Per flip block, whether it squares to itself and its rank. The
+        blocks live only while they are checked; these pairs stay cached."""
+        denom = self.denominator
+        checks = []
+        for block in self._flip_blocks():
+            idempotent = _squares_to_itself(block, denom)
+            checks.append((idempotent, _block_rank(block, idempotent, denom)))
+        return tuple(checks)
+
+    def _flip_blocks(self) -> tuple[list[list[int]], list[list[int]]]:
         """N+ and N- of the flip split, from the identity if the flip fails."""
         rows = self.rows
         n = len(rows)
@@ -284,11 +294,6 @@ class WorldMatrix:
             return [list(map(op, first(r), second(r))) for r in (rows[a] + (0,) for a in members)]
 
         return block(plus, operator.add, partner), block(minus, operator.sub, high)
-
-    @cached_property
-    def _idempotent(self) -> tuple[bool, bool]:
-        """Whether each block of `_blocks` squares to itself."""
-        return tuple(_squares_to_itself(block, self.denominator) for block in self._blocks)
 
 
 def _formed_rows(matrix: WorldMatrix, form=lambda entry: entry) -> Iterator[Iterator]:
@@ -847,7 +852,7 @@ def _require_rational(matrix: WorldMatrix, what: str) -> None:
 def is_idempotent(matrix: WorldMatrix) -> bool:
     """Exact check that the matrix squares to itself, by packed block rows."""
     _require_rational(matrix, "idempotence")
-    return all(matrix._idempotent)
+    return all(idempotent for idempotent, _found in matrix._block_checks)
 
 
 def _squares_to_itself(rows: list[list[int]], denom: int) -> bool:
@@ -931,10 +936,7 @@ def rank(matrix: WorldMatrix) -> int:
     """Exact rank, the sum over the flip blocks of each block's rank mod a
     prime or by Bareiss elimination (see the module docstring)."""
     _require_rational(matrix, "rank")
-    flags, blocks = matrix._idempotent, matrix._blocks
-    # the last reader of the blocks: only their idempotence flags stay cached
-    del vars(matrix)["_blocks"]
-    return sum(map(partial(_block_rank, denom=matrix.denominator), blocks, flags))
+    return sum(found for _idempotent, found in matrix._block_checks)
 
 
 def _block_rank(rows: list[list[int]], idempotent: bool, denom: int) -> int:

@@ -30,9 +30,9 @@ from . import cases, enumeration, posets, transitive
 from .diagram import (
     WebDiagram,
     WebWorld,
+    _surjections,
     apply_permutations,
     restack,
-    surjection_tuples,
     validate_diagram,
     web_world,
 )
@@ -116,10 +116,11 @@ def _enumerated_counts(world: WebWorld) -> list[list[list[int]]]:
     size = len(world)
     counts = [[[0] * (edge_count + 1) for _ in range(size)] for _ in range(size)]
     index = world.index
+    words = [list(_surjections(edge_count, colours)) for colours in range(1, edge_count + 1)]
     for row, diagram in enumerate(world):
         row_counts = counts[row]
-        for colours in range(1, edge_count + 1):
-            for assignment in surjection_tuples(edge_count, colours):
+        for colours, assignments in enumerate(words, 1):
+            for assignment in assignments:
                 moved = restack(diagram.edges, diagram.num_pegs, assignment)
                 row_counts[index[tuple(sorted(moved))]][colours] += 1
     return counts
@@ -419,7 +420,7 @@ def _split_count(length: int, colours: int, codes: Sequence[int], cyclic: bool) 
 def _split_patterns(length: int, colours: int, cyclic: bool) -> Counter:
     """The surjective words counted once by their exact comparison at each
     position, a cyclic word's last letter against its first."""
-    words = surjection_tuples(length, colours)
+    words = _surjections(length, colours)
     steps = (zip(w, w[1:] + w[:1] if cyclic else w[1:]) for w in words)
     return Counter(tuple((a > b) - (a < b) for a, b in pairs) for pairs in steps)
 
@@ -437,8 +438,8 @@ def _splits_agree(vectors: Sequence[tuple[int, ...]], length: int, cyclic: bool)
 def _check_oracle(n: int, cyclic: bool) -> None:
     """`_check_work` on a chain or cycle suite's word oracles before they list
     a word: up to 2^n exact patterns in each of 4^n cells, and `length` steps
-    for each of the Fubini(length) words, listed once and, for a cycle, once
-    more per each of the 2^n sources. Outside 0 <= n < 64 the family refuses n."""
+    for each of the Fubini(length) words, read once and, for a cycle, once
+    more by each of the 2^n sources. Outside 0 <= n < 64 the family refuses n."""
     if 0 <= n < 64:
         length = n if cyclic else n + 1
         _check_work(length << 3 * n)
@@ -553,9 +554,10 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
         _check_oracle(n, cyclic=True)
         vectors, poly, mix = cases.cycle_matrices(n)
         brute: dict[tuple, Counter] = {src: Counter() for src in vectors}
-        for src in vectors:
-            for k in range(1, n + 1):
-                for word in surjection_tuples(n, k):
+        for k in range(1, n + 1):
+            words = list(_surjections(n, k))
+            for src in vectors:
+                for word in words:
                     brute[src][cases.cycle_result_signs(src, word), k] += 1
         entries_ok = all(
             poly.entries[a][b] == IntPolynomial([0] + [brute[src][tgt, k] for k in range(1, n + 1)])
@@ -593,7 +595,7 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
     )
     for n in range(1, keys_max + 1):
         for k in range(1, n + 1):
-            words = [w for w in surjection_tuples(n, k) if all(a != b for a, b in zip(w, w[1:]))]
+            words = [w for w in _surjections(n, k) if all(a != b for a, b in zip(w, w[1:]))]
             differ = sum(1 for w in words if w[0] != w[-1])
             direct = (len(words), differ, len(words) - differ)
             adjacent.check(cases.adjacent_distinct_counts(n, k) == direct, f"n={n} k={k}")

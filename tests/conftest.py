@@ -8,6 +8,7 @@ elimination. The orbit oracle lives in `webworlds.verify`.
 Tests compare library output against these slower twins.
 """
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -23,7 +24,7 @@ from webworlds import (
     validate_diagram,
     web_world,
 )
-from webworlds.diagram import surjection_tuples
+from webworlds.diagram import _surjections
 
 PATH4_EDGES = ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1))
 VEE_EDGES = ((1, 2, 1, 1), (1, 3, 2, 1), (2, 4, 2, 1))
@@ -95,6 +96,12 @@ def enumerated_counts(world):
 RULE_OPS = (None, operator.gt, operator.ge, operator.le, operator.lt)
 
 
+@functools.lru_cache(maxsize=16)
+def surjective_words(length, colours):
+    """The surjective words over 1..colours, listed once for the rule-word oracle."""
+    return tuple(_surjections(length, colours))
+
+
 def rule_word_count(length, colours, codes, cyclic):
     """Surjective words over 1..colours meeting one rule code per position.
 
@@ -103,7 +110,7 @@ def rule_word_count(length, colours, codes, cyclic):
     """
     return sum(
         1
-        for word in surjection_tuples(length, colours)
+        for word in surjective_words(length, colours)
         if all(RULE_OPS[c](word[i], word[(i + 1) % length]) for i, c in enumerate(codes))
     )
 

@@ -102,7 +102,7 @@ def test_case2_verify_at_eight_is_refused_before_any_word(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a word was listed past the oracle guard")
 
-    monkeypatch.setattr("webworlds.verify.surjection_tuples", refuse)
+    monkeypatch.setattr("webworlds.verify._surjections", refuse)
     code, out, err = run(capsys, "case2", "--n", "8", "--verify")
     assert (code, out) == (3, "")
     assert err.startswith("error:") and "guard" in err

@@ -193,9 +193,9 @@ def test_closed_forms_enumerate_no_words_or_extensions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration reached from a closed form")
 
-    # cases binds no word lister of its own; surjection_tuples and
+    # cases binds no word lister of its own; verify's oracles and
     # surjective_colourings both list through diagram's _surjections
-    assert not hasattr(cases, "surjection_tuples")
+    assert not hasattr(cases, "_surjections")
     monkeypatch.setattr("webworlds.diagram._surjections", refuse)
     monkeypatch.setattr(posets, "linear_extensions", refuse)
     chain_matrices(3)

@@ -79,17 +79,18 @@ def fraction_block(rows, denom):
 def test_flip_blocks_match_fraction_oracles(world_pairs):
     split = 0
     for name, (_poly, mix) in world_pairs:
-        plus, minus = mix._blocks
+        plus, minus = mix._flip_blocks()
         assert len(plus) + len(minus) == mix.size, name
         # a world's R commutes with its flip, so every flip pair splits off
         assert len(plus) - len(minus) == sum(1 for a, fa in enumerate(mix.flip) if a == fa), name
         split += bool(minus)
         ranks = []
-        for block, idempotent in zip(mix._blocks, mix._idempotent):
+        for block, (idempotent, found) in zip(mix._flip_blocks(), mix._block_checks):
             fractions = fraction_block(block, mix.denominator)
             assert idempotent == fraction_square_is_self(fractions), name
-            ranks.append(matrices._block_rank(block, idempotent, mix.denominator))
-            assert ranks[-1] == fraction_rank(fractions), name
+            assert found == matrices._block_rank(block, idempotent, mix.denominator), name
+            assert found == fraction_rank(fractions), name
+            ranks.append(found)
         assert rank(mix) == sum(ranks) == fraction_rank(mix.entries), name
     assert split > 100
 
@@ -112,7 +113,7 @@ def test_unsplit_matrices_take_the_identity(case_pairs):
     samples += [("from_entries", WorldMatrix.from_entries(fan.entries))]
     samples += [(name, mix) for name, (_poly, mix) in case_pairs]
     for name, matrix in samples:
-        plus, minus = matrix._blocks
+        plus, minus = matrix._flip_blocks()
         assert plus == [list(row) for row in matrix.rows] and minus == [], name
         assert rank(matrix) == fraction_rank(matrix.entries), name
 
@@ -197,7 +198,8 @@ def test_small_primes_rank_idempotent_blocks_without_bareiss(world_pairs, monkey
         if len(poly.rows[0][0]) > 5:
             continue
         assert mix.denominator % prime, name
-        for block, idempotent in zip(mix._blocks, mix._idempotent):
+        for block in mix._flip_blocks():
+            idempotent = matrices._squares_to_itself(block, mix.denominator)
             assert idempotent, name
             found = matrices._block_rank(block, idempotent, mix.denominator)
             assert found == fraction_rank(fraction_block(block, mix.denominator)), name
@@ -232,14 +234,14 @@ def test_a_prime_dividing_the_denominator_falls_back_to_bareiss(monkeypatch, bar
     # 3 divides L = 6 on fan 3, whose N+ block has rank 2 but rank 1 mod 3
     monkeypatch.setattr(matrices, "_PRIME", 3)
     _poly, mix = world_matrices(cases.fan_world(3))
-    assert [matrices._rank_mod_p(block) for block in mix._blocks] == [1, 0]
+    assert [matrices._rank_mod_p(block) for block in mix._flip_blocks()] == [1, 0]
     assert rank(mix) == fraction_rank(mix.entries) == 2
     assert bareiss_calls == [3, 3]
 
 
 def test_an_empty_block_needs_no_bareiss(bareiss_calls):
     matrix = WorldMatrix.from_entries(world_matrices(cases.fan_world(3))[1].entries)
-    assert matrix._blocks[1] == []
+    assert matrix._flip_blocks()[1] == []
     assert rank(matrix) == fraction_rank(matrix.entries) == 2
     assert matrices._block_rank([], True, matrix.denominator) == 0
     assert bareiss_calls == []
@@ -249,7 +251,7 @@ def test_possible_field_overflow_falls_back_to_bareiss(monkeypatch, bareiss_call
     # with a 31-bit prime, n p^2 no longer fits 64 bits from n = 4 on
     monkeypatch.setattr(matrices, "_PRIME", (1 << 31) - 1)
     _poly, mix = world_matrices(cases.fan_world(4))
-    assert all(matrices._rank_mod_p(block) is None for block in mix._blocks)
+    assert all(matrices._rank_mod_p(block) is None for block in mix._flip_blocks())
     assert rank(mix) == fraction_rank(mix.entries) == 6
     assert bareiss_calls == [12, 12]
 
@@ -288,7 +290,7 @@ def test_single_entry_changes_break_idempotence(world):
             assert not is_idempotent(WorldMatrix.from_entries(changed)), (i, j, delta)
             # the same change at the flip image keeps the flip split
             mirrored = with_mirror_change(mix, i, j, int(delta / step))
-            assert mirrored._blocks[1], (i, j)
+            assert mirrored._flip_blocks()[1], (i, j)
             assert not fraction_square_is_self(mirrored.entries)
             assert not is_idempotent(mirrored), (i, j, delta)
             assert rank(mirrored) == fraction_rank(mirrored.entries), (i, j, delta)

@@ -5,7 +5,6 @@ fraction Gauss elimination for rank, and hand-checked tiny worlds.
 """
 
 import dataclasses
-import functools
 import json
 import random
 from fractions import Fraction
@@ -188,27 +187,34 @@ def test_rank_and_idempotence_reject_polynomial_matrices(path4):
         WorldMatrix.from_entries(((X, Fraction(1)), (Fraction(0), X)))
 
 
-def test_rank_is_the_last_reader_of_the_flip_blocks(monkeypatch):
+def block_rows_kept(matrix):
+    """Names of cached values on the matrix that hold rows as lists, as a flip block does."""
+    return [
+        name
+        for name, value in vars(matrix).items()
+        if isinstance(value, tuple) and any(isinstance(part, list) for part in value)
+    ]
+
+
+def test_flip_blocks_are_built_once_and_not_kept(monkeypatch):
     built = []
-    blocks = WorldMatrix.__dict__["_blocks"]
+    flip_blocks = WorldMatrix._flip_blocks
 
     def counted(matrix):
         built.append(matrix)
-        return blocks.func(matrix)
+        return flip_blocks(matrix)
 
-    counted_blocks = functools.cached_property(counted)
-    counted_blocks.__set_name__(WorldMatrix, "_blocks")
-    monkeypatch.setattr(WorldMatrix, "_blocks", counted_blocks)
+    monkeypatch.setattr(WorldMatrix, "_flip_blocks", counted)
     # the triangle with one doubled edge: 36 members, both flip blocks non-empty
     _poly, mix = world_matrices(web_world(seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))))
-    assert is_idempotent(mix) and "_blocks" in vars(mix)
-    assert all(vars(mix)["_blocks"])
-    found = rank(mix)
-    assert found == trace(mix)
-    # built once for both checks, then dropped; the idempotence flags stay
-    assert len(built) == 1 and "_blocks" not in vars(mix)
+    assert all(flip_blocks(mix))
+    # idempotence alone leaves each block's (idempotent, rank) pair, not its rows
     assert is_idempotent(mix) and len(built) == 1
-    assert rank(mix) == found and len(built) == 2 and "_blocks" not in vars(mix)
+    assert block_rows_kept(mix) == []
+    found = rank(mix)
+    assert found == trace(mix) and len(built) == 1
+    assert is_idempotent(mix) and rank(mix) == found and len(built) == 1
+    assert block_rows_kept(mix) == []
 
 
 def test_mixing_from_polynomial_rejects_constant_terms():
