@@ -45,10 +45,6 @@ from .posets import decomposition_poset, poset_to_json, world_posets
 from .verify import SUITES, run_suite
 
 
-class UsageError(Exception):
-    """Malformed input text or an input of the wrong shape."""
-
-
 def _load_input(text: str) -> dict:
     if text.lstrip().startswith("{"):
         source, label = text, "inline input"
@@ -56,14 +52,14 @@ def _load_input(text: str) -> dict:
         try:
             source = Path(text).read_text()
         except OSError as exc:
-            raise UsageError(f"cannot read {text}: {exc}") from exc
+            raise MalformedInput(f"cannot read {text}: {exc}") from exc
         label = text
     try:
         obj = json.loads(source)
     except ValueError as exc:
-        raise UsageError(f"{label} is not valid JSON: {exc}") from exc
+        raise MalformedInput(f"{label} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise UsageError(f"{label} must be a JSON object")
+        raise MalformedInput(f"{label} must be a JSON object")
     return obj
 
 
@@ -74,7 +70,7 @@ def _diagram_from_input(obj: dict) -> WebDiagram:
         return diagram_from_json(obj["seed_diagram"])
     if "represent" in obj:
         return enumeration.seed_diagram(obj["represent"])
-    raise UsageError('input needs "edges", "seed_diagram", or "represent"')
+    raise MalformedInput('input needs "edges", "seed_diagram", or "represent"')
 
 
 def _emit_matrix(matrix: WorldMatrix, fmt: str) -> None:
@@ -149,12 +145,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count is not None:
         missing = [f"--{name}" for name in ("pegs", "edges", "pairs") if getattr(args, name) is None]
         if missing:
-            raise UsageError(f"--count needs {', '.join(missing)}")
+            raise MalformedInput(f"--count needs {', '.join(missing)}")
         value = _COUNTERS[args.count](args.pegs, args.edges, args.pairs)
         print(f"{args.pegs},{args.edges},{args.pairs},{value}")
         return 0
     if args.max_pegs is None or args.max_edges is None:
-        raise UsageError("listing needs --max-pegs and --max-edges")
+        raise MalformedInput("listing needs --max-pegs and --max-edges")
     matrices = enumeration.enumerate_worlds(
         args.max_pegs,
         args.max_edges,
@@ -336,7 +332,7 @@ def main(argv=None) -> int:
     except (WorldTooLarge, BoundsTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, MalformedInput) as exc:
+    except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WebWorldsError as exc:

@@ -5,8 +5,9 @@ upper-triangular count of parallel edges on each peg pair. This module
 enumerates such matrices, evaluates the orbit-size product formula, and
 counts worlds by pegs, edges and occupied peg pairs. With w = y*z/(1-z)
 each count is a series in w alone, and [z^e y^q] w^q = C(e-1, q-1): the
-edges only split over the q pairs. `count_worlds` lists matrices instead;
-the other counts' brute-force oracles live in webworlds.verify.
+edges only split over the q pairs. `enumerate_worlds` is the one lister
+of represent matrices; the counts' brute-force oracles in webworlds.verify
+tally its listing.
 """
 
 from __future__ import annotations
@@ -154,31 +155,12 @@ def enumerate_worlds(
                 yield rows
 
 
-def count_worlds(pegs: int, edges: int, pairs: int) -> int:
-    """Worlds on exactly `pegs` labeled pegs with `edges` edges spread over
-    exactly `pairs` peg pairs, counted by direct matrix enumeration."""
-    if pegs < 2 or edges < 0 or pairs < 0:
-        raise BadRange("need pegs >= 2 and non-negative edges/pairs")
-    return sum(1 for _rows in _with_pairs(pegs, edges, pairs))
-
-
-def _with_pairs(pegs: int, edges: int, pairs: int) -> Iterator[Rows]:
-    """Represent matrices on `pegs` pegs with `edges` edges on `pairs` pairs,
-    from all C(cells + edges - 1, edges) compositions at `cells` steps each.
-    Capping that binomial's lower index at 64 keeps it cheap and exact
-    wherever it could pass the guard, as C(128, 64) > 10^37."""
-    cells = math.comb(pegs, 2)
-    compositions = math.comb(cells + edges - 1, min(edges, cells - 1, 64))
-    _check_work(compositions * cells, what="listing", error=BoundsTooLarge)
-    for values in _weak_compositions(edges, cells):
-        if sum(1 for v in values if v) == pairs:
-            yield _matrix_from_cells(pegs, values)
-
-
 def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
-    """The same count read off the generating series (1 + w)^C(pegs,2),
-    with w = y*z/(1-z), as the z^edges y^pairs coefficient: choose the
-    occupied pairs, C(C(pegs,2), pairs), then split the edges over them."""
+    """Worlds on exactly `pegs` labeled pegs with `edges` edges spread over
+    exactly `pairs` peg pairs, read off the generating series
+    (1 + w)^C(pegs,2), with w = y*z/(1-z), as the z^edges y^pairs
+    coefficient: choose the occupied pairs, C(C(pegs,2), pairs), then
+    split the edges over them."""
     if pegs < 2 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 2 and non-negative edges/pairs")
     cells = math.comb(pegs, 2)

@@ -31,7 +31,7 @@ from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, 
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
 from .matrices import IntPolynomial, _unpack, transitive_closure
 
-# poset shapes (order rows) that each closed-form cache keeps
+# poset shapes (order rows) that the closed-form cache keeps
 CLOSED_FORM_CACHE_SIZE = 4096
 
 
@@ -319,7 +319,6 @@ def _diagonal_forms(poset: DecompositionPoset) -> tuple[IntPolynomial, Fraction]
     return _closed_forms(poset.up)
 
 
-@lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
 def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
     """Entry d counts the linear extensions of the order rows `up` with d descents.
 

@@ -22,10 +22,7 @@ from .enumeration import (
     peg_loads,
     validate_represent,
 )
-from .errors import BadRange, BoundsTooLarge, IsolatedPeg, NotTransitive
-
-# bounds the listing only; the count comes from a series
-TRANSITIVE_EDGE_GUARD = 6
+from .errors import BadRange, IsolatedPeg, NotTransitive
 
 
 def is_transitive(rows: Sequence[Sequence[int]]) -> bool:
@@ -79,14 +76,11 @@ def transitive_matrices(edges: int) -> tuple[Rows, ...]:
     """All transitive represent matrices with the given edge count.
 
     Transitivity forces at most edges + 1 pegs, so the enumeration range
-    is complete.
+    is complete. The lister's own guard admits edges <= 6 and refuses
+    more before it lists a matrix.
     """
     if edges < 1:
         raise BadRange("a transitive world needs at least one edge")
-    if edges > TRANSITIVE_EDGE_GUARD:
-        raise BoundsTooLarge(
-            f"edge count {edges} exceeds the guard {TRANSITIVE_EDGE_GUARD}"
-        )
     return tuple(
         enumerate_worlds(
             max_pegs=edges + 1,

@@ -292,6 +292,18 @@ def test_readme_examples_are_exact(capsys):
         assert out == expected, argv
 
 
+def test_readme_library_python_runs():
+    # the Library section's python blocks, in order and in one namespace
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert all(result.passed for result in namespace["results"])
+
+
 # a world with parallel edges: 2 edges on pegs 1-2, 1 on pegs 1-3
 PARALLEL6_JSON = '{"represent": [[0,2,1],[0,0,0],[0,0,0]]}'
 PARALLEL6_EXPORTS = {

@@ -7,7 +7,6 @@ import pytest
 
 from webworlds import (
     count_proper_worlds,
-    count_worlds,
     count_worlds_no_isolated,
     count_worlds_series,
     enumerate_worlds,
@@ -18,10 +17,12 @@ from webworlds import (
     web_world,
     world_size,
 )
+from webworlds import enumeration, verify
 from webworlds.enumeration import validate_represent
 from webworlds.errors import BadRange, BoundsTooLarge
 from webworlds.verify import (
     _count_proper_worlds_direct as count_proper_worlds_direct,
+    _count_worlds_direct as count_worlds_direct,
     _count_worlds_no_isolated_direct as count_worlds_no_isolated_direct,
 )
 
@@ -119,8 +120,8 @@ def test_enumerate_worlds_guards():
 
 def test_pinned_world_counts():
     for edges in range(1, 5):
-        assert count_worlds(2, edges, 1) == 1
-    assert count_worlds(3, 2, 2) == 3
+        assert count_worlds_direct(2, edges, 1) == 1
+    assert count_worlds_direct(3, 2, 2) == 3
     assert count_worlds_no_isolated(2, 1, 1) == 1
     assert count_worlds_no_isolated(3, 1, 1) == 0
     for edges in range(1, 5):
@@ -133,7 +134,7 @@ def test_counting_routes_agree_on_a_small_sweep():
     for pegs in range(2, 5):
         for edges in range(5):
             for pairs in range(math.comb(pegs, 2) + 1):
-                assert count_worlds(pegs, edges, pairs) == count_worlds_series(
+                assert count_worlds_direct(pegs, edges, pairs) == count_worlds_series(
                     pegs, edges, pairs
                 )
                 if edges and pairs:
@@ -235,13 +236,26 @@ def test_proper_cells_with_more_pegs_than_a_tree_spans_count_zero_at_once():
 
 def test_direct_listing_guards_its_work():
     started = time.perf_counter()
-    with pytest.raises(BoundsTooLarge, match="listing steps"):
-        count_worlds(5, 100, 3)
-    with pytest.raises(BoundsTooLarge, match="listing steps"):
+    with pytest.raises(BoundsTooLarge, match="candidate matrices"):
+        count_worlds_direct(5, 100, 3)
+    with pytest.raises(BoundsTooLarge, match="candidate matrices"):
         count_worlds_no_isolated_direct(5, 100, 3)
-    with pytest.raises(BoundsTooLarge, match="listing steps"):
-        count_worlds(10**6, 10**6, 1)
+    with pytest.raises(BoundsTooLarge, match="candidate matrices"):
+        count_worlds_direct(10**6, 10**6, 1)
     assert time.perf_counter() - started < 1
+
+
+def test_count_oracles_share_one_listing_per_cell(monkeypatch):
+    # one listing for the world-size check, then one per (pegs >= 2, edges) cell
+    # of the pegs 2..3, edges 0..2 grid, whichever of the three oracles reads it
+    calls = []
+    lister = enumeration.enumerate_worlds
+    monkeypatch.setattr(
+        enumeration, "enumerate_worlds", lambda *a, **k: calls.append(a) or lister(*a, **k)
+    )
+    verify._listed_worlds.cache_clear()
+    assert all(r.passed for r in verify.suite_counting(1, 3, 2))
+    assert len(calls) == 1 + 2 * 3
 
 
 @pytest.mark.parametrize(
@@ -257,8 +271,6 @@ def test_counts_factor_through_the_edge_splits(counter):
 
 
 def test_counting_guards():
-    with pytest.raises(BadRange):
-        count_worlds(1, 1, 1)
     with pytest.raises(BadRange):
         count_worlds_no_isolated(2, 0, 1)
     with pytest.raises(BadRange):
@@ -276,10 +288,9 @@ OFF_BY_ONE = {
 
 @pytest.mark.parametrize("counter", sorted(OFF_BY_ONE))
 def test_counting_suite_reports_an_off_by_one_counter(monkeypatch, counter):
-    from webworlds import enumeration, verify
-
-    # the brute-force oracles are private to verify
-    module, name = (verify, "_" + counter) if counter.endswith("_direct") else (enumeration, counter)
+    # the brute-force oracles are private to verify, the listing count among them
+    name = "count_worlds_direct" if counter == "count_worlds" else counter
+    module, name = (verify, "_" + name) if name.endswith("_direct") else (enumeration, name)
     right = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *cell: right(*cell) + 1)
     failed = [(r.name, r.detail) for r in verify.suite_counting(1, 3, 2) if not r.passed]
@@ -287,14 +298,11 @@ def test_counting_suite_reports_an_off_by_one_counter(monkeypatch, counter):
 
 
 def test_counting_suite_names_the_one_wrong_cell(monkeypatch):
-    from webworlds import enumeration
-    from webworlds.verify import suite_counting
-
     right = enumeration.count_worlds_series
     monkeypatch.setattr(
         enumeration, "count_worlds_series", lambda *cell: right(*cell) + (cell == (3, 2, 1))
     )
-    results = {r.name: r for r in suite_counting(1, 3, 2)}
+    results = {r.name: r for r in verify.suite_counting(1, 3, 2)}
     check = results["world counts by pegs/edges/pairs"]
     assert not check.passed
     assert check.detail == "1 of 18 failed, first: nww(3,2,1) 3 != 4"

@@ -1,5 +1,7 @@
 """Transitive worlds: the matrix test, the core bijection, and counts."""
 
+import time
+
 import pytest
 
 from webworlds import (
@@ -63,6 +65,17 @@ def test_edge_guards():
     assert count_transitive(7) == 1014
     with pytest.raises(BoundsTooLarge):
         count_transitive(1000)
+
+
+def test_listing_past_six_edges_is_refused_by_the_listers_guard_at_once():
+    # e = 7 lists 47,998,550 entries, over the 4*10^7-step guard; nothing is listed
+    started = time.perf_counter()
+    with pytest.raises(BoundsTooLarge, match="listing steps"):
+        transitive_matrices(7)
+    for edges in range(8, 12):
+        with pytest.raises(BoundsTooLarge, match="candidate matrices"):
+            transitive_matrices(edges)
+    assert time.perf_counter() - started < 1
 
 
 def test_core_round_trip():

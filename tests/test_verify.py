@@ -38,7 +38,7 @@ PINNED = {
         " brute force",
         "PASS diagonal descent formulas: formula diagonals match brute force across 378 worlds "
         "(2832 instances)",
-        "PASS order-preserving counts: descent-sum and inclusion-exclusion counts match direct "
+        "PASS order-preserving counts: descent-sum and closed-form counts match direct "
         "enumeration (32 instances)",
     ],
     ("suite_counting", (1, 3, 2)): [
