@@ -22,14 +22,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, json_int, restack, web_world
+from .diagram import Edge, WebDiagram, WebWorld, _orbits, json_int, restack, web_world
 from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
-from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _unpack
+from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _fill_orbits, _unchecked_matrix, _unpack
 
 _ONE_PLUS_X = ONE + X
 
@@ -138,8 +138,12 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     Rows and columns follow the world's canonical diagram order.  An
     entry depends only on the pair's minimal colour count m, one more
     than the descents of q, the target's letters read through their
-    source positions: a descent table over the n! values of q holds M's
-    coefficients and R's numerator over lcm(1..n).
+    source positions; it gives M's coefficients and R's numerator over
+    lcm(1..n).  Only row 0 is read off q.  Relabelling the leaf pegs by
+    g sends the fan of σ to the fan of g∘σ and leaves q as it is, so
+    M(σ, τ) = M(g∘σ, g∘τ): the orbit walk of `world_matrices` fills every
+    other row from an earlier one at the columns g permutes, with g = (1 2)
+    and the n-cycle found by permutation arithmetic alone.
     """
     if json_int(n, "the fan size") < 1:
         raise BadRange("a fan needs at least one edge")
@@ -152,17 +156,17 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
         ((X**m * _ONE_PLUS_X ** (n - m)).coeffs, (-1) ** (m - 1) * (denom // (m * comb(n, m))))
         for m in range(1, n + 1)
     ]
-    # a leading 0 at position 0 keeps q a tuple and adds no descent
-    qs = map((0,).__add__, permutations(range(1, n + 1)))
-    table = {q: entries[sum(map(operator.gt, q, q[1:]))] for q in qs}
-    readers = [operator.itemgetter(0, *tgt) for tgt in perms]
-    poly_rows, mix_rows = [], []
-    for src in perms:
-        position = dict(zip((0, *src), range(n + 1)))
-        poly_row, mix_row = zip(*[table[read(position)] for read in readers])
-        poly_rows.append(poly_row)
-        mix_rows.append(mix_row)
-    return world, WorldMatrix(poly_rows), WorldMatrix(mix_rows, denom)
+    # σ's reader takes a map f of 0..n with f(0) = 0 to (0, f∘σ); the 0 keeps q a tuple and adds no descent
+    readers = [operator.itemgetter(0, *perm) for perm in perms]
+    position = dict(zip((0, *perms[0]), range(n + 1)))
+    qs = (read(position) for read in readers)
+    poly_rows, mix_rows = [None] * len(perms), [None] * len(perms)
+    poly_rows[0], mix_rows[0] = zip(*[entries[sum(map(operator.gt, q, q[1:]))] for q in qs])
+    index = {perm: i for i, perm in enumerate(perms)}
+    relabellings = [(0, 2, 1, *range(3, n + 1)), (0, *range(2, n + 1), 1)] if n > 1 else []
+    generators = [[index[read(g)[1:]] for read in readers] for g in relabellings]
+    _fill_orbits(_orbits(generators, len(perms)), poly_rows, mix_rows)
+    return world, _unchecked_matrix(poly_rows), _unchecked_matrix(mix_rows, denom)
 
 
 def fan_traces(n: int) -> tuple[IntPolynomial, Fraction]:

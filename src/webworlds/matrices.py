@@ -74,7 +74,7 @@ from .diagram import (
     json_int,
     web_world,
 )
-from .errors import BadRange, DifferentWorlds, WorldTooLarge
+from .errors import BadRange, DifferentWorlds, MalformedInput, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
 # counting steps of the matrix-free routes, each estimate an upper bound
@@ -212,6 +212,9 @@ class WorldMatrix:
     coefficients, all of one length, over denominator 1, and a rational
     matrix an integer numerator over a positive `denominator`. `flip`, a
     permutation of the members, splits the structure checks into blocks.
+    The constructor checks every cell: a matrix mixing tuples and integers,
+    or whose tuples differ in length, raises `BadRange`, and a bool, float
+    or other non-integer cell or coefficient raises `MalformedInput`.
     """
 
     rows: tuple[tuple, ...]
@@ -223,6 +226,16 @@ class WorldMatrix:
         object.__setattr__(self, "rows", rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise BadRange("matrix must be square and non-empty")
+        cells = list(itertools.chain.from_iterable(rows))
+        kinds = set(map(type, cells))
+        if tuple in kinds:
+            if kinds != {tuple} or len(set(map(len, cells))) > 1:
+                raise BadRange("a matrix holds integers, or coefficient tuples all of one length")
+            cells = list(itertools.chain.from_iterable(cells))
+            kinds = set(map(type, cells))
+        if kinds - {int}:
+            bad = next(cell for cell in cells if type(cell) is not int)
+            raise MalformedInput(f"a matrix cell must be an integer, got {bad!r}")
         if json_int(self.denominator, "denominator") < 1 or self.polynomial and self.denominator != 1:
             raise BadRange("the denominator must be positive, and 1 for a polynomial matrix")
 
@@ -294,6 +307,15 @@ class WorldMatrix:
             return [list(map(op, first(r), second(r))) for r in (rows[a] + (0,) for a in members)]
 
         return block(plus, operator.add, partner), block(minus, operator.sub, high)
+
+
+def _unchecked_matrix(rows: Sequence[Sequence], denominator: int = 1, flip: Sequence[int] | None = None) -> WorldMatrix:
+    """A matrix whose cells the library built: square, of one kind, and not checked again."""
+    matrix = object.__new__(WorldMatrix)
+    object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
+    object.__setattr__(matrix, "denominator", denominator)
+    object.__setattr__(matrix, "flip", flip)
+    return matrix
 
 
 def _formed_rows(matrix: WorldMatrix, form=lambda entry: entry) -> Iterator[Iterator]:
@@ -381,7 +403,7 @@ def from_counts(counts: Sequence[Sequence[tuple[int, ...]]]) -> tuple[WorldMatri
     """
     denom, weigh = _mixing_weights(len(counts[0][0]) - 1)
     numerators = {cell: weigh(cell) for cell in set(itertools.chain.from_iterable(counts))}
-    return WorldMatrix(counts), WorldMatrix([map(numerators.__getitem__, row) for row in counts], denom)
+    return _unchecked_matrix(counts), _unchecked_matrix([map(numerators.__getitem__, row) for row in counts], denom)
 
 
 def _unpack(vec: int, bits: int, edge_count: int) -> tuple[int, ...]:
@@ -604,17 +626,24 @@ def _fixed_point_counts(diagram: WebDiagram) -> tuple[int, ...]:
     Edges are taken as labelled, so the members are all tuples of per-peg
     orders. A colouring fixes a member exactly when colours weakly rise
     with height on every peg, so blocks B1..Bk fix prod w(B_i) members,
-    w(B) = prod over pegs of |B on the peg|!. The DP sums prod w over
-    unordered set partitions, each block taking the lowest free edge, and
-    k! orders each k-block partition: about 3^e / 2 steps, no members.
+    w(B) = prod over pegs of |B on the peg|!, built up one edge at a time:
+    w(B) = w(B - i) |B on p| |B on p'| for i, the lowest edge of B, on pegs
+    p and p'. The DP sums prod w over unordered set partitions, each block
+    taking the lowest free edge, and k! orders each k-block partition:
+    about 3^e / 2 steps, no members.
     """
     edge_count = diagram.edge_count
     full = (1 << edge_count) - 1
-    pegs = [sum(1 << idx for idx in order) for order in _peg_orders(diagram)]
-    weight = [
-        math.prod(math.factorial((block & peg).bit_count()) for peg in pegs)
-        for block in range(full + 1)
-    ]
+    on_peg = [0] * (diagram.num_pegs + 1)
+    for idx, (left, right, _left_height, _right_height) in enumerate(diagram.edges):
+        on_peg[left] |= 1 << idx
+        on_peg[right] |= 1 << idx
+    ends = [(on_peg[left], on_peg[right]) for left, right, _left_height, _right_height in diagram.edges]
+    weight = [1]
+    for block in range(1, full + 1):
+        low = block & -block
+        left, right = ends[low.bit_length() - 1]
+        weight.append(weight[block ^ low] * (block & left).bit_count() * (block & right).bit_count())
     labelled = math.prod(map(math.factorial, diagram.peg_heights))
     bits = (labelled * _fubini(edge_count)).bit_length()
     partitions = [0] * (full + 1)
@@ -841,7 +870,7 @@ def world_matrices(
         counts[rep], mixing[rep] = zip(*map(cells.__getitem__, row))
     _fill_orbits(orbits, counts, mixing)
     # the flip is the first generator
-    return WorldMatrix(counts), WorldMatrix(mixing, denom, flip=generators[0])
+    return _unchecked_matrix(counts), _unchecked_matrix(mixing, denom, flip=generators[0])
 
 
 def _require_rational(matrix: WorldMatrix, what: str) -> None:

@@ -6,7 +6,9 @@ reconstruction via the generic matrix machinery, and classical
 identities for the Stirling and Eulerian tables.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -53,7 +55,8 @@ from webworlds.cases import (
     validate_signs,
 )
 from webworlds.errors import BadRange, LengthMismatch, MalformedInput, WorldTooLarge
-from webworlds.matrices import reconstruction_count
+from webworlds import diagram, matrices
+from webworlds.matrices import ONE, X, matrix_to_csv, matrix_to_json, reconstruction_count
 from webworlds.verify import _split_count, suite_case2, suite_case3
 
 
@@ -192,6 +195,62 @@ def test_fan_entries_against_brute_force():
     brute_poly, brute_mix = world_matrices(world)
     assert poly.entries == brute_poly.entries
     assert mix.entries == brute_mix.entries
+
+
+def _fan_rows_cell_by_cell(n):
+    """M's and R's rows of the fan, every cell looked up alone in a descent table over the n! values of q."""
+    perms = [fan_permutation(d) for d in fan_world(n)]
+    denom = math.lcm(*range(1, n + 1))
+    entries = [
+        ((X**m * (ONE + X) ** (n - m)).coeffs, (-1) ** (m - 1) * (denom // (m * math.comb(n, m))))
+        for m in range(1, n + 1)
+    ]
+    table = {
+        q: entries[sum(a > b for a, b in zip(q, q[1:]))] for q in itertools.permutations(range(1, n + 1))
+    }
+    poly_rows, mix_rows = [], []
+    for source in perms:
+        position = {v: i for i, v in enumerate(source, 1)}
+        poly_row, mix_row = zip(*[table[tuple(position[v] for v in target)] for target in perms])
+        poly_rows.append(poly_row)
+        mix_rows.append(mix_row)
+    return tuple(poly_rows), tuple(mix_rows), denom
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fan_rows_match_the_cell_by_cell_descent_table(n):
+    _, poly, mix = fan_matrices(n)
+    assert (poly.rows, mix.rows, mix.denominator) == _fan_rows_cell_by_cell(n)
+
+
+def test_fan_six_matches_the_generic_matrices_cell_for_cell():
+    world, poly, mix = fan_matrices(6)
+    generic_poly, generic_mix = world_matrices(world)
+    assert poly.rows == generic_poly.rows
+    assert (mix.rows, mix.denominator) == (generic_mix.rows, generic_mix.denominator)
+
+
+def test_fan_five_exports_are_pinned():
+    # sha256 of json(M), json(R), csv(M), csv(R), as the closed_forms benchmark pins them
+    _, poly, mix = fan_matrices(5)
+    texts = [json.dumps(matrix_to_json(m)) for m in (poly, mix)] + [matrix_to_csv(m) for m in (poly, mix)]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
+        "15ed42c9f989bc1406048506a73c9eee36977aed695a99e1e03b73f87e977ace",
+        "124725593e0bec0c04a50a16c701d9ee13f659850b52c09d05f067629724cfa6",
+        "fe38b55d046ad398dd05449920897873f871c4cae7731ed6c115addd76894c38",
+        "45f29a3ecbd0662088810c1fdfe7e7cd11674fd25697e98e2590523d575657b6",
+    ]
+
+
+def test_fan_matrices_stay_independent_of_the_generic_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fan closed form used the generic matrix route")
+
+    for name in ("_symmetry_generators", "_SubsetDP", "_colouring_counts"):
+        monkeypatch.setattr(matrices, name, refuse)
+    monkeypatch.setattr(diagram, "_symmetry_generators", refuse)
+    world, poly, mix = fan_matrices(4)
+    assert (poly.rows, mix.rows, mix.denominator) == _fan_rows_cell_by_cell(4)
 
 
 def test_fan_reconstruction_count_is_binomial():

@@ -336,6 +336,41 @@ def test_matrix_kind_comes_from_the_cells():
             WorldMatrix([[1]], denominator)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[(0, 1), 1], [1, 1]],  # a polynomial first cell used to fail late in `trace`
+        [[1, (0, 1)], [(0, 1), 1]],  # a rational first cell used to read as trace 2
+        [[(0, 1), (0, 1, 1)], [(0, 1), (0, 1)]],
+    ],
+    ids=["tuple-first", "int-first", "tuple-lengths"],
+)
+def test_matrix_cells_of_two_kinds_are_refused(rows):
+    with pytest.raises(BadRange):
+        WorldMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, True], [0, 1]], [[1, 0.5], [0, 1]], [[(0, 1), (0, 1.0)], [(0, 1), (0, 1)]], [[(0, False)]], [["1"]]],
+    ids=["bool", "float", "float-coefficient", "bool-coefficient", "str"],
+)
+def test_matrix_cells_must_be_integers(rows):
+    with pytest.raises(MalformedInput):
+        WorldMatrix(rows)
+
+
+def test_library_built_matrices_skip_the_cell_check(monkeypatch, path4):
+    def refuse(self):
+        raise AssertionError("a library-built matrix ran the cell check")
+
+    monkeypatch.setattr(WorldMatrix, "__post_init__", refuse)
+    world_matrices(web_world(path4))
+    matrices.from_counts([[(0, 1)]])
+    cases.fan_matrices(3)
+    cases.chain_matrices(2)
+
+
 def test_csv_and_json_exports(path4):
     world = web_world(path4)
     poly, mix = world_matrices(world)
