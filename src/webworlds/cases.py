@@ -59,7 +59,7 @@ def eulerian(n: int, k: int) -> int:
 
 
 def _validate_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    perm = tuple(perm)
+    perm = tuple(json_int(v, "a permutation entry") for v in perm)
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise BadRange(f"{perm!r} is not a permutation of 1..{len(perm)}")
     return perm
@@ -95,7 +95,7 @@ def fan_permutation(diagram: WebDiagram) -> tuple[int, ...]:
 
 def fan_world(n: int) -> WebWorld:
     """The world of all n! fan diagrams."""
-    return web_world(fan_diagram(range(1, n + 1)))
+    return web_world(fan_diagram(range(1, json_int(n, "the fan size") + 1)))
 
 
 def minimal_colour_blocks(
@@ -139,33 +139,33 @@ def fan_matrices(n: int) -> tuple[WebWorld, WorldMatrix, WorldMatrix]:
     entry depends only on the pair's minimal colour count m, one more
     than the descents of q, the target's letters read through their
     source positions; it gives M's coefficients and R's numerator over
-    lcm(1..n).  Only row 0 is read off q.  Relabelling the leaf pegs by
-    g sends the fan of σ to the fan of g∘σ and leaves q as it is, so
-    M(σ, τ) = M(g∘σ, g∘τ): the orbit walk of `world_matrices` fills every
-    other row from an earlier one at the columns g permutes, with g = (1 2)
-    and the n-cycle found by permutation arithmetic alone.
+    lcm(1..n).  Only row 0 is read off q: member i's key puts leaf p at
+    apex height heights[i][p - 1], and member 0 is the identity fan.
+    Relabelling the leaf pegs by g sends the fan of σ to the fan of g∘σ and
+    leaves q as it is, so M(σ, τ) = M(g∘σ, g∘τ): the orbit walk of
+    `world_matrices` fills every other row from an earlier one at the columns
+    g permutes, with g = (1 2) and p -> p + 1 read off the height tuples.
     """
     if json_int(n, "the fan size") < 1:
         raise BadRange("a fan needs at least one edge")
     _check_members(n, factorial)
     world = fan_world(n)
-    perms = [fan_permutation(d) for d in world]
+    # the keys differ only in these heights and sort by them
+    heights = [tuple(e.right_height for e in key) for key in world.keys]
     denom = lcm(*range(1, n + 1))
     # M's entry x^m (1 + x)^(n - m); R's (-1)^(m - 1)/(m C(n, m)), whose denominator divides lcm(1..n)
     entries = [
         ((X**m * _ONE_PLUS_X ** (n - m)).coeffs, (-1) ** (m - 1) * (denom // (m * comb(n, m))))
         for m in range(1, n + 1)
     ]
-    # σ's reader takes a map f of 0..n with f(0) = 0 to (0, f∘σ); the 0 keeps q a tuple and adds no descent
-    readers = [operator.itemgetter(0, *perm) for perm in perms]
-    position = dict(zip((0, *perms[0]), range(n + 1)))
-    qs = (read(position) for read in readers)
-    poly_rows, mix_rows = [None] * len(perms), [None] * len(perms)
+    # row 0's q for column j is member j's leaves in apex order
+    qs = (sorted(range(n), key=h.__getitem__) for h in heights)
+    poly_rows, mix_rows = [None] * len(heights), [None] * len(heights)
     poly_rows[0], mix_rows[0] = zip(*[entries[sum(map(operator.gt, q, q[1:]))] for q in qs])
-    index = {perm: i for i, perm in enumerate(perms)}
-    relabellings = [(0, 2, 1, *range(3, n + 1)), (0, *range(2, n + 1), 1)] if n > 1 else []
-    generators = [[index[read(g)[1:]] for read in readers] for g in relabellings]
-    _fill_orbits(_orbits(generators, len(perms)), poly_rows, mix_rows)
+    # relabelling the leaves by (1 2) swaps a member's first two heights, and by p -> p + 1 rotates them
+    index = {h: i for i, h in enumerate(heights)}
+    generators = [[index[h[1::-1] + h[2:]] for h in heights], [index[h[-1:] + h[:-1]] for h in heights]]
+    _fill_orbits(_orbits(generators, len(heights)), poly_rows, mix_rows)
     return world, _unchecked_matrix(poly_rows), _unchecked_matrix(mix_rows, denom)
 
 
@@ -222,7 +222,7 @@ def chain_diagram(signs: Sequence[int]) -> WebDiagram:
 
 def chain_world(n: int) -> WebWorld:
     """The world of all 2^n chain diagrams with n interior pegs."""
-    if n < 0:
+    if json_int(n, "the sign count") < 0:
         raise BadRange("sign count must be non-negative")
     return web_world(chain_diagram((1,) * n))
 
@@ -258,7 +258,7 @@ def cycle_diagram(signs: Sequence[int]) -> WebDiagram:
 
 def cycle_world(n: int) -> WebWorld:
     """The world of all cycle diagrams on n pegs."""
-    return web_world(cycle_diagram((1,) * n))
+    return web_world(cycle_diagram((1,) * json_int(n, "the sign count")))
 
 
 def cycle_result_signs(signs: Sequence[int], assignment: Sequence[int]) -> tuple[int, ...]:
@@ -310,19 +310,13 @@ def _push(vector: list[int], rule: int) -> list[int]:
 _ALLOWS = (2, 1, 3, 6, 4)
 
 
-@lru_cache(maxsize=None)
 def _rule_classes(level: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The exact-comparison classes that the rules of `level` tell apart, as
     push codes, and for each rule the indices of the classes it is the union of.
-    Comparisons allowed by the same rules share a class; a lone rule is one class."""
-    groups: dict[tuple[bool, ...], int] = {}
-    for bit in (1, 2, 4):
-        allowed_by = tuple(_ALLOWS[rule] & bit > 0 for rule in level)
-        if any(allowed_by):
-            groups[allowed_by] = groups.get(allowed_by, 0) | bit
-    classes = tuple(groups.values())
-    members = tuple(tuple(k for k, bits in enumerate(classes) if _ALLOWS[rule] & bits) for rule in level)
-    return tuple(map(_ALLOWS.index, classes)), members
+    A lone rule is its own class; several split into >, = and <."""
+    if len(level) == 1:
+        return level, ((0,),)
+    return (1, 0, 4), tuple(tuple(k for k, bit in enumerate((1, 2, 4)) if _ALLOWS[rule] & bit) for rule in level)
 
 
 @lru_cache(maxsize=16)
@@ -410,7 +404,7 @@ def surjective_rule_counts(length: int, rules: Sequence[int], cyclic: bool) -> t
 
 def sign_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """All sign vectors of length n, in the fixed matrix row order."""
-    if n < 0:
+    if json_int(n, "the sign count") < 0:
         raise BadRange("sign count must be non-negative")
     return tuple(product((1, -1), repeat=n))
 
@@ -504,7 +498,7 @@ def adjacent_distinct_counts(n: int, k: int) -> tuple[int, int, int]:
     those whose first and last entries agree.  The three alternating
     sums below are exact for all n >= 1, 0 <= k <= n.
     """
-    if n < 1 or k < 0:
+    if json_int(n, "the word length") < 1 or json_int(k, "a colour count") < 0:
         raise BadRange(f"need n >= 1 and k >= 0, got ({n}, {k})")
     total = 0
     differ = 0

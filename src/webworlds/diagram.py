@@ -12,7 +12,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -77,6 +77,11 @@ class WebDiagram:
 
 
 def _validate_edges(edges: tuple[Edge, ...], num_pegs: int) -> None:
+    # one C-level pass over the values; only a type other than int looks at each
+    if set(map(type, itertools.chain((num_pegs,), *edges))) - {int}:
+        json_int(num_pegs, "peg count")
+        for value in itertools.chain.from_iterable(edges):
+            json_int(value, "edges")
     if num_pegs < 0:
         raise BadRange("peg count must be non-negative")
     # bounds the per-peg lists (peg_heights, web_world) before any is made
@@ -130,13 +135,13 @@ def stack(bottom: WebDiagram, top: WebDiagram) -> WebDiagram:
     return WebDiagram(bottom.edges + tuple(shifted), num_pegs)
 
 
-def subweb(diagram: WebDiagram, edges: Iterable[Edge]) -> WebDiagram:
+def subweb(diagram: WebDiagram, edges: Sequence[Edge]) -> WebDiagram:
     """Restrict to an edge subset and compress heights per peg.
 
     Pegs keep their positions (the peg count is unchanged); on each peg
     the surviving heights are renumbered 1..k preserving relative order.
     """
-    subset = [Edge(*e) for e in edges]
+    subset = [Edge(*e) for e in json_int_rows(edges, "edges", width=4)]
     present = set(diagram.edges)
     for e in subset:
         if e not in present:
@@ -170,6 +175,7 @@ def _unchecked(edges: tuple[Edge, ...], num_pegs: int) -> WebDiagram:
 def apply_permutations(diagram: WebDiagram, family: Sequence[Sequence[int]]) -> WebDiagram:
     """Move the endpoint at height j on peg i to height family[i-1][j-1]."""
     heights = diagram.peg_heights
+    family = json_int_rows(family, "a permutation family")
     if len(family) != diagram.num_pegs:
         raise ArityMismatch(f"family covers {len(family)} pegs, diagram has {diagram.num_pegs}")
     for peg, perm in enumerate(family, 1):
@@ -339,6 +345,7 @@ def check_world_size(diagram: WebDiagram, max_size: int) -> int:
     """The world size; WorldTooLarge if over `max_size`. In the size formula a
     peg with b blocks (runs of parallel edges at their left peg, single right
     ends) has a factor >= b! >= 2^(b - 1), checked before the exact product."""
+    json_int(max_size, "the world guard")
     pairs = diagram.peg_pair_counts()
     bits = len(pairs) + diagram.edge_count - len({peg for pair in pairs for peg in pair})
     if bits >= max_size.bit_length():

@@ -17,7 +17,7 @@ import math
 import operator
 from typing import Callable, Iterator, Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, json_int_rows, predicted_world_size
+from .diagram import Edge, WebDiagram, WebWorld, json_int, json_int_rows, predicted_world_size
 from .errors import BadRange, BoundsTooLarge
 from .matrices import DEFAULT_WORK_GUARD, _check_work
 
@@ -122,18 +122,20 @@ def enumerate_worlds(
     Every strictly upper-triangular matrix within the bounds appears
     exactly once (including the all-zero ones) unless a filter drops it.
     """
-    if max_pegs < 2:
+    if json_int(max_pegs, "the peg bound") < 2:
         raise BadRange("need at least two pegs to place an edge")
-    if max_edges < 0 or (exact_edges is not None and exact_edges < 0):
+    json_int(max_matrices, "the matrix guard")
+    exact = exact_edges is not None
+    if json_int(max_edges, "the edge bound") < 0 or (exact and json_int(exact_edges, "the edge count") < 0):
         raise BadRange("edge bounds must be non-negative")
-    totals = [exact_edges] if exact_edges is not None else range(max_edges + 1)
-    top = max_edges if exact_edges is None else exact_edges
+    totals = [exact_edges] if exact else range(max_edges + 1)
+    top = exact_edges if exact else max_edges
     # t edges on c cells make C(c + t - 1, t) matrices, and up to T edges
     # C(c + T, T), each listed at the cost of its m^2 entries; the entries pass
     # the work guard by m = 500, so the count stops early on any max_pegs
     candidates = entries = 0
     for m in range(2, max_pegs + 1):
-        count = math.comb(math.comb(m, 2) + top - (exact_edges is not None), top)
+        count = math.comb(math.comb(m, 2) + top - exact, top)
         candidates += count
         entries += count * m * m
         if candidates > max_matrices or entries > DEFAULT_WORK_GUARD:
@@ -161,6 +163,7 @@ def count_worlds_series(pegs: int, edges: int, pairs: int) -> int:
     (1 + w)^C(pegs,2), with w = y*z/(1-z), as the z^edges y^pairs
     coefficient: choose the occupied pairs, C(C(pegs,2), pairs), then
     split the edges over them."""
+    _check_cell(pegs, edges, pairs)
     if pegs < 2 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 2 and non-negative edges/pairs")
     cells = math.comb(pegs, 2)
@@ -177,6 +180,7 @@ def count_worlds_no_isolated(pegs: int, edges: int, pairs: int) -> int:
     multiplicities contribute a composition factor and the peg-pair
     choices a binomial over the subset's pair count.
     """
+    _check_cell(pegs, edges, pairs)
     if pegs < 2 or edges < 1 or pairs < 1:
         raise BadRange("need pegs >= 2, edges >= 1, pairs >= 1")
     cells = math.comb(pegs, 2)
@@ -201,6 +205,7 @@ def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
     series in w truncated at w^pairs. Its answer is at most the count of
     all worlds, whose digit guard it shares.
     """
+    _check_cell(pegs, edges, pairs)
     if pegs < 1 or edges < 0 or pairs < 0:
         raise BadRange("need pegs >= 1 and non-negative edges/pairs")
     cells = math.comb(pegs, 2)
@@ -217,6 +222,14 @@ def count_proper_worlds(pegs: int, edges: int, pairs: int) -> int:
                 c_n[j] -= weight * value
         connected.append(c_n)
     return connected[-1][pairs] * _splits(edges, pairs)
+
+
+def _check_cell(pegs: int, edges: int, pairs: int) -> None:
+    """Refuse a counter cell whose pegs, edges or pairs is not an integer; the
+    counters take microseconds, so a cell of three ints is passed at a glance."""
+    if not type(pegs) is type(edges) is type(pairs) is int:
+        for value, what in ((pegs, "pegs"), (edges, "edges"), (pairs, "pairs")):
+            json_int(value, what)
 
 
 def _splits(edges: int, pairs: int) -> int:

@@ -74,7 +74,7 @@ from .diagram import (
     json_int,
     web_world,
 )
-from .errors import BadRange, DifferentWorlds, MalformedInput, WorldTooLarge
+from .errors import BadRange, DifferentWorlds, WorldTooLarge
 
 DEFAULT_ENTRY_GUARD = 4_000_000
 # counting steps of the matrix-free routes, each estimate an upper bound
@@ -191,7 +191,7 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
     This is the common row sum of every colouring matrix with m edges;
     its value at 1 is the m-th Fubini number.
     """
-    if m < 0:
+    if json_int(m, "the ordered Bell index") < 0:
         raise BadRange("ordered Bell index must be non-negative")
     if m == 0:
         return ONE
@@ -234,8 +234,8 @@ class WorldMatrix:
             cells = list(itertools.chain.from_iterable(cells))
             kinds = set(map(type, cells))
         if kinds - {int}:
-            bad = next(cell for cell in cells if type(cell) is not int)
-            raise MalformedInput(f"a matrix cell must be an integer, got {bad!r}")
+            for cell in cells:
+                json_int(cell, "a matrix cell")
         if json_int(self.denominator, "denominator") < 1 or self.polynomial and self.denominator != 1:
             raise BadRange("the denominator must be positive, and 1 for a polynomial matrix")
 
@@ -822,7 +822,7 @@ class _SubsetDP:
 
 def check_entry_guard(size: int, max_entries: int = DEFAULT_ENTRY_GUARD) -> None:
     """Raise WorldTooLarge before a size x size matrix over the entry guard is built."""
-    if size * size > max_entries:
+    if size * size > json_int(max_entries, "the entry guard"):
         text = _amount(size)
         raise WorldTooLarge(f"{text}x{text} matrix exceeds the {max_entries}-entry guard")
 

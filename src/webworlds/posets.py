@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, json_int
+from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, json_int, json_int_rows
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
 from .matrices import IntPolynomial, _unpack, transitive_closure
 
@@ -151,8 +151,8 @@ class DecompositionPoset:
     @classmethod
     def from_relations(cls, size: int, relations) -> "DecompositionPoset":
         """Build an abstract poset from 1-based generating pairs."""
-        rows = [0] * size
-        for a, b in relations:
+        rows = [0] * json_int(size, "the poset size")
+        for a, b in json_int_rows(relations, "relations", width=2):
             if not (1 <= a <= size and 1 <= b <= size) or a == b:
                 raise BadRange(f"relation ({a},{b}) is not a strict pair within 1..{size}")
             rows[a - 1] |= 1 << (b - 1)

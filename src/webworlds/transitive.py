@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .diagram import json_int_rows
+from .diagram import json_int, json_int_rows
 from .enumeration import (
     Rows,
     _check_series_work,
@@ -79,7 +79,7 @@ def transitive_matrices(edges: int) -> tuple[Rows, ...]:
     is complete. The lister's own guard admits edges <= 6 and refuses
     more before it lists a matrix.
     """
-    if edges < 1:
+    if json_int(edges, "the edge count") < 1:
         raise BadRange("a transitive world needs at least one edge")
     return tuple(
         enumerate_worlds(
@@ -102,7 +102,7 @@ def count_transitive(edges: int) -> int:
     so the terms with n > edges vanish there. The series is truncated at
     x^edges, and its multiply-adds must stay within DEFAULT_WORK_GUARD.
     """
-    if edges < 1:
+    if json_int(edges, "the edge count") < 1:
         raise BadRange("a transitive world needs at least one edge")
     _check_series_work(edges, edges)
     # product[k] is the x^k term of prod_{i=1..n} (1 - (1 - x)^i)

@@ -253,6 +253,21 @@ def test_fan_matrices_stay_independent_of_the_generic_route(monkeypatch):
     assert (poly.rows, mix.rows, mix.denominator) == _fan_rows_cell_by_cell(4)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fan_world_starts_at_the_identity_fan(n):
+    assert fan_world(n).keys[0] == fan_diagram(range(1, n + 1)).edges
+
+
+def test_fan_matrices_read_heights_without_decoding_members(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fan_matrices decoded a member")
+
+    monkeypatch.setattr(cases, "fan_permutation", refuse)
+    _, poly, mix = fan_matrices(5)
+    monkeypatch.undo()
+    assert (poly.rows, mix.rows, mix.denominator) == _fan_rows_cell_by_cell(5)
+
+
 def test_fan_reconstruction_count_is_binomial():
     world, poly, _ = fan_matrices(3)
     perms = [fan_permutation(d) for d in world]

@@ -5,6 +5,7 @@ fraction Gauss elimination for rank, and hand-checked tiny worlds.
 """
 
 import dataclasses
+import enum
 import json
 import random
 from fractions import Fraction
@@ -358,6 +359,18 @@ def test_matrix_cells_of_two_kinds_are_refused(rows):
 def test_matrix_cells_must_be_integers(rows):
     with pytest.raises(MalformedInput):
         WorldMatrix(rows)
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def test_int_subclass_cells_pass_as_json_int_passes_them():
+    assert WorldMatrix([[Level.ONE]]).rows == ((1,),)
+    assert WorldMatrix([[(0, Level.ONE)]]).polynomial
+    assert WorldMatrix.from_entries([[Level.ONE]]).rows == ((1,),)
+    with pytest.raises(MalformedInput, match=r"a matrix cell must be an integer, got 0\.5"):
+        WorldMatrix([[Level.ONE, 0.5], [0, 1]])
 
 
 def test_library_built_matrices_skip_the_cell_check(monkeypatch, path4):
