@@ -29,7 +29,7 @@ from typing import Sequence
 from .diagram import Edge, WebDiagram, WebWorld, _orbits, json_int, restack, web_world
 from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
-from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _fill_orbits, _unchecked_matrix, _unpack
+from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _fill_orbits, _unchecked_matrix, _unchecked_polynomial, _unpack
 
 _ONE_PLUS_X = ONE + X
 
@@ -471,7 +471,7 @@ def chain_traces(n: int) -> tuple[IntPolynomial, Fraction]:
         factorial(k) * (stirling2(n + 2, k + 1) - stirling2(n + 1, k + 1))
         for k in range(1, n + 2)
     ]
-    return IntPolynomial(coeffs), Fraction(1)
+    return _unchecked_polynomial(coeffs), Fraction(1)
 
 
 def cycle_traces(n: int) -> tuple[IntPolynomial, Fraction]:
@@ -482,7 +482,7 @@ def cycle_traces(n: int) -> tuple[IntPolynomial, Fraction]:
     _check_work((n + 2) ** 2 * (n + 1) * (n + 1).bit_length() // 64)
     coeffs = [0] + [factorial(k) * stirling2(n + 1, k + 1) for k in range(1, n + 1)]
     coeffs[1] += 1
-    return IntPolynomial(coeffs), Fraction(n + 1)
+    return _unchecked_polynomial(coeffs), Fraction(n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,11 @@ class WebDiagram:
     num_pegs: int
 
     def __post_init__(self) -> None:
-        edges = tuple(sorted(Edge(*e) for e in self.edges))
+        try:
+            edges = tuple(sorted(Edge(*e) for e in self.edges))
+        except TypeError as error:
+            # not an iterable of 4-value rows, or values that do not compare
+            raise MalformedInput(f"edges must be rows of 4 integers, got {self.edges!r}") from error
         object.__setattr__(self, "edges", edges)
         _validate_edges(edges, self.num_pegs)
 
@@ -472,10 +476,16 @@ def _peg_automorphisms(diagram: WebDiagram) -> list[tuple[int, ...]]:
     gens: list[tuple[int, ...]] = []
     # pegs without endpoints stay fixed: moving them moves no member
     for i in [i for i in reversed(range(n)) if any(mult[i])]:
+        orbit: set[int] = set()
         for c in range(i + 1, n):
-            # every generator fixes the pegs below i, so orbit i starts at i
-            if all(x != c for x, _y, _p in _orbits(gens, n)[i]):
-                gens.extend(itertools.islice(extensions(list(range(i)) + [c]), 1))
+            if not orbit:
+                # every generator fixes the pegs below i, so orbit i starts at i
+                orbit = {x for x, _y, _p in _orbits(gens, n)[i]}
+            if c not in orbit:
+                # orbit i is found again only after a generator is added
+                for gen in itertools.islice(extensions(list(range(i)) + [c]), 1):
+                    gens.append(gen)
+                    orbit = set()
     return gens
 
 
@@ -496,15 +506,19 @@ def _symmetry_generators(world: WebWorld) -> list[list[int]]:
     slots = [(p, h) for p, top in enumerate(heights, 1) for h in range(1, top + 1)]
     moves = [{(p, h): (p, heights[p - 1] + 1 - h) for p, h in slots}]
     moves += [{(p, h): (s[p - 1] + 1, h) for p, h in slots} for s in _peg_automorphisms(world[0])]
-    edges = set(itertools.chain.from_iterable(world.keys))
+    # each distinct edge by its rank, and each member as its ranks, which stay sorted
+    edges = sorted(set(itertools.chain.from_iterable(world.keys)))
+    rank = {e: r for r, e in enumerate(edges)}
+    members = [tuple(map(rank.__getitem__, key)) for key in world.keys]
+    index = {member: i for i, member in enumerate(members)}
     perms = []
     for move in moves:
-        image = {}
+        image = []
         for a, b, ha, hb in edges:
             # an edge lists the endpoint on its lower peg first
             (x, hx), (y, hy) = sorted((move[a, ha], move[b, hb]))
-            image[a, b, ha, hb] = x, y, hx, hy
-        perms.append([world.index[tuple(sorted(map(image.__getitem__, key)))] for key in world.keys])
+            image.append(rank[x, y, hx, hy])
+        perms.append([index[tuple(sorted(map(image.__getitem__, member)))] for member in members])
     return perms
 
 

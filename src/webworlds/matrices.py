@@ -60,7 +60,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import (
     DEFAULT_WORLD_GUARD,
@@ -93,10 +93,8 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
-        cs = [json_int(c, "polynomial coefficient") for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        checked = [json_int(c, "polynomial coefficient") for c in coeffs]
+        object.__setattr__(self, "coeffs", _unchecked_polynomial(checked).coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -119,29 +117,29 @@ class IntPolynomial:
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
-        return IntPolynomial(
+        return _unchecked_polynomial(
             [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
         )
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
+        return _unchecked_polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
+            return _unchecked_polynomial([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
+            return _unchecked_polynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return _unchecked_polynomial(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -174,6 +172,16 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
+def _unchecked_polynomial(coeffs: Iterable[int]) -> IntPolynomial:
+    """A polynomial whose coefficients the library computed as ints: not checked again."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    poly = object.__new__(IntPolynomial)
+    object.__setattr__(poly, "coeffs", tuple(cs))
+    return poly
+
+
 ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
@@ -200,7 +208,7 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
         coeffs[k] = sum(
             (-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1)
         )
-    return IntPolynomial(coeffs)
+    return _unchecked_polynomial(coeffs)
 
 
 @dataclass(frozen=True)
@@ -323,7 +331,7 @@ def _formed_rows(matrix: WorldMatrix, form=lambda entry: entry) -> Iterator[Iter
 
     A matrix has few distinct cells, so each is formed once and shared.
     """
-    convert = IntPolynomial if matrix.polynomial else partial(Fraction, denominator=matrix.denominator)
+    convert = _unchecked_polynomial if matrix.polynomial else partial(Fraction, denominator=matrix.denominator)
     cells = {cell: form(convert(cell)) for cell in set(itertools.chain.from_iterable(matrix.rows))}
     return (map(cells.__getitem__, row) for row in matrix.rows)
 
@@ -338,7 +346,7 @@ def _picker(indices: Sequence[int]):
 def _sum_entry(matrix: WorldMatrix, cells) -> IntPolynomial | Fraction:
     """The entry whose cell is the sum of the given cells."""
     if matrix.polynomial:
-        return IntPolynomial(map(sum, zip(*cells)))
+        return _unchecked_polynomial(map(sum, zip(*cells)))
     return Fraction(sum(cells), matrix.denominator)
 
 
@@ -370,7 +378,7 @@ def colouring_entry(d1: WebDiagram, d2: WebDiagram) -> IntPolynomial:
     if d1.edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")
     _check_kernel_work(d1)
-    return IntPolynomial(_colouring_counts(d1, d2))
+    return _unchecked_polynomial(_colouring_counts(d1, d2))
 
 
 def mixing_entry(d1: WebDiagram, d2: WebDiagram) -> Fraction:
@@ -690,7 +698,7 @@ def world_traces(
         world = web_world(diagram, max_size)
         cells = ((len(orbit), world[orbit[0][0]]) for orbit in _symmetry_orbits(world))
         counts = tuple(map(sum, zip(*([n * c for c in _colouring_counts(d, d)] for n, d in cells))))
-    poly = IntPolynomial(counts)
+    poly = _unchecked_polynomial(counts)
     return poly, mixing_from_polynomial(poly)
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, json_int, json_int_rows
 from .errors import BadRange, LabelNotOne, RepeatedBlocks
-from .matrices import IntPolynomial, _unpack, transitive_closure
+from .matrices import IntPolynomial, _unchecked_polynomial, _unpack, transitive_closure
 
 # poset shapes (order rows) that the closed-form cache keeps
 CLOSED_FORM_CACHE_SIZE = 4096
@@ -151,7 +151,9 @@ class DecompositionPoset:
     @classmethod
     def from_relations(cls, size: int, relations) -> "DecompositionPoset":
         """Build an abstract poset from 1-based generating pairs."""
-        rows = [0] * json_int(size, "the poset size")
+        if json_int(size, "the poset size") < 0:
+            raise BadRange("poset size must be non-negative")
+        rows = [0] * size
         for a, b in json_int_rows(relations, "relations", width=2):
             if not (1 <= a <= size and 1 <= b <= size) or a == b:
                 raise BadRange(f"relation ({a},{b}) is not a strict pair within 1..{size}")
@@ -325,7 +327,9 @@ def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
     A DP over (down-set, last label): appending a minimal element v
     of the rest adds a descent when the last label exceeds v.  Each
     histogram is packed into one integer, entry d in field d, and no
-    field exceeds the k! extensions.
+    field exceeds the k! extensions. A down-set keeps its histograms in
+    a list indexed by last label + 1 (0 for the empty prefix), so one
+    running sum over it gives, for each v, the part `low` ending below v.
     """
     k = len(up)
     lower = [0] * k
@@ -334,18 +338,21 @@ def _histogram(up: tuple[int, ...]) -> tuple[int, ...]:
             if row >> v & 1:
                 lower[v] |= 1 << u
     width = math.factorial(k).bit_length()
-    level: dict[int, dict[int, int]] = {0: {-1: 1}}
+    level: dict[int, list[int]] = {0: [1] + [0] * k}
     for _ in range(k):
-        grown: dict[int, dict[int, int]] = {}
+        grown: dict[int, list[int]] = {}
         for mask, ends in level.items():
+            total, low = sum(ends), 0
             for v in range(k):
+                low += ends[v]
                 if mask >> v & 1 or lower[v] & ~mask:
                     continue
-                packed = sum(h << width if last > v else h for last, h in ends.items())
-                slot = grown.setdefault(mask | 1 << v, {})
-                slot[v] = slot.get(v, 0) + packed
+                slot = grown.get(mask | 1 << v)
+                if slot is None:
+                    slot = grown[mask | 1 << v] = [0] * (k + 1)
+                slot[v + 1] += low + ((total - low) << width)
         level = grown
-    return _unpack(sum(level[(1 << k) - 1].values()), width, max(k - 1, 0))
+    return _unpack(sum(level[(1 << k) - 1]), width, max(k - 1, 0))
 
 
 def diagonal_colouring_polynomial(poset: DecompositionPoset) -> IntPolynomial:
@@ -373,7 +380,7 @@ def _closed_forms(up: tuple[int, ...]) -> tuple[IntPolynomial, Fraction]:
         for j in range(d + 1, p + 1):
             coeffs[j] += count * math.comb(p - 1 - d, j - 1 - d)
         mixing += (-1) ** d * count * (denom // (p * math.comb(p - 1, d)))
-    return IntPolynomial(coeffs), Fraction(mixing, denom)
+    return _unchecked_polynomial(coeffs), Fraction(mixing, denom)
 
 
 def world_posets(world: WebWorld) -> tuple[DecompositionPoset, ...]:

@@ -148,6 +148,28 @@ def test_pegs_without_endpoints_stay_fixed():
     assert diagram_module._peg_automorphisms(path) == [(2, 1, 0, 3, 4, 5)]
 
 
+def test_symmetry_generators_match_images_built_edge_by_edge():
+    # the flip first, then one permutation per peg automorphism: each member's image,
+    # moved edge by edge, sorted and looked up, is the member the permutation names
+    triangle = web_world(enumeration.seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0))))
+    worlds = [triangle, *(world for _name, world in small_worlds()), cases.fan_world(5), cases.cycle_world(6)]
+    for world in worlds:
+        sigmas = diagram_module._peg_automorphisms(world[0])
+        heights = world[0].peg_heights
+        moves = [lambda a, b, ha, hb: (a, b, heights[a - 1] + 1 - ha, heights[b - 1] + 1 - hb)]
+        for s in sigmas:
+            moves.append(lambda a, b, ha, hb, s=s: (s[a - 1] + 1, s[b - 1] + 1, ha, hb))
+        images = [[] for _move in moves]
+        for member in world.keys:
+            for image, move in zip(images, moves):
+                moved = [move(*edge) for edge in member]
+                # an edge lists the endpoint on its lower peg first
+                moved = [(x, y, hx, hy) if x < y else (y, x, hy, hx) for x, y, hx, hy in moved]
+                image.append(world.index[tuple(sorted(moved))])
+        assert [flip(d).edges for d in world] == [world.keys[i] for i in images[0]]
+        assert diagram_module._symmetry_generators(world) == images, world[0]
+
+
 def _complete(n):
     return enumeration.seed_diagram([[1 if j > i else 0 for j in range(n)] for i in range(n)])
 

@@ -8,6 +8,7 @@ import pytest
 from webworlds import (
     Colouring,
     Edge,
+    WebDiagram,
     apply_permutations,
     decompose,
     diagram_from_json,
@@ -305,6 +306,12 @@ def test_validate_diagram_requires_integers(edges, num_pegs):
 def test_validate_diagram_requires_a_list_of_rows(raw_edges):
     with pytest.raises(MalformedInput, match="edges must be a list of rows"):
         validate_diagram(raw_edges)
+
+
+@pytest.mark.parametrize("edges", [((1, 2, 1),), 5, ((1, 2, 1, 1, 1),), (5,), ((1, 2, 1, 1), (1, 2, None, 2))])
+def test_diagram_constructor_requires_rows_of_four_integers(edges):
+    with pytest.raises(MalformedInput, match="edges must be rows of 4 integers"):
+        WebDiagram(edges, 2)
 
 
 def test_labels_one_is_multiplicity_one_on_every_peg_pair():

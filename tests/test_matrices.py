@@ -61,6 +61,19 @@ def test_polynomial_arithmetic_basics():
     assert str(IntPolynomial((-1, 1, 0, -2))) == "-1 + x - 2x^3"
     assert str(IntPolynomial((0, -1, 1))) == "-x + x^2"
     assert str(IntPolynomial(())) == "0"
+    # the library builds its results without checking each coefficient again: they
+    # equal the checked construction, trailing zeros trimmed
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] for _ in range(2))
+        p, q, k = IntPolynomial(a), IntPolynomial(b), rng.randint(-3, 3)
+        product = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b)) for n in range(len(a) + len(b) - 1)]
+        assert p + q == IntPolynomial([x + y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
+        assert p - q == IntPolynomial([x - y for x, y in zip(a + [0] * len(b), b + [0] * len(a))])
+        assert -p == IntPolynomial([-x for x in a])
+        assert p * k == k * p == IntPolynomial([x * k for x in a])
+        assert p * q == IntPolynomial(product)
+        assert (p * q).coeffs[-1:] != (0,) and all(type(c) is int for c in (p * q).coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [(1.7, 2), (True,), (0, 1, 2.0), ("1",)])

@@ -285,6 +285,13 @@ def test_direct_construction_checks_the_order(leq):
         DecompositionPoset(ANTICHAIN3.blocks[: len(leq[0])], leq)
 
 
+def test_abstract_posets_need_a_non_negative_size():
+    # [0] * -1 is empty: the size is compared with 0 before any row is made
+    with pytest.raises(BadRange, match="non-negative"):
+        DecompositionPoset.from_relations(-1, ())
+    assert DecompositionPoset.from_relations(0, ()) == EMPTY
+
+
 def test_repeated_blocks_need_equal_peg_pairs():
     # two crossed pairs on pegs 1 and 2: identical blocks
     twice = validate_diagram(((1, 2, 1, 2), (1, 2, 2, 1), (1, 2, 3, 4), (1, 2, 4, 3)))
