@@ -60,6 +60,8 @@ def eulerian(n: int, k: int) -> int:
 
 def _validate_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     perm = tuple(json_int(v, "a permutation entry") for v in perm)
+    if not perm:
+        raise BadRange("a fan needs at least one edge")
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise BadRange(f"{perm!r} is not a permutation of 1..{len(perm)}")
     return perm
@@ -73,8 +75,6 @@ def fan_diagram(perm: Sequence[int]) -> WebDiagram:
     """
     perm = _validate_permutation(perm)
     n = len(perm)
-    if n == 0:
-        raise BadRange("a fan needs at least one edge")
     edges = tuple(Edge(perm[i - 1], n + 1, 1, i) for i in range(1, n + 1))
     return WebDiagram(edges, n + 1)
 

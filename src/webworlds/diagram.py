@@ -147,9 +147,13 @@ def subweb(diagram: WebDiagram, edges: Sequence[Edge]) -> WebDiagram:
     """
     subset = [Edge(*e) for e in json_int_rows(edges, "edges", width=4)]
     present = set(diagram.edges)
+    seen: set[Edge] = set()
     for e in subset:
         if e not in present:
             raise EdgeNotInDiagram(f"edge {tuple(e)} is not in the diagram")
+        if e in seen:
+            raise DuplicateSlot(f"edges {tuple(e)} and {tuple(e)} share slot {(e.left_peg, e.left_height)}")
+        seen.add(e)
     return WebDiagram(_compressed(subset, diagram.num_pegs).edges, diagram.num_pegs)
 
 

@@ -116,6 +116,8 @@ class IntPolynomial:
         return hash(("IntPolynomial", self.coeffs))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         return _unchecked_polynomial(
             [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
@@ -125,10 +127,14 @@ class IntPolynomial:
         return _unchecked_polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        # a bool or float factor is refused, not coerced
+        if isinstance(other, (int, float)):
+            other = json_int(other, "a polynomial's scalar factor")
             return _unchecked_polynomial([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -145,7 +151,7 @@ class IntPolynomial:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
+        if json_int(exponent, "a polynomial power") < 0:
             raise BadRange("polynomial power must be non-negative")
         result = ONE
         for _ in range(exponent):

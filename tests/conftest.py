@@ -1,10 +1,11 @@
 """Shared pinned diagrams and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own shortcuts: the
-colouring-count oracle reconstructs every surjective colouring of
-every member, the rule-word oracles test every surjective word against
-comparison rules, and the rank oracle runs plain fraction Gauss
-elimination. The orbit oracle lives in `webworlds.verify`.
+rule-word oracles test every surjective word against comparison rules,
+and the rank oracle runs plain fraction Gauss elimination. The
+colouring-count oracle (`_enumerated_counts`, which restacks every
+surjective colouring of every member), the direct order-preserving count
+and the orbit oracle live in `webworlds.verify`.
 Tests compare library output against these slower twins.
 """
 
@@ -19,8 +20,6 @@ from webworlds import (
     apply_permutations,
     cases,
     enumeration,
-    reconstruct,
-    surjective_colourings,
     validate_diagram,
     web_world,
 )
@@ -75,21 +74,6 @@ def flipped(diagram):
     """The diagram with every peg turned upside down, by relabelling."""
     family = [tuple(range(h, 0, -1)) for h in diagram.peg_heights]
     return apply_permutations(diagram, family)
-
-
-def enumerated_counts(world):
-    """Colouring counts of a world by reconstructing every colouring.
-
-    Entry [i][j][k] counts the surjective k-colourings of member i that
-    reconstruct to member j.
-    """
-    edges = world.edge_count
-    counts = [[[0] * (edges + 1) for _ in world] for _ in world]
-    for i, diagram in enumerate(world):
-        for k in range(1, edges + 1):
-            for colouring in surjective_colourings(edges, k):
-                counts[i][world.index_of(reconstruct(diagram, colouring))][k] += 1
-    return counts
 
 
 # rule code c asks word[i] RULE_OPS[c] word[i + 1]

@@ -109,6 +109,13 @@ def test_minimal_colouring_needs_equal_sizes():
         minimal_colour_blocks((2, 1), (1, 2, 3))
 
 
+def test_minimal_colouring_needs_a_fan():
+    # like fan_diagram(()), no fan has zero edges
+    for split in (minimal_colour_blocks, minimal_colour_count):
+        with pytest.raises(BadRange, match="a fan needs at least one edge"):
+            split((), ())
+
+
 def test_minimal_colouring_reconstructs_the_target():
     for source in itertools.permutations(range(1, 4)):
         for target in itertools.permutations(range(1, 4)):

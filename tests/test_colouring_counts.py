@@ -2,8 +2,8 @@
 
 world_matrices counts one row per orbit of the symmetry group generated
 by the web graph's peg automorphisms and the height flip, and fills the
-other rows by permuting columns; the oracle in conftest reconstructs
-every surjective colouring instead.
+other rows by permuting columns; the oracle `verify._enumerated_counts`
+restacks every surjective colouring instead.
 """
 
 import ast
@@ -34,8 +34,9 @@ from webworlds import matrices, verify
 from webworlds.diagram import flip
 from webworlds.errors import InconsistentResult
 from webworlds.matrices import _colouring_counts
+from webworlds.verify import _enumerated_counts
 
-from conftest import NINE_EDGE_EDGES, enumerated_counts, flipped, small_worlds
+from conftest import NINE_EDGE_EDGES, flipped, small_worlds
 
 try:
     from hypothesis import given, settings
@@ -46,7 +47,7 @@ except ImportError:  # the property test needs hypothesis; the rest do not
 
 @pytest.fixture(scope="module")
 def oracle_worlds():
-    return [(name, world, enumerated_counts(world)) for name, world in small_worlds()]
+    return [(name, world, _enumerated_counts(world)) for name, world in small_worlds()]
 
 
 def test_small_world_sweep_covers_parallel_edges():
@@ -295,7 +296,7 @@ if given is not None:
         # any set of requested rows, one row included, against reconstructing
         # every colouring
         world, picked = case
-        brute = enumerated_counts(world)
+        brute = _enumerated_counts(world)
         dp = matrices._SubsetDP(world, [world[i] for i in picked])
         for i in picked:
             assert list(map(dp.unpack, dp.row(world[i]))) == list(map(tuple, brute[i])), i
@@ -347,6 +348,31 @@ def test_structure_suite_checks_counts_against_enumeration(monkeypatch):
     results = {r.name: r for r in verify.suite_structure(3, 3)}
     assert not results["colouring counts match enumeration"].passed
     assert all(r.passed for name, r in results.items() if name != "colouring counts match enumeration")
+
+
+def test_enumeration_oracle_shares_no_code_with_the_routes_it_checks(monkeypatch, path4):
+    # the oracle must give the same counts with the subset pass, the kernel,
+    # the fixed-point DP and the symmetry generators all out of reach
+    worlds = [
+        web_world(path4),
+        web_world(enumeration.seed_diagram(((0, 2, 1), (0, 0, 1), (0, 0, 0)))),
+        cases.fan_world(3),
+    ]
+    expected = [_enumerated_counts(world) for world in worlds]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the enumeration oracle reached a route it checks")
+
+    for module, name in (
+        (matrices, "_SubsetDP"),
+        (matrices, "_colouring_counts"),
+        (matrices, "_fixed_point_counts"),
+        (matrices, "_symmetry_generators"),
+        (verify, "_colouring_counts"),
+        (diagram_module, "_symmetry_generators"),
+    ):
+        monkeypatch.setattr(module, name, unreachable)
+    assert [verify._enumerated_counts(world) for world in worlds] == expected
 
 
 def test_library_has_no_assert_statements():

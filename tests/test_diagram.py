@@ -125,6 +125,12 @@ def test_subweb_rejects_foreign_edges(path4):
         subweb(path4, (Edge(1, 4, 1, 1),))
 
 
+def test_subweb_names_a_repeated_edge_as_given(path4):
+    # the repeated edge is refused before its heights are compressed
+    with pytest.raises(DuplicateSlot, match=r"edges \(2, 3, 2, 1\) and \(2, 3, 2, 1\) share slot \(2, 2\)"):
+        subweb(path4, [(2, 3, 2, 1), (2, 3, 2, 1)])
+
+
 def test_apply_identity_permutations_is_a_fixed_point(path4):
     family = [tuple(range(1, h + 1)) for h in path4.peg_heights]
     assert apply_permutations(path4, family) == path4

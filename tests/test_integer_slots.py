@@ -24,7 +24,7 @@ from webworlds.enumeration import (
     enumerate_worlds,
 )
 from webworlds.errors import MalformedInput
-from webworlds.matrices import ordered_bell_polynomial
+from webworlds.matrices import X, ordered_bell_polynomial
 from webworlds.transitive import count_transitive, transitive_matrices
 
 # pegs 1..3 with heights 1, 2, 1
@@ -65,6 +65,9 @@ SLOTS = {
     "enumerate_worlds-exact": (lambda v: list(enumerate_worlds(2, 0, exact_edges=v)), 1, ONE_EDGE),
     "enumerate_worlds-guard": (lambda v: len(list(enumerate_worlds(2, 1, max_matrices=v))), 3, 2),
     "ordered_bell_polynomial": (ordered_bell_polynomial, 2, IntPolynomial((0, 1, 2))),
+    "IntPolynomial-scale": (lambda v: X * v, 2, IntPolynomial((0, 2))),
+    "IntPolynomial-rscale": (lambda v: v * X, 2, IntPolynomial((0, 2))),
+    "IntPolynomial-power": (lambda v: X**v, 2, IntPolynomial((0, 0, 1))),
     "adjacent_distinct_counts-n": (lambda v: adjacent_distinct_counts(v, 2), 3, (2, 0, 2)),
     "adjacent_distinct_counts-k": (lambda v: adjacent_distinct_counts(3, v), 2, (2, 0, 2)),
     "from_relations-size": (lambda v: DecompositionPoset.from_relations(v, ()).size, 2, 2),

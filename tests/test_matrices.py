@@ -56,6 +56,9 @@ def test_polynomial_arithmetic_basics():
     assert X - X == IntPolynomial(())
     assert not (X - X)
     assert (3 * X).evaluate(5) == 15
+    for add_an_int in (lambda: X + 1, lambda: X - 1):
+        with pytest.raises(TypeError):
+            add_an_int()
     assert IntPolynomial((1, 0, 0)).degree == 0
     assert str(IntPolynomial((0, 4, 10, 6))) == "4x + 10x^2 + 6x^3"
     assert str(IntPolynomial((-1, 1, 0, -2))) == "-1 + x - 2x^3"

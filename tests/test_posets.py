@@ -1,7 +1,7 @@
 """Decomposition into blocks, posets, and the diagonal closed forms.
 
 Oracle: order-preserving maps counted by filtering every function
-[k] -> [m] directly.
+[k] -> [m] directly (`verify._direct_order_preserving`).
 """
 
 import hashlib
@@ -36,7 +36,7 @@ from webworlds import (
 from webworlds.diagram import _symmetry_orbits
 from webworlds.errors import BadRange, LabelNotOne, RepeatedBlocks
 from webworlds.posets import _closed_forms
-from webworlds.verify import suite_posets
+from webworlds.verify import _direct_order_preserving, suite_posets
 
 from conftest import small_worlds
 
@@ -47,15 +47,6 @@ VEE_POSET = DecompositionPoset.from_relations(3, ((1, 2), (1, 3)))
 WEDGE_POSET = DecompositionPoset.from_relations(3, ((1, 3), (2, 3)))
 DIAMOND = DecompositionPoset.from_relations(4, ((1, 2), (1, 3), (2, 4), (3, 4)))
 EMPTY = DecompositionPoset.from_relations(0, ())
-
-
-def brute_order_preserving(poset, m):
-    pairs = poset.strict_pairs()
-    total = 0
-    for values in itertools.product(range(1, m + 1), repeat=poset.size):
-        if all(values[a - 1] <= values[b - 1] for a, b in pairs):
-            total += 1
-    return total
 
 
 def test_nine_edge_blocks_are_the_pinned_seven(nine_edge):
@@ -118,8 +109,8 @@ def test_descents_counts_label_drops():
 )
 @pytest.mark.parametrize("colours", [1, 2, 3, 4, 0])
 def test_order_preserving_counts_match_brute_force(poset, colours):
-    assert order_preserving_count(poset, colours) == brute_order_preserving(
-        poset, colours
+    assert order_preserving_count(poset, colours) == _direct_order_preserving(
+        poset, colours, surjective=False
     )
 
 
