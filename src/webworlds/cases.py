@@ -26,7 +26,7 @@ from itertools import accumulate, product
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .diagram import Edge, WebDiagram, WebWorld, _orbits, json_int, restack, web_world
+from .diagram import Edge, WebDiagram, WebWorld, _orbits, json_int, web_world
 from .errors import BadRange, LengthMismatch, WorldTooLarge
 from .matrices import ONE, IntPolynomial, WorldMatrix, X, check_entry_guard, from_counts
 from .matrices import DEFAULT_ENTRY_GUARD, _check_work, _fill_orbits, _unchecked_matrix, _unchecked_polynomial, _unpack
@@ -259,16 +259,6 @@ def cycle_diagram(signs: Sequence[int]) -> WebDiagram:
 def cycle_world(n: int) -> WebWorld:
     """The world of all cycle diagrams on n pegs."""
     return web_world(cycle_diagram((1,) * json_int(n, "the sign count")))
-
-
-def cycle_result_signs(signs: Sequence[int], assignment: Sequence[int]) -> tuple[int, ...]:
-    """Sign vector of the restack of a cycle under a positional colouring."""
-    ring = cycle_edge_list(signs)
-    n = len(ring)
-    restacked = restack(ring, n, assignment)
-    out = [1 if restacked[i - 1].left_height == 2 else -1 for i in range(1, n)]
-    out.append(1 if restacked[n - 1].right_height == 2 else -1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

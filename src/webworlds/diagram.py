@@ -273,7 +273,7 @@ def _restricted_growth_strings(length: int, blocks: int) -> Iterator[tuple[int, 
 
 def surjective_colourings(edge_count: int, colours: int) -> Iterator[Colouring]:
     """Stream every surjective colouring of `edge_count` edges exactly once."""
-    for assignment in _surjections(edge_count, colours):
+    for assignment in _surjections(json_int(edge_count, "the edge count"), json_int(colours, "the colour count")):
         yield Colouring(assignment, colours)
 
 

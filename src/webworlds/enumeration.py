@@ -78,9 +78,6 @@ def seed_diagram(rows: Sequence[Sequence[int]]) -> WebDiagram:
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """The `parts`-tuples (parts >= 1) of non-negative integers summing to `total`, in
     lexicographic order: the gaps around parts - 1 bars among total + parts - 1 slots."""
-    if parts == 1:  # combinations would list range(slots) first
-        yield (total,)
-        return
     slots = total + parts - 1
     for bars in itertools.combinations(range(slots), parts - 1):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))

@@ -72,6 +72,7 @@ from .diagram import (
     _symmetry_orbits,
     check_world_size,
     json_int,
+    json_int_rows,
     web_world,
 )
 from .errors import BadRange, DifferentWorlds, WorldTooLarge
@@ -104,7 +105,7 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.coeffs[k] if 0 <= json_int(k, "a coefficient index") < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -138,8 +139,6 @@ class IntPolynomial:
             return _unchecked_polynomial([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return _unchecked_polynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -207,10 +206,8 @@ def ordered_bell_polynomial(m: int) -> IntPolynomial:
     """
     if json_int(m, "the ordered Bell index") < 0:
         raise BadRange("ordered Bell index must be non-negative")
-    if m == 0:
-        return ONE
     coeffs = [0] * (m + 1)
-    for k in range(1, m + 1):
+    for k in range(m + 1):
         coeffs[k] = sum(
             (-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1)
         )
@@ -225,7 +222,8 @@ class WorldMatrix:
     (`polynomial`): per cell, a polynomial matrix holds the tuple of x^k
     coefficients, all of one length, over denominator 1, and a rational
     matrix an integer numerator over a positive `denominator`. `flip`, a
-    permutation of the members, splits the structure checks into blocks.
+    permutation of the members, splits the structure checks into blocks;
+    it is one row of integers, and one that fails the check takes the identity.
     The constructor checks every cell: a matrix mixing tuples and integers,
     or whose tuples differ in length, raises `BadRange`, and a bool, float
     or other non-integer cell or coefficient raises `MalformedInput`.
@@ -252,6 +250,8 @@ class WorldMatrix:
                 json_int(cell, "a matrix cell")
         if json_int(self.denominator, "denominator") < 1 or self.polynomial and self.denominator != 1:
             raise BadRange("the denominator must be positive, and 1 for a polynomial matrix")
+        if self.flip is not None:
+            object.__setattr__(self, "flip", json_int_rows((self.flip,), "a matrix flip")[0])
 
     @property
     def polynomial(self) -> bool:
@@ -687,12 +687,13 @@ def world_traces(
     """trace M(x) and trace R of the diagram's world, with no matrix.
 
     `WebDiagram.labels_one` picks the route. Without parallel edges the
-    fixed-point DP needs no members and `max_size` does not apply; its
-    work estimate is 3^e. Otherwise the world size is checked first, the
+    fixed-point DP needs no members and `max_size` bounds nothing, though
+    it must still be an integer; its work estimate is 3^e. Otherwise the world size is checked first, the
     world is built, and the kernel's diagonal cell of each orbit is summed
     times its size; the estimate is members x `_kernel_work`, an upper bound.
     Either estimate must stay within DEFAULT_WORK_GUARD.
     """
+    json_int(max_size, "the world guard")
     edge_count = diagram.edge_count
     if edge_count == 0:
         raise BadRange("matrices are defined for worlds with at least one edge")

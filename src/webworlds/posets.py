@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .diagram import Edge, WebDiagram, WebWorld, _compressed, _symmetry_orbits, json_int, json_int_rows
-from .errors import BadRange, LabelNotOne, RepeatedBlocks
+from .errors import BadRange, LabelNotOne, MalformedInput, RepeatedBlocks
 from .matrices import IntPolynomial, _unchecked_polynomial, _unpack, transitive_closure
 
 # poset shapes (order rows) that the closed-form cache keeps
@@ -61,7 +61,7 @@ class DecompositionPoset:
     Bit j of `up[i]` says that block i + 1 strictly precedes block j + 1.
     The labeling is natural: whenever block i strictly precedes block j
     in the order, i < j. `DecompositionPoset(blocks, leq)` takes a
-    reflexive-transitive order matrix and checks it; `leq` gives that
+    reflexive-transitive order matrix of bools and checks it; `leq` gives that
     matrix back. A poset built by `decomposition_poset` holds the diagram
     and, per block, the bitmask of its edge indices; `blocks` builds the
     blocks on first read.
@@ -76,6 +76,8 @@ class DecompositionPoset:
         k = len(blocks)
         if len(leq) != k or any(len(row) != k for row in leq):
             raise BadRange("order matrix shape does not match the block count")
+        if any(type(x) is not bool for row in leq for x in row):
+            raise MalformedInput("order matrix entries must be bools")
         if not all(leq[i][i] for i in range(k)):
             raise BadRange("order matrix must be reflexive")
         up = tuple(sum(1 << j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(leq))

@@ -8,7 +8,7 @@ enumeration" compares them with the brute-force route, which visits
 every surjective colouring of every member and restacks it. The other
 checks set those matrices against a closed formula, series coefficient
 or bijective count, and the world counters against matrix listings, one
-listing per (pegs, edges) shared by the three count oracles. A
+listing per (pegs, edges) counted under the three counters' filters. A
 check over many instances records each one once in a `_Tally`, which
 reports the instance count on a pass and, on a failure, how many failed
 and the first to fail. The chain and cycle
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -348,28 +348,16 @@ def _listed_worlds(pegs: int, edges: int) -> Counter:
 def _count_listed(
     pegs: int, edges: int, pairs: int, no_isolated: bool = False, connected: bool = False
 ) -> int:
+    """Brute-force oracle for the world counts: the listed represent matrices
+    with `pairs` occupied pairs, kept by the no-isolated-peg and connected filters."""
+    # the lone empty peg is connected; only the proper-world check starts at one peg
+    if pegs == 1:
+        return int(edges == pairs == 0)
     return sum(
         count
         for (occupied, spans, joined), count in _listed_worlds(pegs, edges).items()
         if occupied == pairs and spans >= no_isolated and joined >= connected
     )
-
-
-def _count_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
-    """Brute-force oracle for the world count."""
-    return _count_listed(pegs, edges, pairs)
-
-
-def _count_worlds_no_isolated_direct(pegs: int, edges: int, pairs: int) -> int:
-    """Brute-force oracle for the no-isolated-peg count."""
-    return _count_listed(pegs, edges, pairs, no_isolated=True)
-
-
-def _count_proper_worlds_direct(pegs: int, edges: int, pairs: int) -> int:
-    """Brute-force oracle for the proper-world count."""
-    if pegs == 1:
-        return int(edges == pairs == 0)
-    return _count_listed(pegs, edges, pairs, connected=True)
 
 
 def suite_counting(
@@ -394,12 +382,12 @@ def suite_counting(
 
     # (name, tag, route, second route, least pegs, least edges and pairs, detail)
     for name, tag, first, second, low_pegs, low, detail in (
-        ("world counts by pegs/edges/pairs", "nww", _count_worlds_direct,
+        ("world counts by pegs/edges/pairs", "nww", _count_listed,
          enumeration.count_worlds_series, 2, 0, "direct enumeration matches series extraction"),
         ("no-isolated-peg counts", "nwwnip", enumeration.count_worlds_no_isolated,
-         _count_worlds_no_isolated_direct, 2, 1, "closed form matches direct enumeration"),
+         partial(_count_listed, no_isolated=True), 2, 1, "closed form matches direct enumeration"),
         ("proper world counts", "npww", enumeration.count_proper_worlds,
-         _count_proper_worlds_direct, 1, 0,
+         partial(_count_listed, connected=True), 1, 0,
          "logarithmic series matches direct connected enumeration"),
     ):
         counts = _Tally(name, detail)
@@ -573,6 +561,16 @@ def suite_case2(ns: Sequence[int] = (1, 2, 3)) -> list[CheckResult]:
     return results
 
 
+def _cycle_result_signs(signs: Sequence[int], assignment: Sequence[int]) -> tuple[int, ...]:
+    """Sign vector of the restack of a cycle under a positional colouring."""
+    ring = cases.cycle_edge_list(signs)
+    n = len(ring)
+    restacked = restack(ring, n, assignment)
+    out = [1 if restacked[i - 1].left_height == 2 else -1 for i in range(1, n)]
+    out.append(1 if restacked[n - 1].right_height == 2 else -1)
+    return tuple(out)
+
+
 def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResult]:
     """Cycle worlds: cyclic rule counts against identity-tracked restacks."""
     results: list[CheckResult] = []
@@ -584,7 +582,7 @@ def suite_case3(ns: Sequence[int] = (2, 3), keys_max: int = 6) -> list[CheckResu
             words = list(_surjections(n, k))
             for src in vectors:
                 for word in words:
-                    brute[src][cases.cycle_result_signs(src, word), k] += 1
+                    brute[src][_cycle_result_signs(src, word), k] += 1
         entries_ok = all(
             poly.entries[a][b] == IntPolynomial([0] + [brute[src][tgt, k] for k in range(1, n + 1)])
             for a, src in enumerate(vectors)
@@ -729,8 +727,6 @@ def run_suite(name: str, n: int | None = None) -> list[CheckResult]:
         for key in SUITES:
             results.extend(run_suite(key, n))
         return results
-    if name not in SUITES:
-        raise KeyError(name)
     if n is not None and name in ("case1", "case2", "case3"):
         return SUITES[name]((n,))
     return SUITES[name]()

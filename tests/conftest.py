@@ -1,8 +1,9 @@
 """Shared pinned diagrams and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own shortcuts: the
-rule-word oracles test every surjective word against comparison rules,
-and the rank oracle runs plain fraction Gauss elimination. The
+rule-word oracle lists every word and tests the surjective ones against
+comparison rules, and the rank oracle runs plain fraction Gauss
+elimination. The
 colouring-count oracle (`_enumerated_counts`, which restacks every
 surjective colouring of every member), the direct order-preserving count
 and the orbit oracle live in `webworlds.verify`.
@@ -23,7 +24,6 @@ from webworlds import (
     validate_diagram,
     web_world,
 )
-from webworlds.diagram import _surjections
 
 PATH4_EDGES = ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1))
 VEE_EDGES = ((1, 2, 1, 1), (1, 3, 2, 1), (2, 4, 2, 1))
@@ -80,25 +80,13 @@ def flipped(diagram):
 RULE_OPS = (None, operator.gt, operator.ge, operator.le, operator.lt)
 
 
-@functools.lru_cache(maxsize=16)
-def surjective_words(length, colours):
-    """The surjective words over 1..colours, listed once for the rule-word oracle."""
-    return tuple(_surjections(length, colours))
-
-
 def rule_word_count(length, colours, codes, cyclic):
-    """Surjective words over 1..colours meeting one rule code per position.
-
-    Lists every word; position i compares letter i with letter i + 1, and
-    a cyclic word's last position compares its last letter with its first.
-    """
-    return sum(
-        1
-        for word in surjective_words(length, colours)
-        if all(RULE_OPS[c](word[i], word[(i + 1) % length]) for i, c in enumerate(codes))
-    )
+    """Surjective words over 1..colours meeting one rule code per position:
+    one cell of `rule_word_counts`."""
+    return rule_word_counts(length, cyclic)[tuple(codes)][colours - 1]
 
 
+@functools.cache
 def rule_word_counts(length, cyclic):
     """Surjective words meeting one rule code per position, for every code
     tuple: {codes: counts for colours 1..length}.
@@ -106,7 +94,8 @@ def rule_word_counts(length, cyclic):
     Lists each word over 1..length once and keeps the surjective ones, a
     word over exactly 1..k for k colours. At each position it finds the
     two codes whose rule holds, and credits the word to every code tuple
-    in their product.
+    in their product. Position i compares letter i with letter i + 1, and a
+    cyclic word's last position compares its last letter with its first.
     """
     positions = length if cyclic else length - 1
     counts = {codes: [0] * length for codes in itertools.product(range(1, 5), repeat=positions)}

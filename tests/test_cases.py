@@ -43,7 +43,6 @@ from webworlds import (
 from webworlds.cases import (
     adjacent_distinct_counts,
     chain_world,
-    cycle_result_signs,
     cycle_world,
     fan_permutation,
     fan_world,
@@ -57,7 +56,7 @@ from webworlds.cases import (
 from webworlds.errors import BadRange, LengthMismatch, MalformedInput, WorldTooLarge
 from webworlds import diagram, matrices
 from webworlds.matrices import ONE, X, matrix_to_csv, matrix_to_json, reconstruction_count
-from webworlds.verify import _split_count, suite_case2, suite_case3
+from webworlds.verify import _cycle_result_signs, _split_count, suite_case2, suite_case3
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +589,7 @@ def test_cycle_sign_vectors_round_trip():
 
 def test_cycle_result_signs_identity_assignment():
     for signs in sign_vectors(3):
-        assert cycle_result_signs(signs, (1, 1, 1)) == signs
+        assert _cycle_result_signs(signs, (1, 1, 1)) == signs
 
 
 def test_cycle_counts_match_brute_restack():
@@ -605,7 +604,7 @@ def test_cycle_counts_match_brute_restack():
                         1
                         for word in itertools.product(range(1, colours + 1), repeat=n)
                         if set(word) == set(range(1, colours + 1))
-                        and cycle_result_signs(source, word) == target
+                        and _cycle_result_signs(source, word) == target
                     )
                     for colours in range(1, n + 1)
                 )

@@ -193,10 +193,13 @@ def test_closed_forms_enumerate_no_words_or_extensions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration reached from a closed form")
 
-    # cases binds no word lister of its own; verify's oracles and
-    # surjective_colourings both list through diagram's _surjections
+    # cases binds no word lister or restack of its own; verify's oracles and
+    # surjective_colourings list through diagram's _surjections, and the
+    # cycle brute force restacks through diagram's restack
     assert not hasattr(cases, "_surjections")
+    assert not hasattr(cases, "restack")
     monkeypatch.setattr("webworlds.diagram._surjections", refuse)
+    monkeypatch.setattr("webworlds.diagram.restack", refuse)
     monkeypatch.setattr(posets, "linear_extensions", refuse)
     chain_matrices(3)
     cycle_matrices(3)

@@ -1,5 +1,6 @@
 """Represent matrices, world counting, and the generating-series routes."""
 
+import functools
 import math
 import time
 
@@ -20,11 +21,10 @@ from webworlds import (
 from webworlds import enumeration, verify
 from webworlds.enumeration import validate_represent
 from webworlds.errors import BadRange, BoundsTooLarge
-from webworlds.verify import (
-    _count_proper_worlds_direct as count_proper_worlds_direct,
-    _count_worlds_direct as count_worlds_direct,
-    _count_worlds_no_isolated_direct as count_worlds_no_isolated_direct,
-)
+from webworlds.verify import _count_listed as count_worlds_direct
+
+count_worlds_no_isolated_direct = functools.partial(count_worlds_direct, no_isolated=True)
+count_proper_worlds_direct = functools.partial(count_worlds_direct, connected=True)
 
 # connected simple graphs on 40 labeled vertices with 60 edges; the former
 # two-variable series route gives the same with its work guard lifted
@@ -286,13 +286,26 @@ OFF_BY_ONE = {
 }
 
 
+# the filters of `verify._count_listed` under which each oracle check reads it
+ORACLE_FILTERS = {"count_worlds": (False, False), "count_proper_worlds_direct": (False, True)}
+
+
 @pytest.mark.parametrize("counter", sorted(OFF_BY_ONE))
 def test_counting_suite_reports_an_off_by_one_counter(monkeypatch, counter):
-    # the brute-force oracles are private to verify, the listing count among them
-    name = "count_worlds_direct" if counter == "count_worlds" else counter
-    module, name = (verify, "_" + name) if name.endswith("_direct") else (enumeration, name)
-    right = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *cell: right(*cell) + 1)
+    if counter in ORACLE_FILTERS:
+        # the brute-force oracle is private to verify: one listing count read
+        # with filters, wrong only under the filters of the check it targets
+        right = verify._count_listed
+
+        def wrong(*cell, no_isolated=False, connected=False):
+            return right(*cell, no_isolated, connected) + (
+                (no_isolated, connected) == ORACLE_FILTERS[counter]
+            )
+
+        monkeypatch.setattr(verify, "_count_listed", wrong)
+    else:
+        right = getattr(enumeration, counter)
+        monkeypatch.setattr(enumeration, counter, lambda *cell: right(*cell) + 1)
     failed = [(r.name, r.detail) for r in verify.suite_counting(1, 3, 2) if not r.passed]
     assert OFF_BY_ONE[counter] in failed
 

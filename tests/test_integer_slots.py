@@ -6,7 +6,18 @@ One row per slot: the call given True or the float of its integer raises
 
 import pytest
 
-from webworlds import DecompositionPoset, IntPolynomial, WebDiagram, validate_diagram, web_world, world_matrices
+from webworlds import (
+    DecompositionPoset,
+    IntPolynomial,
+    WebDiagram,
+    WorldMatrix,
+    rank,
+    surjective_colourings,
+    validate_diagram,
+    web_world,
+    world_matrices,
+    world_traces,
+)
 from webworlds.cases import (
     adjacent_distinct_counts,
     chain_world,
@@ -68,12 +79,18 @@ SLOTS = {
     "IntPolynomial-scale": (lambda v: X * v, 2, IntPolynomial((0, 2))),
     "IntPolynomial-rscale": (lambda v: v * X, 2, IntPolynomial((0, 2))),
     "IntPolynomial-power": (lambda v: X**v, 2, IntPolynomial((0, 0, 1))),
+    "IntPolynomial-coefficient": (lambda v: IntPolynomial((1, 2)).coefficient(v), 1, 2),
+    "WorldMatrix-flip": (lambda v: rank(WorldMatrix(((1, 0), (0, 1)), 1, flip=[v, 0])), 1, 2),
     "adjacent_distinct_counts-n": (lambda v: adjacent_distinct_counts(v, 2), 3, (2, 0, 2)),
     "adjacent_distinct_counts-k": (lambda v: adjacent_distinct_counts(3, v), 2, (2, 0, 2)),
     "from_relations-size": (lambda v: DecompositionPoset.from_relations(v, ()).size, 2, 2),
     "from_relations-pair": (lambda v: DecompositionPoset.from_relations(2, [(v, 2)]).strict_pairs(), 1, ((1, 2),)),
     "web_world-guard": (lambda v: len(web_world(BEND, v)), 2, 2),
     "world_matrices-guard": (lambda v: world_matrices(web_world(SINGLE), v)[0].size, 1, 1),
+    # SINGLE has no parallel edges, so its traces read no world and no guard
+    "world_traces-guard": (lambda v: world_traces(SINGLE, v), 1, (X, 1)),
+    "surjective_colourings-edges": (lambda v: len(list(surjective_colourings(v, 1))), 1, 1),
+    "surjective_colourings-colours": (lambda v: len(list(surjective_colourings(2, v))), 2, 2),
 }
 
 

@@ -27,6 +27,7 @@ from webworlds import (
 )
 from webworlds import enumeration, matrices
 from webworlds.diagram import predicted_world_size
+from webworlds.errors import MalformedInput
 from webworlds.matrices import from_counts, ordered_bell_polynomial
 
 from conftest import fraction_rank, small_worlds
@@ -110,12 +111,18 @@ def test_unsplit_matrices_take_the_identity(case_pairs):
     assert (fan.flip[a], fan.flip[b]) != (a, b)
     rows[a][b] += 1
     samples = [("flip fails", WorldMatrix(rows, fan.denominator, flip=fan.flip))]
+    samples += [("not a permutation", WorldMatrix(fan.rows, fan.denominator, flip=[0] * fan.size))]
     samples += [("from_entries", WorldMatrix.from_entries(fan.entries))]
     samples += [(name, mix) for name, (_poly, mix) in case_pairs]
     for name, matrix in samples:
         plus, minus = matrix._flip_blocks()
         assert plus == [list(row) for row in matrix.rows] and minus == [], name
         assert rank(matrix) == fraction_rank(matrix.entries), name
+
+
+def test_a_flip_is_one_row_of_integers():
+    with pytest.raises(MalformedInput, match="a matrix flip"):
+        WorldMatrix(((1,),), flip=5)
 
 
 def test_structure_checks_build_no_entries():

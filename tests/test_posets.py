@@ -34,7 +34,7 @@ from webworlds import (
     world_posets,
 )
 from webworlds.diagram import _symmetry_orbits
-from webworlds.errors import BadRange, LabelNotOne, RepeatedBlocks
+from webworlds.errors import BadRange, LabelNotOne, MalformedInput, RepeatedBlocks
 from webworlds.posets import _closed_forms
 from webworlds.verify import _direct_order_preserving, suite_posets
 
@@ -274,6 +274,12 @@ def test_member_posets_are_valid_and_unchanged():
 def test_direct_construction_checks_the_order(leq):
     with pytest.raises(BadRange):
         DecompositionPoset(ANTICHAIN3.blocks[: len(leq[0])], leq)
+
+
+def test_direct_construction_takes_only_bool_entries():
+    # 1.0 and 0.5 are truthy: read as relations they would give up = (2, 0)
+    with pytest.raises(MalformedInput, match="bools"):
+        DecompositionPoset(ANTICHAIN3.blocks[:2], ((1.0, 0.5), (0, 2)))
 
 
 def test_abstract_posets_need_a_non_negative_size():
